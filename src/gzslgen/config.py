@@ -194,33 +194,38 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
     shapes = meta["array_shapes"]
 
     def mat(name: str) -> np.ndarray:
+        # each blob is dropped once copied out of, so the archive and the
+        # loaded parameters are never both held in full
         key = name + ".f64"
         if key not in blobs:
             raise FormatError(f"{path}: archive is missing {key}")
-        return matrix_from_blob(blobs[key], tuple(shapes[name]), f"{path}:{name}")
+        return matrix_from_blob(blobs.pop(key), tuple(shapes[name]), f"{path}:{name}")
 
     def mlp(name: str) -> MLPParams:
         s = meta["network_shapes"][name]
-        return MLPParams(
-            w1=mat(f"{name}_w1"),
-            b1=mat(f"{name}_b1"),
-            w2=mat(f"{name}_w2"),
-            b2=mat(f"{name}_b2"),
-            shape=NetworkShape(
-                input_dim=s["input_dim"],
-                hidden_dim=s["hidden_dim"],
-                output_dim=s["output_dim"],
-                negative_slope=s["negative_slope"],
-                output_activation=s["output_activation"],
-            ),
-        )
+        net = MLPParams.zeros(NetworkShape(
+            input_dim=s["input_dim"],
+            hidden_dim=s["hidden_dim"],
+            output_dim=s["output_dim"],
+            negative_slope=s["negative_slope"],
+            output_activation=s["output_activation"],
+        ))
+        for key, view in net.arrays().items():
+            arr = mat(f"{name}_{key}")
+            if arr.shape != view.shape:
+                raise FormatError(
+                    f"{path}:{name}_{key}: shape {arr.shape} does not match "
+                    f"the network shape {view.shape}"
+                )
+            view[...] = arr
+        return net
 
     params = ModelParams(
         g_sv=mlp("g_sv"),
         g_vs=mlp("g_vs"),
         d_v=mlp("d_v"),
         d_s=mlp("d_s"),
-        cls_seen=LinearParams(w=mat("cls_w"), b=mat("cls_b")),
+        cls_seen=LinearParams(w=mat("cls_w").copy(), b=mat("cls_b").copy()),
     )
     run_config = parse_run_config(meta["run_config"])
     return params, run_config

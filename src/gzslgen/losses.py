@@ -25,7 +25,6 @@ from .data import FeatureBatch
 from .errors import ContractViolation, ValidationError
 from .networks import (
     LinearParams,
-    MLPGrads,
     MLPParams,
     ModelParams,
     classifier_logits,
@@ -211,7 +210,7 @@ def gradient_penalty(
 
 def _gp_value_and_param_grads(
     critic: MLPParams, u_hat: np.ndarray, n_grad: int
-) -> tuple[float, MLPGrads]:
+) -> tuple[float, MLPParams]:
     """Penalty value plus its analytic gradient w.r.t. the critic parameters.
 
     The input gradient of a one-hidden-layer critic is piecewise constant
@@ -232,8 +231,8 @@ def _gp_value_and_param_grads(
     coef[nonzero] = 2.0 * (norms[nonzero] - 1.0) / (norms[nonzero] * b)
     v = coef[:, None] * g                                       # [B, n_grad]
 
-    grads = MLPGrads.zeros_like(critic)
-    grads.w1[:n_grad, :] = v.T @ s
+    grads = MLPParams.zeros(critic.shape)
+    np.matmul(v.T, s, out=grads.w1[:n_grad, :])
     p = v @ critic.w1[:n_grad, :]                               # [B, H]
     grads.w2[:, 0] = (d * p).sum(axis=0)
     return value, grads
@@ -261,7 +260,7 @@ def disc_v_loss_and_grads(
     synth_visual: np.ndarray,
     weights: LossWeights,
     mix,
-) -> tuple[float, dict[str, float], MLPGrads]:
+) -> tuple[float, dict[str, float], MLPParams]:
     if synth_visual.shape != batch.visual.shape:
         raise ContractViolation(
             f"synthetic visual {synth_visual.shape} must match batch {batch.visual.shape}"
@@ -308,7 +307,7 @@ def disc_s_loss_and_grads(
     recon_attrs: np.ndarray,
     weights: LossWeights,
     mix,
-) -> tuple[float, dict[str, float], MLPGrads]:
+) -> tuple[float, dict[str, float], MLPParams]:
     if recon_attrs.shape != batch.attributes.shape:
         raise ContractViolation(
             f"reconstructed attributes {recon_attrs.shape} must match "
@@ -360,7 +359,7 @@ def gen_sv_loss_and_grads(
     label_cols: np.ndarray | None = None,
     pair_mode: str = "real",
     include_pair_term: bool = True,
-) -> tuple[float, dict[str, float], MLPGrads]:
+) -> tuple[float, dict[str, float], MLPParams]:
     """Visual-generator objective and its gradient w.r.t. that generator.
 
     Internally runs the full chain x' -> a' -> x''; the gradient flows
@@ -455,7 +454,7 @@ def gen_vs_loss_and_grads(
     batch: FeatureBatch,
     weights: LossWeights,
     noise2: np.ndarray,
-) -> tuple[float, dict[str, float], MLPGrads]:
+) -> tuple[float, dict[str, float], MLPParams]:
     """Semantic-generator objective and its gradient w.r.t. that generator.
 
     The synthesized features feeding the reconstruction are produced by the

@@ -86,10 +86,11 @@ def read_archive(path: str) -> tuple[dict, dict[str, bytes]]:
 
 
 def matrix_from_blob(blob: bytes, shape: tuple[int, ...], source: str) -> np.ndarray:
+    """Read-only view of a float64 blob; copy it to keep or modify it."""
     raw = np.frombuffer(blob, dtype=DTYPES["f64"])
     expected = int(np.prod(shape))
     if raw.size != expected:
         raise FormatError(
             f"{source}: payload holds {raw.size} values, metadata declares shape {tuple(shape)}"
         )
-    return raw.reshape(shape).copy()
+    return raw.reshape(shape)

@@ -12,6 +12,12 @@ Shapes (K = visual dim, L = attribute dim, H = hidden width):
     visual critic       [x | a] (K+L) -> H -> 1, linear output
     semantic critic     a (L) -> H -> 1, linear output
     seen classifier     x (K) -> n_seen logits, softmax
+
+Flat layout: each MLPParams owns one contiguous 1-D float64 buffer ``flat``
+holding w1 | b1 | w2 | b2, each row-major, and ``w1/b1/w2/b2`` are views into
+it. Gradients use the same type and layout, so adding gradients, taking
+their norm and one fused optimizer update per network each make a single
+pass over one buffer, and ``mlp_backward`` writes straight into the views.
 """
 
 from __future__ import annotations
@@ -41,53 +47,70 @@ class NetworkShape:
             raise ContractViolation(f"unknown output activation {self.output_activation!r}")
 
 
-@dataclass
 class MLPParams:
-    """Weights of one hidden-layer perceptron, x @ w + b convention."""
+    """Weights of one hidden-layer perceptron, x @ w + b convention.
 
-    w1: np.ndarray  # [input_dim, hidden_dim]
-    b1: np.ndarray  # [hidden_dim]
-    w2: np.ndarray  # [hidden_dim, output_dim]
-    b2: np.ndarray  # [output_dim]
-    shape: NetworkShape
+    ``w1/b1/w2/b2`` are views into ``flat`` (see the module docstring): write
+    into them (``net.b1[:] = ...``, ``net.w2 *= 3``), never rebind them.
+    """
+
+    def __init__(
+        self,
+        w1: np.ndarray,  # [input_dim, hidden_dim]
+        b1: np.ndarray,  # [hidden_dim]
+        w2: np.ndarray,  # [hidden_dim, output_dim]
+        b2: np.ndarray,  # [output_dim]
+        shape: NetworkShape,
+    ):
+        self._bind(np.empty(_flat_size(shape)), shape)
+        for name, src in zip(("w1", "b1", "w2", "b2"), (w1, b1, w2, b2)):
+            view = getattr(self, name)
+            if np.shape(src) != view.shape:
+                raise ContractViolation(
+                    f"{name} must have shape {view.shape}, got {np.shape(src)}"
+                )
+            view[...] = src
+
+    def _bind(self, flat: np.ndarray, shape: NetworkShape) -> None:
+        i, h, o = shape.input_dim, shape.hidden_dim, shape.output_dim
+        self.shape = shape
+        self.flat = flat
+        self.w1 = flat[: i * h].reshape(i, h)
+        self.b1 = flat[i * h : i * h + h]
+        self.w2 = flat[i * h + h : i * h + h + h * o].reshape(h, o)
+        self.b2 = flat[i * h + h + h * o :]
+
+    @classmethod
+    def _from_flat(cls, flat: np.ndarray, shape: NetworkShape) -> "MLPParams":
+        """Wrap a contiguous 1-D float64 buffer of the right size, uncopied."""
+        net = cls.__new__(cls)
+        net._bind(flat, shape)
+        return net
+
+    @classmethod
+    def zeros(cls, shape: NetworkShape) -> "MLPParams":
+        return cls._from_flat(np.zeros(_flat_size(shape)), shape)
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
     def copy(self) -> "MLPParams":
-        return MLPParams(
-            self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy(), self.shape
-        )
+        return MLPParams._from_flat(self.flat.copy(), self.shape)
 
-
-@dataclass
-class MLPGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def add_(self, other: "MLPGrads", scale: float = 1.0) -> "MLPGrads":
-        self.w1 += scale * other.w1
-        self.b1 += scale * other.b1
-        self.w2 += scale * other.w2
-        self.b2 += scale * other.b2
+    def add_(self, other: "MLPParams", scale: float = 1.0) -> "MLPParams":
+        """self += scale * other, in place; scaling consumes ``other``."""
+        if scale != 1.0:
+            other.flat *= scale
+        self.flat += other.flat
         return self
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(np.sum(a * a) for a in self.arrays().values())))
+        return float(np.sqrt(self.flat @ self.flat))
 
-    @staticmethod
-    def zeros_like(params: MLPParams) -> "MLPGrads":
-        return MLPGrads(
-            np.zeros_like(params.w1),
-            np.zeros_like(params.b1),
-            np.zeros_like(params.w2),
-            np.zeros_like(params.b2),
-        )
+
+def _flat_size(shape: NetworkShape) -> int:
+    h = shape.hidden_dim
+    return shape.input_dim * h + h + h * shape.output_dim + shape.output_dim
 
 
 @dataclass
@@ -138,15 +161,12 @@ class MLPCache:
 def _init_mlp(rng: np.random.Generator, shape: NetworkShape) -> MLPParams:
     shape.validate()
     # Fan-in scaled zero-mean weights, zero biases.
-    w1 = rng.standard_normal((shape.input_dim, shape.hidden_dim)) / np.sqrt(shape.input_dim)
-    w2 = rng.standard_normal((shape.hidden_dim, shape.output_dim)) / np.sqrt(shape.hidden_dim)
-    return MLPParams(
-        w1=w1,
-        b1=np.zeros(shape.hidden_dim),
-        w2=w2,
-        b2=np.zeros(shape.output_dim),
-        shape=shape,
-    )
+    net = MLPParams.zeros(shape)
+    rng.standard_normal(out=net.w1)
+    net.w1 /= np.sqrt(shape.input_dim)
+    rng.standard_normal(out=net.w2)
+    net.w2 /= np.sqrt(shape.hidden_dim)
+    return net
 
 
 def init_params(
@@ -205,20 +225,21 @@ def mlp_forward_cached(params: MLPParams, u: np.ndarray) -> MLPCache:
 
 def mlp_backward(
     params: MLPParams, cache: MLPCache, d_out: np.ndarray
-) -> tuple[MLPGrads, np.ndarray]:
+) -> tuple[MLPParams, np.ndarray]:
     """Backprop an upstream gradient; returns (parameter grads, input grad)."""
     if params.shape.output_activation == "relu":
         d_opre = d_out * (cache.o_pre > 0)
     else:
         d_opre = d_out
-    grads_w2 = cache.h.T @ d_opre
-    grads_b2 = d_opre.sum(axis=0)
+    grads = MLPParams._from_flat(np.empty_like(params.flat), params.shape)
+    np.matmul(cache.h.T, d_opre, out=grads.w2)
+    np.sum(d_opre, axis=0, out=grads.b2)
     d_h = d_opre @ params.w2.T
     d_hpre = d_h * _leaky_deriv(cache.h_pre, params.shape.negative_slope)
-    grads_w1 = cache.u.T @ d_hpre
-    grads_b1 = d_hpre.sum(axis=0)
+    np.matmul(cache.u.T, d_hpre, out=grads.w1)
+    np.sum(d_hpre, axis=0, out=grads.b1)
     d_u = d_hpre @ params.w1.T
-    return MLPGrads(grads_w1, grads_b1, grads_w2, grads_b2), d_u
+    return grads, d_u
 
 
 def critic_input_grads(params: MLPParams, u: np.ndarray) -> np.ndarray:

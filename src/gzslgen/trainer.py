@@ -12,17 +12,17 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import losses
 from .data import DatasetBundle, FeatureBatch, batch_iterator
-from .errors import TrainingDiverged, ValidationError
+from .errors import ContractViolation, TrainingDiverged, ValidationError
 from .losses import LossWeights
 from .networks import (
     LinearParams,
-    MLPGrads,
+    MLPParams,
     ModelParams,
     classifier_forward,
     init_params,
@@ -113,15 +113,30 @@ def effective_weights(config: TrainConfig) -> LossWeights:
     return w
 
 
+# Adam streams each parameter through the cache in blocks of this many
+# doubles; 2^14 to 2^15 measured fastest on an 8.7M-parameter critic.
+_ADAM_BLOCK = 1 << 15
+
+
 class Adam:
-    """Adaptive-moment optimizer over a dict of named parameter arrays."""
+    """Adaptive-moment optimizer over a dict of named parameter arrays.
+
+    Parameters must be C-contiguous; they are updated in place, block by
+    block, with no full-size temporaries.
+    """
 
     def __init__(self, arrays: dict[str, np.ndarray], cfg: OptimizerConfig):
+        for key, param in arrays.items():
+            if not param.flags.c_contiguous:
+                raise ContractViolation(f"Adam parameter {key!r} must be C-contiguous")
         self.arrays = arrays
         self.cfg = cfg
         self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.t = 0
+        n = min(_ADAM_BLOCK, max(a.size for a in arrays.values()))
+        self._num = np.empty(n)
+        self._den = np.empty(n)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
@@ -129,12 +144,31 @@ class Adam:
         bias1 = 1.0 - c.beta1**self.t
         bias2 = 1.0 - c.beta2**self.t
         for key, param in self.arrays.items():
-            g = grads[key]
-            self.m[key] = c.beta1 * self.m[key] + (1.0 - c.beta1) * g
-            self.v[key] = c.beta2 * self.v[key] + (1.0 - c.beta2) * g * g
-            m_hat = self.m[key] / bias1
-            v_hat = self.v[key] / bias2
-            param -= c.learning_rate * m_hat / (np.sqrt(v_hat) + c.eps)
+            p = param.reshape(-1)
+            g = grads[key].reshape(-1)
+            m = self.m[key].reshape(-1)
+            v = self.v[key].reshape(-1)
+            for lo in range(0, p.size, _ADAM_BLOCK):
+                hi = min(lo + _ADAM_BLOCK, p.size)
+                num, den = self._num[: hi - lo], self._den[: hi - lo]
+                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+                # m = b1*m + (1-b1)*g
+                np.multiply(mb, c.beta1, out=mb)
+                np.multiply(gb, 1.0 - c.beta1, out=num)
+                np.add(mb, num, out=mb)
+                # v = b2*v + ((1-b2)*g)*g
+                np.multiply(vb, c.beta2, out=vb)
+                np.multiply(gb, 1.0 - c.beta2, out=den)
+                np.multiply(den, gb, out=den)
+                np.add(vb, den, out=vb)
+                # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
+                np.divide(mb, bias1, out=num)
+                np.multiply(num, c.learning_rate, out=num)
+                np.divide(vb, bias2, out=den)
+                np.sqrt(den, out=den)
+                np.add(den, c.eps, out=den)
+                np.divide(num, den, out=num)
+                np.subtract(p[lo:hi], num, out=p[lo:hi])
 
 
 def seen_class_columns(bundle: DatasetBundle) -> tuple[np.ndarray, dict[int, int]]:
@@ -188,12 +222,9 @@ def _check_finite(value: float, terms: dict, name: str, iteration: int) -> None:
         )
 
 
-def _check_params_finite(params: ModelParams, name: str, iteration: int) -> None:
-    for arr in params.all_arrays():
-        if not np.all(np.isfinite(arr)):
-            raise TrainingDiverged(
-                f"non-finite parameter after {name} update at iteration {iteration}"
-            )
+def _check_params_finite(arrays: Iterable[np.ndarray], where: str) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise TrainingDiverged(f"non-finite parameter {where}")
 
 
 def _random_batch(
@@ -218,7 +249,9 @@ def train(
     """Run the full alternating optimization; returns trained params and log.
 
     Deterministic given (bundle, config.seed). Raises TrainingDiverged on
-    the first non-finite loss term or parameter, naming it.
+    the first non-finite loss term or parameter, naming it. Only the network
+    a step updated can turn non-finite, so each step scans that network; the
+    classifier and the initial networks are scanned once before the loop.
     """
     config.validate()
     k, l = bundle.feature_dim, bundle.attribute_dim
@@ -232,6 +265,10 @@ def train(
     lookup, col_of = seen_class_columns(bundle)
 
     cls = pretrain_classifier(bundle, config)
+    _check_params_finite(
+        cls.arrays().values(),
+        f"in the seen-class classifier after its pretrain (pretrain_lr={config.pretrain_lr})",
+    )
     log = TrainLog(seen_class_cols=col_of)
     log.pretrain_accuracy = classifier_accuracy(
         cls, bundle.visual_train, lookup[bundle.labels_train]
@@ -246,17 +283,19 @@ def train(
     )
     params.cls_seen = cls
     theta_snapshot = (cls.w.copy(), cls.b.copy())
+    nets = {"d_v": params.d_v, "d_s": params.d_s, "g_sv": params.g_sv, "g_vs": params.g_vs}
+    _check_params_finite((net.flat for net in nets.values()), "at initialisation")
 
-    opts = {
-        "d_v": Adam(params.d_v.arrays(), config.optimizer),
-        "d_s": Adam(params.d_s.arrays(), config.optimizer),
-        "g_sv": Adam(params.g_sv.arrays(), config.optimizer),
-        "g_vs": Adam(params.g_vs.arrays(), config.optimizer),
-    }
+    opts = {name: Adam({"flat": net.flat}, config.optimizer) for name, net in nets.items()}
+
+    def update(kind: str, grads: MLPParams, iteration: int) -> None:
+        opts[kind].step({"flat": grads.flat})
+        _check_params_finite([nets[kind].flat], f"after {kind} update at iteration {iteration}")
+
     rng = child_rng(config.seed, "noise")
 
     def record(kind: str, iteration: int, epoch: int, value: float,
-               terms: dict[str, float], grads: MLPGrads) -> None:
+               terms: dict[str, float], grads: MLPParams) -> None:
         log.append({
             "iteration": iteration,
             "epoch": epoch,
@@ -286,8 +325,7 @@ def train(
                     params, cb, synth, weights, rng
                 )
                 _check_finite(value, terms, "d_v", iteration)
-                opts["d_v"].step(grads.arrays())
-                _check_params_finite(params, "d_v", iteration)
+                update("d_v", grads, iteration)
                 record("d_v", iteration, epoch, value, terms, grads)
 
             if not baseline:
@@ -302,8 +340,7 @@ def train(
                         params, cb, recon, weights, rng
                     )
                     _check_finite(value, terms, "d_s", iteration)
-                    opts["d_s"].step(grads.arrays())
-                    _check_params_finite(params, "d_s", iteration)
+                    update("d_s", grads, iteration)
                     record("d_s", iteration, epoch, value, terms, grads)
 
             noise2 = rng.standard_normal(batch.noise.shape)
@@ -314,8 +351,7 @@ def train(
                 include_pair_term=not baseline,
             )
             _check_finite(value, terms, "g_sv", iteration)
-            opts["g_sv"].step(grads.arrays())
-            _check_params_finite(params, "g_sv", iteration)
+            update("g_sv", grads, iteration)
             record("g_sv", iteration, epoch, value, terms, grads)
 
             if not baseline:
@@ -324,8 +360,7 @@ def train(
                     params, batch, weights, noise2
                 )
                 _check_finite(value, terms, "g_vs", iteration)
-                opts["g_vs"].step(grads.arrays())
-                _check_params_finite(params, "g_vs", iteration)
+                update("g_vs", grads, iteration)
                 record("g_vs", iteration, epoch, value, terms, grads)
 
     assert np.array_equal(params.cls_seen.w, theta_snapshot[0])

@@ -111,3 +111,13 @@ def test_divergence_names_term_and_iteration():
                          optimizer=OptimizerConfig(learning_rate=1e150), seed=0)
     with pytest.raises(TrainingDiverged, match=r"iteration \d+"):
         train(bundle, config)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # intentional blow-up
+def test_divergence_in_pretrain_names_the_pretrain():
+    bundle = make_synthetic_dataset(
+        SyntheticSpec(2, 1, 8, 2, 8, 0.05, projection_seed=1, noise_seed=2))
+    config = TrainConfig(batch_size=8, epochs=5, hidden_dim=8, pretrain_lr=1e308, seed=0)
+    with pytest.raises(TrainingDiverged, match="classifier after its pretrain") as exc:
+        train(bundle, config)
+    assert "d_v" not in str(exc.value)

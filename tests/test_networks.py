@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from gzslgen.config import load_checkpoint, parse_run_config, save_checkpoint
 from gzslgen.errors import ContractViolation
 from gzslgen.networks import (
     LinearParams,
+    MLPParams,
+    NetworkShape,
     classifier_forward,
     disc_s_forward,
     disc_v_forward,
@@ -174,3 +177,66 @@ def test_gvs_output_activation_switch():
     assert np.all(out_rect >= 0)
     assert (out_lin < 0).any()  # same weights, no rectifier
     np.testing.assert_array_equal(out_rect, np.maximum(out_lin, 0.0))
+
+
+class TestFlatLayout:
+    """w1/b1/w2/b2 are consecutive views into one contiguous ``flat`` buffer."""
+
+    @staticmethod
+    def assert_flat_layout(net):
+        views = list(net.arrays().values())
+        assert net.flat.ndim == 1 and net.flat.flags.c_contiguous
+        assert all(np.shares_memory(view, net.flat) for view in views)
+        assert np.array_equal(net.flat, np.concatenate([a.ravel() for a in views]))
+        net.flat[:] = np.arange(net.flat.size)
+        assert np.array_equal(np.concatenate([a.ravel() for a in views]),
+                              np.arange(net.flat.size))
+
+    def test_init_params(self):
+        m = init_params(16, 4, 3, seed=0, hidden_dim=32)
+        for net in (m.g_sv, m.g_vs, m.d_v, m.d_s):
+            self.assert_flat_layout(net)
+
+    def test_keyword_constructor(self):
+        rng = np.random.default_rng(0)
+        shape = NetworkShape(5, 7, 2)
+        arrays = {"w1": rng.standard_normal((5, 7)), "b1": rng.standard_normal(7),
+                  "w2": rng.standard_normal((7, 2)), "b2": rng.standard_normal(2)}
+        net = MLPParams(**arrays, shape=shape)
+        for name, arr in arrays.items():
+            assert np.array_equal(getattr(net, name), arr)
+            assert not np.shares_memory(getattr(net, name), arr)
+        self.assert_flat_layout(net)
+        self.assert_flat_layout(zero_mlp(4, 6, 3))
+        with pytest.raises(ContractViolation, match="b1"):
+            MLPParams(**{**arrays, "b1": np.zeros(6)}, shape=shape)
+
+    def test_copy_shares_nothing_with_its_source(self):
+        source = small_model().d_v
+        twin = source.copy()
+        assert np.array_equal(twin.flat, source.flat)
+        assert not np.shares_memory(twin.flat, source.flat)
+        self.assert_flat_layout(twin)
+        assert not np.array_equal(twin.flat, source.flat)  # the probe wrote only the copy
+
+    def test_load_checkpoint(self, tmp_path):
+        model = init_params(8, 2, 2, seed=0, hidden_dim=8)
+        run_config = parse_run_config({"synthetic": {
+            "n_seen_classes": 2, "n_unseen_classes": 1, "feature_dim": 8,
+            "attribute_dim": 2, "samples_per_class": 4, "cluster_std": 0.05,
+            "projection_seed": 1, "noise_seed": 2}})
+        path = str(tmp_path / "checkpoint.zip")
+        save_checkpoint(path, model, run_config)
+        loaded, _ = load_checkpoint(path)
+        for name in ("g_sv", "g_vs", "d_v", "d_s"):
+            assert np.array_equal(getattr(loaded, name).flat, getattr(model, name).flat)
+            self.assert_flat_layout(getattr(loaded, name))
+
+    def test_backward_grads(self):
+        model = small_model()
+        batch = random_batch()
+        u = np.hstack([batch.visual, batch.attributes])
+        cache = mlp_forward_cached(model.d_v, u)
+        grads, _ = mlp_backward(model.d_v, cache, np.ones((u.shape[0], 1)))
+        assert grads.flat.size == model.d_v.flat.size
+        self.assert_flat_layout(grads)

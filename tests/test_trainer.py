@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from gzslgen import losses, trainer
 from gzslgen.data import SyntheticSpec, make_synthetic_dataset
-from gzslgen.errors import ValidationError
+from gzslgen.errors import TrainingDiverged, ValidationError
 from gzslgen.trainer import (
     Adam,
     OptimizerConfig,
@@ -171,6 +172,24 @@ class TestTrainLoop:
         for arr in model.all_arrays():
             assert np.all(np.isfinite(arr))
 
+    @pytest.mark.parametrize("kind,loss_fn", [
+        ("d_v", "disc_v_loss_and_grads"),
+        ("d_s", "disc_s_loss_and_grads"),
+        ("g_sv", "gen_sv_loss_and_grads"),
+        ("g_vs", "gen_vs_loss_and_grads"),
+    ])
+    def test_divergence_names_the_updated_network(self, monkeypatch, kind, loss_fn):
+        original = getattr(losses, loss_fn)
+
+        def poisoned(*args, **kwargs):
+            value, terms, grads = original(*args, **kwargs)
+            grads.flat[0] = np.nan  # the loss stays finite
+            return value, terms, grads
+
+        monkeypatch.setattr(losses, loss_fn, poisoned)
+        with pytest.raises(TrainingDiverged, match=rf"after {kind} update at iteration 1$"):
+            train(desk_bundle(samples=20), desk_config())
+
     def test_noise_dim_must_match_attribute_dim(self):
         bundle = desk_bundle()
         with pytest.raises(ValidationError, match="noise_dim"):
@@ -206,6 +225,30 @@ class TestAdam:
             v_hat = v / (1 - 0.9**t)
             expected -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
             np.testing.assert_allclose(arrays["p"], expected, rtol=1e-12)
+
+
+class TestBlockedAdam:
+    def test_multi_block_update_is_exact_and_in_place(self):
+        rng = np.random.default_rng(1)
+        flat = rng.standard_normal(257 * 300)
+        param = flat.reshape(257, 300)
+        assert param.size > trainer._ADAM_BLOCK and param.size % trainer._ADAM_BLOCK
+        cfg = OptimizerConfig(learning_rate=0.01, beta1=0.5, beta2=0.9)
+        opt = Adam({"p": param}, cfg)
+        m = np.zeros_like(param)
+        v = np.zeros_like(param)
+        expected = param.copy()
+        for t in range(1, 4):
+            g = rng.standard_normal(param.shape)
+            opt.step({"p": g})
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            m_hat = m / (1.0 - cfg.beta1**t)
+            v_hat = v / (1.0 - cfg.beta2**t)
+            expected -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            assert opt.arrays["p"] is param
+            assert np.array_equal(param, expected)
+            assert np.array_equal(flat, expected.reshape(-1))
 
 
 def test_full_variant_keeps_configured_weights():
