@@ -9,7 +9,7 @@ Flag overrides beat file values, which beat defaults.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -24,14 +24,9 @@ from .trainer import OptimizerConfig, TrainConfig
 
 CHECKPOINT_NAME = "checkpoint.zip"
 
-_TRAIN_SCALAR_KEYS = {
-    "batch_size", "n1", "n2", "epochs", "hidden_dim", "negative_slope",
-    "gvs_output_activation", "seed", "variant", "pair_mode",
-    "separate_critic_batches", "baseline_cls_loss", "noise_dim",
-    "pretrain_lr", "pretrain_max_steps", "pretrain_grad_tol",
-}
-_WEIGHT_KEYS = {"lambda1", "lambda2", "lambda3", "lambda4", "lambda5", "lambda6"}
-_OPT_KEYS = {"learning_rate", "beta1", "beta2", "eps"}
+_WEIGHT_KEYS = {f.name for f in fields(LossWeights)}
+_OPT_KEYS = {f.name for f in fields(OptimizerConfig)}
+_TRAIN_SCALAR_KEYS = {f.name for f in fields(TrainConfig)} - {"weights", "optimizer"}
 _EVAL_KEYS = {f.name for f in fields(EvalConfig)} | {"counts"}
 
 
@@ -153,29 +148,15 @@ def write_effective_config(cfg: RunConfig, path: str) -> None:
 # checkpoints
 
 
-def _mlp_entries(name: str, p: MLPParams) -> dict[str, np.ndarray]:
-    return {f"{name}_{k}": v for k, v in p.arrays().items()}
-
-
 def save_checkpoint(path: str, params: ModelParams, run_config: RunConfig) -> None:
     arrays: dict[str, np.ndarray] = {}
-    for name, net in (("g_sv", params.g_sv), ("g_vs", params.g_vs),
-                      ("d_v", params.d_v), ("d_s", params.d_s)):
-        arrays.update(_mlp_entries(name, net))
+    shapes = {}
+    for name in ("g_sv", "g_vs", "d_v", "d_s"):
+        net = getattr(params, name)
+        arrays.update({f"{name}_{k}": v for k, v in net.arrays().items()})
+        shapes[name] = asdict(net.shape)
     arrays["cls_w"] = params.cls_seen.w
     arrays["cls_b"] = params.cls_seen.b
-
-    shapes = {}
-    for name, net in (("g_sv", params.g_sv), ("g_vs", params.g_vs),
-                      ("d_v", params.d_v), ("d_s", params.d_s)):
-        s = net.shape
-        shapes[name] = {
-            "input_dim": s.input_dim,
-            "hidden_dim": s.hidden_dim,
-            "output_dim": s.output_dim,
-            "negative_slope": s.negative_slope,
-            "output_activation": s.output_activation,
-        }
     meta = {
         "format": "gzslgen-checkpoint",
         "version": 1,
@@ -203,13 +184,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
 
     def mlp(name: str) -> MLPParams:
         s = meta["network_shapes"][name]
-        net = MLPParams.zeros(NetworkShape(
-            input_dim=s["input_dim"],
-            hidden_dim=s["hidden_dim"],
-            output_dim=s["output_dim"],
-            negative_slope=s["negative_slope"],
-            output_activation=s["output_activation"],
-        ))
+        net = MLPParams.zeros(NetworkShape(**{f.name: s[f.name] for f in fields(NetworkShape)}))
         for key, view in net.arrays().items():
             arr = mat(f"{name}_{key}")
             if arr.shape != view.shape:

@@ -21,14 +21,15 @@ import numpy as np
 from .errors import ContractViolation, ValidationError
 from .matio import dumps_json, load_json, read_matrix, write_matrix
 
+# key -> (file name, on-disk kind, DatasetBundle field)
 DATASET_FILES = {
-    "train_X": ("train_X.f32", "f32"),
-    "train_y": ("train_y.i32", "i32"),
-    "test_seen_X": ("test_seen_X.f32", "f32"),
-    "test_seen_y": ("test_seen_y.i32", "i32"),
-    "test_unseen_X": ("test_unseen_X.f32", "f32"),
-    "test_unseen_y": ("test_unseen_y.i32", "i32"),
-    "attributes": ("attributes.f32", "f32"),
+    "train_X": ("train_X.f32", "f32", "visual_train"),
+    "train_y": ("train_y.i32", "i32", "labels_train"),
+    "test_seen_X": ("test_seen_X.f32", "f32", "visual_test_seen"),
+    "test_seen_y": ("test_seen_y.i32", "i32", "labels_test_seen"),
+    "test_unseen_X": ("test_unseen_X.f32", "f32", "visual_test_unseen"),
+    "test_unseen_y": ("test_unseen_y.i32", "i32", "labels_test_unseen"),
+    "attributes": ("attributes.f32", "f32", "attributes"),
 }
 
 
@@ -144,22 +145,26 @@ def validate_bundle(bundle: DatasetBundle) -> DatasetBundle:
     return bundle
 
 
+def _oracle_attributes_and_means(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Class attributes [C_total, L] and cluster means [C_total, K] of the oracle."""
+    spec.validate()
+    c_total = spec.n_seen_classes + spec.n_unseen_classes
+    rng_proj = np.random.default_rng(spec.projection_seed)
+    attributes = rng_proj.uniform(0.0, 1.0, size=(c_total, spec.attribute_dim))
+    # attribute -> mean map
+    proj = rng_proj.uniform(0.0, 1.0, size=(spec.feature_dim, spec.attribute_dim))
+    return attributes, attributes @ proj.T
+
+
 def make_synthetic_dataset(spec: SyntheticSpec) -> DatasetBundle:
     """Build the Gaussian-cluster oracle bundle.
 
     Deterministic: the same spec always yields byte-identical matrices.
     Unseen classes get attributes and test features but no training rows.
     """
-    spec.validate()
+    attributes, means = _oracle_attributes_and_means(spec)
     c_total = spec.n_seen_classes + spec.n_unseen_classes
-    k, l = spec.feature_dim, spec.attribute_dim
-    s = spec.samples_per_class
-
-    rng_proj = np.random.default_rng(spec.projection_seed)
-    attributes = rng_proj.uniform(0.0, 1.0, size=(c_total, l))
-    proj = rng_proj.uniform(0.0, 1.0, size=(k, l))  # attribute -> mean map
-    means = attributes @ proj.T  # [C_total, K]
-
+    k, s = spec.feature_dim, spec.samples_per_class
     rng_noise = np.random.default_rng(spec.noise_seed)
 
     def draw(classes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -192,12 +197,7 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> DatasetBundle:
 
 def oracle_class_means(spec: SyntheticSpec) -> np.ndarray:
     """Analytic cluster means of the oracle, for ground-truth checks."""
-    spec.validate()
-    rng_proj = np.random.default_rng(spec.projection_seed)
-    c_total = spec.n_seen_classes + spec.n_unseen_classes
-    attributes = rng_proj.uniform(0.0, 1.0, size=(c_total, spec.attribute_dim))
-    proj = rng_proj.uniform(0.0, 1.0, size=(spec.feature_dim, spec.attribute_dim))
-    return attributes @ proj.T
+    return _oracle_attributes_and_means(spec)[1]
 
 
 def save_dataset(bundle: DatasetBundle, root: str, split_name: str = "default") -> None:
@@ -216,13 +216,8 @@ def save_dataset(bundle: DatasetBundle, root: str, split_name: str = "default") 
     }
     with open(os.path.join(root, "meta.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps_json(meta))
-    write_matrix(os.path.join(root, "train_X.f32"), bundle.visual_train, "f32")
-    write_matrix(os.path.join(root, "train_y.i32"), bundle.labels_train, "i32")
-    write_matrix(os.path.join(root, "test_seen_X.f32"), bundle.visual_test_seen, "f32")
-    write_matrix(os.path.join(root, "test_seen_y.i32"), bundle.labels_test_seen, "i32")
-    write_matrix(os.path.join(root, "test_unseen_X.f32"), bundle.visual_test_unseen, "f32")
-    write_matrix(os.path.join(root, "test_unseen_y.i32"), bundle.labels_test_unseen, "i32")
-    write_matrix(os.path.join(root, "attributes.f32"), bundle.attributes, "f32")
+    for fname, kind, attr in DATASET_FILES.values():
+        write_matrix(os.path.join(root, fname), getattr(bundle, attr), kind)
 
 
 def load_dataset(root: str, split_name: str = "default", normalize: bool = False) -> DatasetBundle:
@@ -253,19 +248,13 @@ def load_dataset(root: str, split_name: str = "default", normalize: bool = False
         "test_unseen_y": (int(meta["n_test_unseen"]),),
         "attributes": (c_total, l),
     }
-    loaded = {}
-    for key, (fname, kind) in DATASET_FILES.items():
-        loaded[key] = read_matrix(os.path.join(root, fname), shapes[key], kind)
-
+    loaded = {
+        attr: read_matrix(os.path.join(root, fname), shapes[key], kind)
+        for key, (fname, kind, attr) in DATASET_FILES.items()
+    }
     bundle = validate_bundle(
         DatasetBundle(
-            visual_train=loaded["train_X"],
-            labels_train=loaded["train_y"],
-            visual_test_seen=loaded["test_seen_X"],
-            labels_test_seen=loaded["test_seen_y"],
-            visual_test_unseen=loaded["test_unseen_X"],
-            labels_test_unseen=loaded["test_unseen_y"],
-            attributes=loaded["attributes"],
+            **loaded,
             seen_classes=tuple(int(c) for c in meta["seen_classes"]),
             unseen_classes=tuple(int(c) for c in meta["unseen_classes"]),
         )
@@ -298,13 +287,16 @@ def batch_iterator(
         )
     rng = np.random.default_rng(epoch_seed)
     perm = rng.permutation(n)
-    l = bundle.attribute_dim
     for start in range(0, n, batch_size):
-        idx = perm[start : start + batch_size]
-        labels = bundle.labels_train[idx]
-        yield FeatureBatch(
-            visual=bundle.visual_train[idx],
-            attributes=bundle.attributes[labels],
-            labels=labels,
-            noise=rng.standard_normal((idx.size, l)),
-        )
+        yield make_batch(bundle, perm[start : start + batch_size], rng)
+
+
+def make_batch(bundle: DatasetBundle, idx: np.ndarray, rng: np.random.Generator) -> FeatureBatch:
+    """The training rows ``idx`` with their attributes and fresh noise from ``rng``."""
+    labels = bundle.labels_train[idx]
+    return FeatureBatch(
+        visual=bundle.visual_train[idx],
+        attributes=bundle.attributes[labels],
+        labels=labels,
+        noise=rng.standard_normal((idx.size, bundle.attribute_dim)),
+    )

@@ -97,7 +97,6 @@ def evaluate_gzsl(
         learning_rate=cfg.classifier_lr,
         max_steps=cfg.classifier_max_steps,
         grad_tol=cfg.classifier_grad_tol,
-        seed=cfg.seed,
     )
     preds_seen = predict(clf, bundle.visual_test_seen)
     preds_unseen = predict(clf, bundle.visual_test_unseen)

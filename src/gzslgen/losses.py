@@ -1,10 +1,14 @@
 """Every loss term of the two adversarial objectives, as pure functions.
 
 The ``*_and_grads`` variants return analytic parameter gradients for the
-training loop; the value-only functions are thin wrappers over them. The
-test suite pins the values against independent term-by-term recomputation
-from the public term operations, and pins every gradient against central
-finite differences.
+training loop; the value-only functions are thin wrappers over them. Each
+job has one body: both critics build their inputs and call one WGAN-GP
+objective, whose gradient penalty adds its two nonzero blocks straight into
+the step's gradient; both generators share one cached forward of the cycle
+x' -> a' -> x''; the semantic and visual centroid terms share one
+centroid-matching gradient. The test suite pins the values against
+independent term-by-term recomputation from the public term operations, and
+pins every gradient against central finite differences.
 
 Conventions:
   * expectations are uniform batch means;
@@ -25,13 +29,13 @@ from .data import FeatureBatch
 from .errors import ContractViolation, ValidationError
 from .networks import (
     LinearParams,
+    MLPCache,
     MLPParams,
     ModelParams,
     classifier_logits,
     critic_input_grads,
     mlp_backward,
     mlp_forward_cached,
-    softmax,
 )
 
 PAIR_MODES = ("real", "cycle")
@@ -122,22 +126,6 @@ def semantic_centroid_loss(
     return value
 
 
-def semantic_centroid_grads(
-    recon_attrs: np.ndarray, labels: np.ndarray, attributes: np.ndarray
-) -> tuple[float, np.ndarray]:
-    groups = _group_indices(labels)
-    d_recon = np.zeros_like(recon_attrs)
-    total = 0.0
-    for c, idx in groups:
-        mu = recon_attrs[idx].mean(axis=0)
-        diff = mu - attributes[c]
-        norm = float(np.linalg.norm(diff))
-        total += norm
-        if norm > 0:
-            d_recon[idx] += diff / (norm * len(groups) * idx.size)
-    return total / len(groups), d_recon
-
-
 def visual_consistency_loss(
     cycle_visual: np.ndarray,
     labels: np.ndarray,
@@ -154,8 +142,10 @@ def visual_consistency_loss(
 
 
 def _centroid_match_grads(
-    rows: np.ndarray, labels: np.ndarray, targets: Mapping[int, np.ndarray]
+    rows: np.ndarray, labels: np.ndarray, targets: Mapping[int, np.ndarray] | np.ndarray
 ) -> tuple[float, np.ndarray]:
+    """Mean over batch-present classes c of ||centroid(rows_c) - targets[c]||_2,
+    with its gradient w.r.t. ``rows``. ``targets`` maps or indexes class ids."""
     groups = _group_indices(labels)
     d_rows = np.zeros_like(rows)
     total = 0.0
@@ -166,6 +156,9 @@ def _centroid_match_grads(
         if norm > 0:
             d_rows[idx] += diff / (norm * len(groups) * idx.size)
     return total / len(groups), d_rows
+
+
+semantic_centroid_grads = _centroid_match_grads
 
 
 def _batch_centroid_targets(batch: FeatureBatch) -> dict[int, np.ndarray]:
@@ -208,15 +201,15 @@ def gradient_penalty(
     return float(np.mean((norms - 1.0) ** 2))
 
 
-def _gp_value_and_param_grads(
-    critic: MLPParams, u_hat: np.ndarray, n_grad: int
-) -> tuple[float, MLPParams]:
-    """Penalty value plus its analytic gradient w.r.t. the critic parameters.
+def _add_gp_grads(
+    critic: MLPParams, u_hat: np.ndarray, n_grad: int, lam: float, grads: MLPParams
+) -> float:
+    """Penalty value; adds ``lam`` times its critic-parameter gradient to ``grads``.
 
     The input gradient of a one-hidden-layer critic is piecewise constant
     in the hidden preactivations, so the derivative of the penalty through
     the activation pattern vanishes almost everywhere; only w1 rows in the
-    penalized block and w2 receive gradient.
+    penalized block and w2 receive gradient, so only those are touched.
     """
     b = u_hat.shape[0]
     h_pre = u_hat @ critic.w1 + critic.b1
@@ -231,15 +224,41 @@ def _gp_value_and_param_grads(
     coef[nonzero] = 2.0 * (norms[nonzero] - 1.0) / (norms[nonzero] * b)
     v = coef[:, None] * g                                       # [B, n_grad]
 
-    grads = MLPParams.zeros(critic.shape)
-    np.matmul(v.T, s, out=grads.w1[:n_grad, :])
+    w1_block = v.T @ s
+    w1_block *= lam
+    grads.w1[:n_grad, :] += w1_block
     p = v @ critic.w1[:n_grad, :]                               # [B, H]
-    grads.w2[:, 0] = (d * p).sum(axis=0)
-    return value, grads
+    grads.w2[:, 0] += lam * (d * p).sum(axis=0)
+    return value
 
 
 # ---------------------------------------------------------------------------
 # critic objectives
+
+
+def _critic_loss_and_grads(
+    critic: MLPParams,
+    real_in: np.ndarray,
+    fake_in: np.ndarray,
+    mixed_in: np.ndarray,
+    n_grad: int,
+    lam: float,
+) -> tuple[float, dict[str, float], MLPParams]:
+    """WGAN-GP critic objective: mean fake minus mean real score plus ``lam``
+    times the penalty on the first ``n_grad`` input columns at ``mixed_in``."""
+    b = real_in.shape[0]
+    fake_cache = mlp_forward_cached(critic, fake_in)
+    real_cache = mlp_forward_cached(critic, real_in)
+    ones = np.full((b, 1), 1.0 / b)
+    grads, _ = mlp_backward(critic, fake_cache, ones)
+    real_grads, _ = mlp_backward(critic, real_cache, -ones)
+    grads.add_(real_grads)
+    gp = _add_gp_grads(critic, mixed_in, n_grad, lam, grads)
+
+    w_fake = float(fake_cache.out.mean())
+    w_real = float(real_cache.out.mean())
+    terms = {"w_fake": w_fake, "w_real": w_real, "gp": lam * gp}
+    return w_fake - w_real + lam * gp, terms, grads
 
 
 def disc_v_loss(
@@ -265,28 +284,16 @@ def disc_v_loss_and_grads(
         raise ContractViolation(
             f"synthetic visual {synth_visual.shape} must match batch {batch.visual.shape}"
         )
-    b = len(batch)
-    fake_in = np.hstack([synth_visual, batch.attributes])
-    real_in = np.hstack([batch.visual, batch.attributes])
-
-    fake_cache = mlp_forward_cached(model.d_v, fake_in)
-    real_cache = mlp_forward_cached(model.d_v, real_in)
-    ones = np.full((b, 1), 1.0 / b)
-    grads, _ = mlp_backward(model.d_v, fake_cache, ones)
-    real_grads, _ = mlp_backward(model.d_v, real_cache, -ones)
-    grads.add_(real_grads)
-
-    alpha = _mix_coefficients(mix, b)[:, None]
+    alpha = _mix_coefficients(mix, len(batch))[:, None]
     mixed = alpha * batch.visual + (1.0 - alpha) * synth_visual
-    gp, gp_grads = _gp_value_and_param_grads(
-        model.d_v, np.hstack([mixed, batch.attributes]), n_grad=batch.visual.shape[1]
+    return _critic_loss_and_grads(
+        model.d_v,
+        real_in=np.hstack([batch.visual, batch.attributes]),
+        fake_in=np.hstack([synth_visual, batch.attributes]),
+        mixed_in=np.hstack([mixed, batch.attributes]),
+        n_grad=batch.visual.shape[1],
+        lam=weights.lambda1,
     )
-    grads.add_(gp_grads, scale=weights.lambda1)
-
-    w_fake = float(fake_cache.out.mean())
-    w_real = float(real_cache.out.mean())
-    terms = {"w_fake": w_fake, "w_real": w_real, "gp": weights.lambda1 * gp}
-    return w_fake - w_real + weights.lambda1 * gp, terms, grads
 
 
 def disc_s_loss(
@@ -313,27 +320,28 @@ def disc_s_loss_and_grads(
             f"reconstructed attributes {recon_attrs.shape} must match "
             f"batch {batch.attributes.shape}"
         )
-    b = len(batch)
-    fake_cache = mlp_forward_cached(model.d_s, recon_attrs)
-    real_cache = mlp_forward_cached(model.d_s, batch.attributes)
-    ones = np.full((b, 1), 1.0 / b)
-    grads, _ = mlp_backward(model.d_s, fake_cache, ones)
-    real_grads, _ = mlp_backward(model.d_s, real_cache, -ones)
-    grads.add_(real_grads)
-
-    beta = _mix_coefficients(mix, b)[:, None]
+    beta = _mix_coefficients(mix, len(batch))[:, None]
     mixed = beta * batch.attributes + (1.0 - beta) * recon_attrs
-    gp, gp_grads = _gp_value_and_param_grads(model.d_s, mixed, n_grad=mixed.shape[1])
-    grads.add_(gp_grads, scale=weights.lambda4)
-
-    w_fake = float(fake_cache.out.mean())
-    w_real = float(real_cache.out.mean())
-    terms = {"w_fake": w_fake, "w_real": w_real, "gp": weights.lambda4 * gp}
-    return w_fake - w_real + weights.lambda4 * gp, terms, grads
+    return _critic_loss_and_grads(
+        model.d_s, real_in=batch.attributes, fake_in=recon_attrs, mixed_in=mixed,
+        n_grad=mixed.shape[1], lam=weights.lambda4,
+    )
 
 
 # ---------------------------------------------------------------------------
 # generator objectives
+
+
+def _generator_chain(
+    model: ModelParams, batch: FeatureBatch, noise2: np.ndarray
+) -> tuple[MLPCache, MLPCache, MLPCache]:
+    """Cached forwards of the cycle x' = G_sv(a, z), a' = G_vs(x'), x'' = G_sv(a', z2)."""
+    if noise2.shape != batch.noise.shape:
+        raise ContractViolation("second noise draw must match the batch noise shape")
+    synth = mlp_forward_cached(model.g_sv, np.hstack([batch.attributes, batch.noise]))
+    recon = mlp_forward_cached(model.g_vs, synth.out)
+    cycle = mlp_forward_cached(model.g_sv, np.hstack([recon.out, noise2]))
+    return synth, recon, cycle
 
 
 def gen_sv_loss(
@@ -374,16 +382,9 @@ def gen_sv_loss_and_grads(
         raise ContractViolation(f"unknown pair_mode {pair_mode!r}")
     b = len(batch)
     k = batch.visual.shape[1]
-    if noise2.shape != batch.noise.shape:
-        raise ContractViolation("second noise draw must match the batch noise shape")
+    cache1, cache2, cache3 = _generator_chain(model, batch, noise2)
+    x_synth, a_recon, x_cycle = cache1.out, cache2.out, cache3.out
     cols = batch.labels if label_cols is None else label_cols
-
-    cache1 = mlp_forward_cached(model.g_sv, np.hstack([batch.attributes, batch.noise]))
-    x_synth = cache1.out
-    cache2 = mlp_forward_cached(model.g_vs, x_synth)
-    a_recon = cache2.out
-    cache3 = mlp_forward_cached(model.g_sv, np.hstack([a_recon, noise2]))
-    x_cycle = cache3.out
 
     d_synth = np.zeros_like(x_synth)
     d_recon = np.zeros_like(a_recon)
@@ -461,17 +462,9 @@ def gen_vs_loss_and_grads(
     (fixed) visual generator; gradient reaches the semantic generator both
     directly and through the cycle features in the consistency term.
     """
-    if noise2.shape != batch.noise.shape:
-        raise ContractViolation("second noise draw must match the batch noise shape")
     b = len(batch)
-
-    x_synth = mlp_forward_cached(
-        model.g_sv, np.hstack([batch.attributes, batch.noise])
-    ).out
-    cache2 = mlp_forward_cached(model.g_vs, x_synth)
-    a_recon = cache2.out
-    cache3 = mlp_forward_cached(model.g_sv, np.hstack([a_recon, noise2]))
-    x_cycle = cache3.out
+    _, cache2, cache3 = _generator_chain(model, batch, noise2)
+    a_recon, x_cycle = cache2.out, cache3.out
 
     d_recon = np.zeros_like(a_recon)
     terms: dict[str, float] = {}

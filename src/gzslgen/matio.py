@@ -10,7 +10,6 @@ so identical parameters always produce byte-identical files.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import zipfile
@@ -63,9 +62,7 @@ def write_archive(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write meta + named float64 matrices into one reproducible zip."""
     entries = {"meta.json": dumps_json(meta).encode("utf-8")}
     for name, arr in arrays.items():
-        buf = io.BytesIO()
-        buf.write(np.ascontiguousarray(arr).astype(DTYPES["f64"]).tobytes())
-        entries[name + ".f64"] = buf.getvalue()
+        entries[name + ".f64"] = np.ascontiguousarray(arr, dtype=DTYPES["f64"]).tobytes()
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
         for name in sorted(entries):
             info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)

@@ -97,10 +97,8 @@ class MLPParams:
     def copy(self) -> "MLPParams":
         return MLPParams._from_flat(self.flat.copy(), self.shape)
 
-    def add_(self, other: "MLPParams", scale: float = 1.0) -> "MLPParams":
-        """self += scale * other, in place; scaling consumes ``other``."""
-        if scale != 1.0:
-            other.flat *= scale
+    def add_(self, other: "MLPParams") -> "MLPParams":
+        """self += other, in place."""
         self.flat += other.flat
         return self
 

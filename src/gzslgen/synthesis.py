@@ -1,9 +1,11 @@
-"""Feature synthesis and the final full-label softmax classifier.
+"""Feature synthesis and the softmax classifiers.
 
 After adversarial training, any number of labeled pseudo features can be
 generated per class (seen or unseen) by resampling the noise input; an
 off-the-shelf softmax classifier fit on them carries out recognition over
-the union of seen and unseen labels.
+the union of seen and unseen labels. ``fit_softmax`` is the one softmax
+solver: it fits both this full-label classifier and the trainer's frozen
+seen-class classifier.
 """
 
 from __future__ import annotations
@@ -61,6 +63,27 @@ def synthesize_features(
     return np.vstack(blocks), np.concatenate(labels)
 
 
+def fit_softmax(
+    x: np.ndarray, cols: np.ndarray, n_classes: int,
+    learning_rate: float, max_steps: int, grad_tol: float,
+) -> LinearParams:
+    """Fit a linear softmax classifier to rows ``x`` labelled by column ``cols``.
+
+    Full-batch gradient descent from zero init, stopping at a gradient-norm
+    threshold or the step cap, so the fit is convex, deterministic, and
+    invariant to row order.
+    """
+    cls = LinearParams(w=np.zeros((x.shape[1], n_classes)), b=np.zeros(n_classes))
+    for _ in range(max_steps):
+        _, dw, db, _ = softmax_ce_grads(cls, x, cols)
+        gnorm = np.sqrt(np.sum(dw * dw) + np.sum(db * db))
+        if gnorm < grad_tol:
+            break
+        cls.w -= learning_rate * dw
+        cls.b -= learning_rate * db
+    return cls
+
+
 def fit_gzsl_classifier(
     features: np.ndarray,
     labels: np.ndarray,
@@ -68,14 +91,8 @@ def fit_gzsl_classifier(
     learning_rate: float = 1.0,
     max_steps: int = 1000,
     grad_tol: float = 1e-5,
-    seed: int = 0,
 ) -> GzslClassifier:
-    """Fit the final softmax classifier over the full label set.
-
-    Full-batch gradient descent from zero init, so the fit is convex,
-    deterministic, and invariant to row order. ``seed`` is accepted for
-    interface stability; the zero init leaves nothing random.
-    """
+    """Fit the final softmax classifier over the full label set (``fit_softmax``)."""
     class_ids = tuple(sorted(int(c) for c in all_classes))
     present = set(np.unique(labels).tolist())
     missing = [c for c in class_ids if c not in present]
@@ -87,16 +104,7 @@ def fit_gzsl_classifier(
 
     col_of = {c: i for i, c in enumerate(class_ids)}
     cols = np.asarray([col_of[int(c)] for c in labels])
-    cls = LinearParams(
-        w=np.zeros((features.shape[1], len(class_ids))), b=np.zeros(len(class_ids))
-    )
-    for _ in range(max_steps):
-        _, dw, db, _ = softmax_ce_grads(cls, features, cols)
-        gnorm = np.sqrt(np.sum(dw * dw) + np.sum(db * db))
-        if gnorm < grad_tol:
-            break
-        cls.w -= learning_rate * dw
-        cls.b -= learning_rate * db
+    cls = fit_softmax(features, cols, len(class_ids), learning_rate, max_steps, grad_tol)
     return GzslClassifier(params=cls, class_ids=class_ids)
 
 

@@ -2,9 +2,13 @@
 
 Per iteration: the visual critic takes n1 steps, the semantic critic n2
 steps, then each generator takes one step, all on the same mini-batch by
-default. The seen-class classifier is fit once up front and stays frozen.
-The loop is single-threaded over parameter state; inner linear algebra
-parallelizes freely.
+default. The two critics run from one table of (kind, steps, fake-maker,
+loss) entries, and every step of all four kinds goes through one commit:
+finiteness check, Adam step on the network's flat buffer, parameter scan,
+log record and callback. The seen-class classifier is fit once up front
+with ``synthesis.fit_softmax`` and stays frozen. The loop is
+single-threaded over parameter state; inner linear algebra parallelizes
+freely.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import losses
-from .data import DatasetBundle, FeatureBatch, batch_iterator
+from .data import DatasetBundle, FeatureBatch, batch_iterator, make_batch
 from .errors import ContractViolation, TrainingDiverged, ValidationError
 from .losses import LossWeights
 from .networks import (
@@ -29,13 +33,13 @@ from .networks import (
     mlp_forward,
 )
 from .seeds import child_rng, child_seed
+from .synthesis import fit_softmax
 
 VARIANTS = ("full", "no_SC", "no_VC", "dual_only", "baseline_single_gan")
 
 
 @dataclass
 class OptimizerConfig:
-    name: str = "adam"
     learning_rate: float = 1e-4
     beta1: float = 0.5
     beta2: float = 0.9
@@ -119,56 +123,51 @@ _ADAM_BLOCK = 1 << 15
 
 
 class Adam:
-    """Adaptive-moment optimizer over a dict of named parameter arrays.
+    """Adaptive-moment optimizer over one C-contiguous parameter array.
 
-    Parameters must be C-contiguous; they are updated in place, block by
-    block, with no full-size temporaries.
+    The parameter is updated in place, block by block, with no full-size
+    temporaries.
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray], cfg: OptimizerConfig):
-        for key, param in arrays.items():
-            if not param.flags.c_contiguous:
-                raise ContractViolation(f"Adam parameter {key!r} must be C-contiguous")
-        self.arrays = arrays
+    def __init__(self, param: np.ndarray, cfg: OptimizerConfig):
+        if not param.flags.c_contiguous:
+            raise ContractViolation("Adam parameter must be C-contiguous")
+        self.param = param
         self.cfg = cfg
-        self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
-        self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
+        self.m = np.zeros(param.size)
+        self.v = np.zeros(param.size)
         self.t = 0
-        n = min(_ADAM_BLOCK, max(a.size for a in arrays.values()))
+        n = min(_ADAM_BLOCK, param.size)
         self._num = np.empty(n)
         self._den = np.empty(n)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         c = self.cfg
         bias1 = 1.0 - c.beta1**self.t
         bias2 = 1.0 - c.beta2**self.t
-        for key, param in self.arrays.items():
-            p = param.reshape(-1)
-            g = grads[key].reshape(-1)
-            m = self.m[key].reshape(-1)
-            v = self.v[key].reshape(-1)
-            for lo in range(0, p.size, _ADAM_BLOCK):
-                hi = min(lo + _ADAM_BLOCK, p.size)
-                num, den = self._num[: hi - lo], self._den[: hi - lo]
-                gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
-                # m = b1*m + (1-b1)*g
-                np.multiply(mb, c.beta1, out=mb)
-                np.multiply(gb, 1.0 - c.beta1, out=num)
-                np.add(mb, num, out=mb)
-                # v = b2*v + ((1-b2)*g)*g
-                np.multiply(vb, c.beta2, out=vb)
-                np.multiply(gb, 1.0 - c.beta2, out=den)
-                np.multiply(den, gb, out=den)
-                np.add(vb, den, out=vb)
-                # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
-                np.divide(mb, bias1, out=num)
-                np.multiply(num, c.learning_rate, out=num)
-                np.divide(vb, bias2, out=den)
-                np.sqrt(den, out=den)
-                np.add(den, c.eps, out=den)
-                np.divide(num, den, out=num)
-                np.subtract(p[lo:hi], num, out=p[lo:hi])
+        p, g, m, v = self.param.reshape(-1), grad.reshape(-1), self.m, self.v
+        for lo in range(0, p.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, p.size)
+            num, den = self._num[: hi - lo], self._den[: hi - lo]
+            gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
+            # m = b1*m + (1-b1)*g
+            np.multiply(mb, c.beta1, out=mb)
+            np.multiply(gb, 1.0 - c.beta1, out=num)
+            np.add(mb, num, out=mb)
+            # v = b2*v + ((1-b2)*g)*g
+            np.multiply(vb, c.beta2, out=vb)
+            np.multiply(gb, 1.0 - c.beta2, out=den)
+            np.multiply(den, gb, out=den)
+            np.add(vb, den, out=vb)
+            # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
+            np.divide(mb, bias1, out=num)
+            np.multiply(num, c.learning_rate, out=num)
+            np.divide(vb, bias2, out=den)
+            np.sqrt(den, out=den)
+            np.add(den, c.eps, out=den)
+            np.divide(num, den, out=num)
+            np.subtract(p[lo:hi], num, out=p[lo:hi])
 
 
 def seen_class_columns(bundle: DatasetBundle) -> tuple[np.ndarray, dict[int, int]]:
@@ -187,30 +186,17 @@ def classifier_accuracy(cls: LinearParams, x: np.ndarray, cols: np.ndarray) -> f
 
 
 def pretrain_classifier(bundle: DatasetBundle, config: TrainConfig) -> LinearParams:
-    """Fit the frozen seen-class softmax classifier on real training features.
-
-    Full-batch gradient descent from zero init, stopping at a gradient-norm
-    threshold or the step cap.
-    """
+    """Fit the frozen seen-class softmax classifier on real training features
+    with ``fit_softmax`` and the config's pretrain settings."""
     lookup, col_of = seen_class_columns(bundle)
     present = set(np.unique(bundle.labels_train).tolist())
     missing = [c for c in bundle.seen_classes if c not in present]
     if missing:
         raise ValidationError(f"seen classes without training rows: {missing}")
-
-    x = bundle.visual_train
-    cols = lookup[bundle.labels_train]
-    cls = LinearParams(
-        w=np.zeros((bundle.feature_dim, len(col_of))), b=np.zeros(len(col_of))
+    return fit_softmax(
+        bundle.visual_train, lookup[bundle.labels_train], len(col_of),
+        config.pretrain_lr, config.pretrain_max_steps, config.pretrain_grad_tol,
     )
-    for _ in range(config.pretrain_max_steps):
-        _, dw, db, _ = losses.softmax_ce_grads(cls, x, cols)
-        gnorm = np.sqrt(np.sum(dw * dw) + np.sum(db * db))
-        if gnorm < config.pretrain_grad_tol:
-            break
-        cls.w -= config.pretrain_lr * dw
-        cls.b -= config.pretrain_lr * db
-    return cls
 
 
 def _check_finite(value: float, terms: dict, name: str, iteration: int) -> None:
@@ -225,20 +211,6 @@ def _check_finite(value: float, terms: dict, name: str, iteration: int) -> None:
 def _check_params_finite(arrays: Iterable[np.ndarray], where: str) -> None:
     if not all(np.isfinite(a).all() for a in arrays):
         raise TrainingDiverged(f"non-finite parameter {where}")
-
-
-def _random_batch(
-    bundle: DatasetBundle, batch_size: int, rng: np.random.Generator
-) -> FeatureBatch:
-    n = bundle.visual_train.shape[0]
-    idx = rng.choice(n, size=min(batch_size, n), replace=False)
-    labels = bundle.labels_train[idx]
-    return FeatureBatch(
-        visual=bundle.visual_train[idx],
-        attributes=bundle.attributes[labels],
-        labels=labels,
-        noise=rng.standard_normal((idx.size, bundle.attribute_dim)),
-    )
 
 
 def train(
@@ -286,16 +258,14 @@ def train(
     nets = {"d_v": params.d_v, "d_s": params.d_s, "g_sv": params.g_sv, "g_vs": params.g_vs}
     _check_params_finite((net.flat for net in nets.values()), "at initialisation")
 
-    opts = {name: Adam({"flat": net.flat}, config.optimizer) for name, net in nets.items()}
-
-    def update(kind: str, grads: MLPParams, iteration: int) -> None:
-        opts[kind].step({"flat": grads.flat})
-        _check_params_finite([nets[kind].flat], f"after {kind} update at iteration {iteration}")
-
+    opts = {name: Adam(net.flat, config.optimizer) for name, net in nets.items()}
     rng = child_rng(config.seed, "noise")
 
-    def record(kind: str, iteration: int, epoch: int, value: float,
-               terms: dict[str, float], grads: MLPParams) -> None:
+    def commit(kind: str, value: float, terms: dict[str, float], grads: MLPParams) -> None:
+        """Check, apply and record one step of the current iteration."""
+        _check_finite(value, terms, kind, iteration)
+        opts[kind].step(grads.flat)
+        _check_params_finite([nets[kind].flat], f"after {kind} update at iteration {iteration}")
         log.append({
             "iteration": iteration,
             "epoch": epoch,
@@ -308,60 +278,44 @@ def train(
         if step_callback is not None:
             step_callback(kind, iteration, params)
 
+    def synth_visual(cb: FeatureBatch) -> np.ndarray:
+        z = rng.standard_normal(cb.noise.shape) if config.resample_critic_noise else cb.noise
+        return mlp_forward(params.g_sv, np.hstack([cb.attributes, z]))
+
+    # (kind, n_steps, fake-maker, loss): the fake-maker turns a critic batch
+    # into the critic's fake input
+    critics = [("d_v", config.n1, synth_visual, losses.disc_v_loss_and_grads)]
+    if not baseline:
+        critics.append((
+            "d_s", config.n2, lambda cb: mlp_forward(params.g_vs, synth_visual(cb)),
+            losses.disc_s_loss_and_grads,
+        ))
+    n_train = bundle.visual_train.shape[0]
+
     iteration = 0
     for epoch in range(config.epochs):
         epoch_seed = child_seed(config.seed, f"shuffle-{epoch}")
         for batch in batch_iterator(bundle, config.batch_size, epoch_seed):
             iteration += 1
-            cols = lookup[batch.labels]
-
-            for _ in range(config.n1):
-                cb = _random_batch(bundle, config.batch_size, rng) \
-                    if config.separate_critic_batches else batch
-                z = rng.standard_normal(cb.noise.shape) \
-                    if config.resample_critic_noise else cb.noise
-                synth = mlp_forward(params.g_sv, np.hstack([cb.attributes, z]))
-                value, terms, grads = losses.disc_v_loss_and_grads(
-                    params, cb, synth, weights, rng
-                )
-                _check_finite(value, terms, "d_v", iteration)
-                update("d_v", grads, iteration)
-                record("d_v", iteration, epoch, value, terms, grads)
-
-            if not baseline:
-                for _ in range(config.n2):
-                    cb = _random_batch(bundle, config.batch_size, rng) \
-                        if config.separate_critic_batches else batch
-                    z = rng.standard_normal(cb.noise.shape) \
-                        if config.resample_critic_noise else cb.noise
-                    synth = mlp_forward(params.g_sv, np.hstack([cb.attributes, z]))
-                    recon = mlp_forward(params.g_vs, synth)
-                    value, terms, grads = losses.disc_s_loss_and_grads(
-                        params, cb, recon, weights, rng
-                    )
-                    _check_finite(value, terms, "d_s", iteration)
-                    update("d_s", grads, iteration)
-                    record("d_s", iteration, epoch, value, terms, grads)
+            for kind, n_steps, make_fake, loss in critics:
+                for _ in range(n_steps):
+                    cb = batch
+                    if config.separate_critic_batches:
+                        idx = rng.choice(n_train, size=min(config.batch_size, n_train),
+                                         replace=False)
+                        cb = make_batch(bundle, idx, rng)
+                    commit(kind, *loss(params, cb, make_fake(cb), weights, rng))
 
             noise2 = rng.standard_normal(batch.noise.shape)
-            value, terms, grads = losses.gen_sv_loss_and_grads(
+            commit("g_sv", *losses.gen_sv_loss_and_grads(
                 params, batch, weights, noise2,
-                label_cols=cols,
+                label_cols=lookup[batch.labels],
                 pair_mode=config.pair_mode,
                 include_pair_term=not baseline,
-            )
-            _check_finite(value, terms, "g_sv", iteration)
-            update("g_sv", grads, iteration)
-            record("g_sv", iteration, epoch, value, terms, grads)
-
+            ))
             if not baseline:
                 noise2 = rng.standard_normal(batch.noise.shape)
-                value, terms, grads = losses.gen_vs_loss_and_grads(
-                    params, batch, weights, noise2
-                )
-                _check_finite(value, terms, "g_vs", iteration)
-                update("g_vs", grads, iteration)
-                record("g_vs", iteration, epoch, value, terms, grads)
+                commit("g_vs", *losses.gen_vs_loss_and_grads(params, batch, weights, noise2))
 
     assert np.array_equal(params.cls_seen.w, theta_snapshot[0])
     assert np.array_equal(params.cls_seen.b, theta_snapshot[1])

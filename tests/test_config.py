@@ -62,6 +62,18 @@ class TestRunConfigParsing:
         assert cfg.train.seed == 7
         assert cfg.train.variant == "no_SC"
 
+    def test_resample_critic_noise_parses_and_echoes(self):
+        doc = {
+            "synthetic": {"n_seen_classes": 1, "n_unseen_classes": 1,
+                          "feature_dim": 4, "attribute_dim": 2,
+                          "samples_per_class": 2, "cluster_std": 0.1},
+            "train": {"resample_critic_noise": False},
+            "out": "x",
+        }
+        cfg = parse_run_config(doc)
+        assert cfg.train.resample_critic_noise is False
+        assert effective_dict(cfg)["train"]["resample_critic_noise"] is False
+
     def test_effective_dict_round_trips(self):
         cfg = tiny_run_config()
         doc = effective_dict(cfg)

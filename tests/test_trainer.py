@@ -34,6 +34,14 @@ def desk_config(**kw):
     return TrainConfig(**base)
 
 
+# the trainer's critic-batch settings: shared batch with fresh noise (the
+# default), a separately drawn batch per critic step, and the batch's own noise
+CRITIC_PATHS = dict(
+    argvalues=[{}, {"separate_critic_batches": True}, {"resample_critic_noise": False}],
+    ids=["default", "separate_critic_batches", "fixed_critic_noise"],
+)
+
+
 class TestPretrain:
     def test_separable_bundle_reaches_high_accuracy(self):
         bundle = desk_bundle(std=0.02)
@@ -121,10 +129,11 @@ class TestTrainLoop:
             assert ra["terms"] == rb["terms"]
             assert ra["grad_norm"] == rb["grad_norm"]
 
-    def test_identical_runs_produce_identical_params(self):
+    @pytest.mark.parametrize("critic_path", **CRITIC_PATHS)
+    def test_identical_runs_produce_identical_params(self, critic_path):
         bundle = desk_bundle(samples=20)
-        model_a, _ = train(bundle, desk_config(epochs=2))
-        model_b, _ = train(bundle, desk_config(epochs=2))
+        model_a, _ = train(bundle, desk_config(epochs=2, **critic_path))
+        model_b, _ = train(bundle, desk_config(epochs=2, **critic_path))
         for x, y in zip(model_a.all_arrays(), model_b.all_arrays()):
             assert np.array_equal(x, y)
 
@@ -136,9 +145,10 @@ class TestTrainLoop:
         assert np.array_equal(model.cls_seen.w, theta.w)
         assert np.array_equal(model.cls_seen.b, theta.b)
 
-    def test_critic_and_generator_updates_are_isolated(self):
+    @pytest.mark.parametrize("critic_path", **CRITIC_PATHS)
+    def test_critic_and_generator_updates_are_isolated(self, critic_path):
         bundle = desk_bundle(samples=20)
-        cfg = desk_config(epochs=1)
+        cfg = desk_config(epochs=1, **critic_path)
         snapshots = {}
         changed = {"d_v": set(), "d_s": set(), "g_sv": set(), "g_vs": set()}
 
@@ -212,13 +222,13 @@ class TestAdam:
         theta = rng.standard_normal(5)
         arrays = {"p": theta.copy()}
         cfg = OptimizerConfig(learning_rate=0.01, beta1=0.5, beta2=0.9)
-        opt = Adam(arrays, cfg)
+        opt = Adam(arrays["p"], cfg)
         m = np.zeros(5)
         v = np.zeros(5)
         expected = theta.copy()
         for t in range(1, 4):
             g = rng.standard_normal(5)
-            opt.step({"p": g.copy()})
+            opt.step(g.copy())
             m = 0.5 * m + 0.5 * g
             v = 0.9 * v + 0.1 * g * g
             m_hat = m / (1 - 0.5**t)
@@ -234,19 +244,19 @@ class TestBlockedAdam:
         param = flat.reshape(257, 300)
         assert param.size > trainer._ADAM_BLOCK and param.size % trainer._ADAM_BLOCK
         cfg = OptimizerConfig(learning_rate=0.01, beta1=0.5, beta2=0.9)
-        opt = Adam({"p": param}, cfg)
+        opt = Adam(param, cfg)
         m = np.zeros_like(param)
         v = np.zeros_like(param)
         expected = param.copy()
         for t in range(1, 4):
             g = rng.standard_normal(param.shape)
-            opt.step({"p": g})
+            opt.step(g)
             m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
             v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
             m_hat = m / (1.0 - cfg.beta1**t)
             v_hat = v / (1.0 - cfg.beta2**t)
             expected -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
-            assert opt.arrays["p"] is param
+            assert opt.param is param
             assert np.array_equal(param, expected)
             assert np.array_equal(flat, expected.reshape(-1))
 
