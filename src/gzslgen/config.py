@@ -28,6 +28,8 @@ _WEIGHT_KEYS = {f.name for f in fields(LossWeights)}
 _OPT_KEYS = {f.name for f in fields(OptimizerConfig)}
 _TRAIN_SCALAR_KEYS = {f.name for f in fields(TrainConfig)} - {"weights", "optimizer"}
 _EVAL_KEYS = {f.name for f in fields(EvalConfig)} | {"counts"}
+# a removed train option that older checkpoints still record; loading ignores it
+_RETIRED_TRAIN_KEYS = ("separate_critic_batches",)
 
 
 @dataclass
@@ -202,5 +204,8 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
         d_s=mlp("d_s"),
         cls_seen=LinearParams(w=mat("cls_w").copy(), b=mat("cls_b").copy()),
     )
+    train_doc = meta["run_config"].get("train", {})
+    for key in _RETIRED_TRAIN_KEYS:
+        train_doc.pop(key, None)
     run_config = parse_run_config(meta["run_config"])
     return params, run_config

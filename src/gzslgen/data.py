@@ -287,16 +287,13 @@ def batch_iterator(
         )
     rng = np.random.default_rng(epoch_seed)
     perm = rng.permutation(n)
+    l = bundle.attribute_dim
     for start in range(0, n, batch_size):
-        yield make_batch(bundle, perm[start : start + batch_size], rng)
-
-
-def make_batch(bundle: DatasetBundle, idx: np.ndarray, rng: np.random.Generator) -> FeatureBatch:
-    """The training rows ``idx`` with their attributes and fresh noise from ``rng``."""
-    labels = bundle.labels_train[idx]
-    return FeatureBatch(
-        visual=bundle.visual_train[idx],
-        attributes=bundle.attributes[labels],
-        labels=labels,
-        noise=rng.standard_normal((idx.size, bundle.attribute_dim)),
-    )
+        idx = perm[start : start + batch_size]
+        labels = bundle.labels_train[idx]
+        yield FeatureBatch(
+            visual=bundle.visual_train[idx],
+            attributes=bundle.attributes[labels],
+            labels=labels,
+            noise=rng.standard_normal((idx.size, l)),
+        )

@@ -1,14 +1,14 @@
 """Alternating adversarial training.
 
 Per iteration: the visual critic takes n1 steps, the semantic critic n2
-steps, then each generator takes one step, all on the same mini-batch by
-default. The two critics run from one table of (kind, steps, fake-maker,
-loss) entries, and every step of all four kinds goes through one commit:
-finiteness check, Adam step on the network's flat buffer, parameter scan,
-log record and callback. The seen-class classifier is fit once up front
-with ``synthesis.fit_softmax`` and stays frozen. The loop is
-single-threaded over parameter state; inner linear algebra parallelizes
-freely.
+steps, then each generator takes one step, all on the same mini-batch;
+every critic step draws fresh generator noise. The two critics run from
+one table of (kind, steps, fake-maker, loss) entries, and every step of
+all four kinds goes through one commit: finiteness check, Adam step on
+the network's flat buffer, parameter scan, log record and callback. The
+seen-class classifier is fit once up front with ``synthesis.fit_softmax``
+and stays frozen. The loop is single-threaded over parameter state; inner
+linear algebra parallelizes freely.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import losses
-from .data import DatasetBundle, FeatureBatch, batch_iterator, make_batch
+from .data import DatasetBundle, FeatureBatch, batch_iterator
 from .errors import ContractViolation, TrainingDiverged, ValidationError
 from .losses import LossWeights
 from .networks import (
@@ -61,8 +61,6 @@ class TrainConfig:
     seed: int = 0
     variant: str = "full"
     pair_mode: str = "real"  # second adversarial pairing: "real" | "cycle"
-    separate_critic_batches: bool = False
-    resample_critic_noise: bool = True  # fresh generator noise per critic step
     baseline_cls_loss: bool = True
     pretrain_lr: float = 1.0
     pretrain_max_steps: int = 1000
@@ -278,19 +276,18 @@ def train(
         if step_callback is not None:
             step_callback(kind, iteration, params)
 
-    def synth_visual(cb: FeatureBatch) -> np.ndarray:
-        z = rng.standard_normal(cb.noise.shape) if config.resample_critic_noise else cb.noise
-        return mlp_forward(params.g_sv, np.hstack([cb.attributes, z]))
+    def synth_visual(batch: FeatureBatch) -> np.ndarray:
+        z = rng.standard_normal(batch.noise.shape)  # fresh noise per critic step
+        return mlp_forward(params.g_sv, np.hstack([batch.attributes, z]))
 
-    # (kind, n_steps, fake-maker, loss): the fake-maker turns a critic batch
-    # into the critic's fake input
+    # (kind, n_steps, fake-maker, loss): the fake-maker turns the batch into
+    # the critic's fake input
     critics = [("d_v", config.n1, synth_visual, losses.disc_v_loss_and_grads)]
     if not baseline:
         critics.append((
-            "d_s", config.n2, lambda cb: mlp_forward(params.g_vs, synth_visual(cb)),
+            "d_s", config.n2, lambda b: mlp_forward(params.g_vs, synth_visual(b)),
             losses.disc_s_loss_and_grads,
         ))
-    n_train = bundle.visual_train.shape[0]
 
     iteration = 0
     for epoch in range(config.epochs):
@@ -299,12 +296,7 @@ def train(
             iteration += 1
             for kind, n_steps, make_fake, loss in critics:
                 for _ in range(n_steps):
-                    cb = batch
-                    if config.separate_critic_batches:
-                        idx = rng.choice(n_train, size=min(config.batch_size, n_train),
-                                         replace=False)
-                        cb = make_batch(bundle, idx, rng)
-                    commit(kind, *loss(params, cb, make_fake(cb), weights, rng))
+                    commit(kind, *loss(params, batch, make_fake(batch), weights, rng))
 
             noise2 = rng.standard_normal(batch.noise.shape)
             commit("g_sv", *losses.gen_sv_loss_and_grads(

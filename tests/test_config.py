@@ -11,6 +11,7 @@ from gzslgen.config import (
 from gzslgen.data import SyntheticSpec, make_synthetic_dataset
 from gzslgen.errors import TrainingDiverged, ValidationError
 from gzslgen.evaluation import evaluate_gzsl
+from gzslgen.matio import read_archive, write_archive
 from gzslgen.trainer import OptimizerConfig, TrainConfig, train
 
 
@@ -62,18 +63,6 @@ class TestRunConfigParsing:
         assert cfg.train.seed == 7
         assert cfg.train.variant == "no_SC"
 
-    def test_resample_critic_noise_parses_and_echoes(self):
-        doc = {
-            "synthetic": {"n_seen_classes": 1, "n_unseen_classes": 1,
-                          "feature_dim": 4, "attribute_dim": 2,
-                          "samples_per_class": 2, "cluster_std": 0.1},
-            "train": {"resample_critic_noise": False},
-            "out": "x",
-        }
-        cfg = parse_run_config(doc)
-        assert cfg.train.resample_critic_noise is False
-        assert effective_dict(cfg)["train"]["resample_critic_noise"] is False
-
     def test_effective_dict_round_trips(self):
         cfg = tiny_run_config()
         doc = effective_dict(cfg)
@@ -104,6 +93,20 @@ class TestCheckpoint:
         a = evaluate_gzsl(model, bundle, cfg.eval)
         b = evaluate_gzsl(loaded, bundle, cfg.eval)
         assert a.to_dict() == b.to_dict()
+
+    def test_older_checkpoint_with_retired_train_key_loads(self, tmp_path):
+        cfg = tiny_run_config(out=str(tmp_path))
+        model, _ = train(cfg.resolve_bundle(), cfg.train)
+        path = str(tmp_path / "checkpoint.zip")
+        save_checkpoint(path, model, cfg)
+        meta, blobs = read_archive(path)
+        meta["run_config"]["train"]["separate_critic_batches"] = False
+        arrays = {k[: -len(".f64")]: np.frombuffer(v, "<f8") for k, v in blobs.items()}
+        write_archive(path, meta, arrays)
+        loaded, loaded_cfg = load_checkpoint(path)
+        for a, b in zip(model.all_arrays(), loaded.all_arrays()):
+            assert np.array_equal(a, b)
+        assert effective_dict(loaded_cfg) == effective_dict(cfg)
 
     def test_identical_params_identical_bytes(self, tmp_path):
         cfg = tiny_run_config(out=str(tmp_path))

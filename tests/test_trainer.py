@@ -34,14 +34,6 @@ def desk_config(**kw):
     return TrainConfig(**base)
 
 
-# the trainer's critic-batch settings: shared batch with fresh noise (the
-# default), a separately drawn batch per critic step, and the batch's own noise
-CRITIC_PATHS = dict(
-    argvalues=[{}, {"separate_critic_batches": True}, {"resample_critic_noise": False}],
-    ids=["default", "separate_critic_batches", "fixed_critic_noise"],
-)
-
-
 class TestPretrain:
     def test_separable_bundle_reaches_high_accuracy(self):
         bundle = desk_bundle(std=0.02)
@@ -129,11 +121,10 @@ class TestTrainLoop:
             assert ra["terms"] == rb["terms"]
             assert ra["grad_norm"] == rb["grad_norm"]
 
-    @pytest.mark.parametrize("critic_path", **CRITIC_PATHS)
-    def test_identical_runs_produce_identical_params(self, critic_path):
+    def test_identical_runs_produce_identical_params(self):
         bundle = desk_bundle(samples=20)
-        model_a, _ = train(bundle, desk_config(epochs=2, **critic_path))
-        model_b, _ = train(bundle, desk_config(epochs=2, **critic_path))
+        model_a, _ = train(bundle, desk_config(epochs=2))
+        model_b, _ = train(bundle, desk_config(epochs=2))
         for x, y in zip(model_a.all_arrays(), model_b.all_arrays()):
             assert np.array_equal(x, y)
 
@@ -145,10 +136,9 @@ class TestTrainLoop:
         assert np.array_equal(model.cls_seen.w, theta.w)
         assert np.array_equal(model.cls_seen.b, theta.b)
 
-    @pytest.mark.parametrize("critic_path", **CRITIC_PATHS)
-    def test_critic_and_generator_updates_are_isolated(self, critic_path):
+    def test_critic_and_generator_updates_are_isolated(self):
         bundle = desk_bundle(samples=20)
-        cfg = desk_config(epochs=1, **critic_path)
+        cfg = desk_config(epochs=1)
         snapshots = {}
         changed = {"d_v": set(), "d_s": set(), "g_sv": set(), "g_vs": set()}
 
