@@ -4,7 +4,9 @@
 
 It prints one ``<variant> <sha256>`` line for each of the five variants of
 ``trainer.VARIANTS``, so the baseline and ablation training paths are
-checked as well as ``full``.
+checked as well as ``full``, and a last ``full_cycle`` line for ``full``
+with ``pair_mode="cycle"``, which pairs the reconstructed attributes with
+the cycled features instead of the real ones.
 
 Run from any directory; it imports ``gzslgen`` from ``src/`` next to this
 script. The oracle is the one of tests/test_acceptance.py (criteria 6 and 7):
@@ -34,17 +36,19 @@ def main() -> None:
     args = parser.parse_args()
 
     bundle = make_synthetic_dataset(SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11))
-    for variant in VARIANTS:
+    runs = [(variant, variant, "real") for variant in VARIANTS]
+    runs.append(("full_cycle", "full", "cycle"))
+    for label, variant, pair_mode in runs:
         config = TrainConfig(
             batch_size=30, epochs=args.epochs, hidden_dim=64,
             optimizer=OptimizerConfig(learning_rate=1e-4, beta2=0.999),
-            seed=args.seed, variant=variant,
+            seed=args.seed, variant=variant, pair_mode=pair_mode,
         )
         params, _ = train(bundle, config)
         digest = hashlib.sha256()
         for arr in params.all_arrays():
             digest.update(arr.tobytes())
-        print(variant, digest.hexdigest(), flush=True)
+        print(label, digest.hexdigest(), flush=True)
 
 
 if __name__ == "__main__":

@@ -170,11 +170,21 @@ def save_checkpoint(path: str, params: ModelParams, run_config: RunConfig) -> No
     write_archive(path, meta, arrays)
 
 
+def _meta_field(path: str, meta: dict, *keys: str) -> Any:
+    """``meta[k0][k1]...``, or a FormatError naming the first missing key."""
+    value: Any = meta
+    for depth, key in enumerate(keys):
+        if not isinstance(value, dict) or key not in value:
+            dotted = ".".join(keys[: depth + 1])
+            raise FormatError(f"{path}: checkpoint metadata is missing {dotted}")
+        value = value[key]
+    return value
+
+
 def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
     meta, blobs = read_archive(path)
     if meta.get("format") != "gzslgen-checkpoint":
         raise FormatError(f"{path}: not a checkpoint archive")
-    shapes = meta["array_shapes"]
 
     def mat(name: str) -> np.ndarray:
         # each blob is dropped once copied out of, so the archive and the
@@ -182,11 +192,14 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
         key = name + ".f64"
         if key not in blobs:
             raise FormatError(f"{path}: archive is missing {key}")
-        return matrix_from_blob(blobs.pop(key), tuple(shapes[name]), f"{path}:{name}")
+        shape = tuple(_meta_field(path, meta, "array_shapes", name))
+        return matrix_from_blob(blobs.pop(key), shape, f"{path}:{name}")
 
     def mlp(name: str) -> MLPParams:
-        s = meta["network_shapes"][name]
-        net = MLPParams.zeros(NetworkShape(**{f.name: s[f.name] for f in fields(NetworkShape)}))
+        net = MLPParams.zeros(NetworkShape(**{
+            f.name: _meta_field(path, meta, "network_shapes", name, f.name)
+            for f in fields(NetworkShape)
+        }))
         for key, view in net.arrays().items():
             arr = mat(f"{name}_{key}")
             if arr.shape != view.shape:
@@ -204,8 +217,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
         d_s=mlp("d_s"),
         cls_seen=LinearParams(w=mat("cls_w").copy(), b=mat("cls_b").copy()),
     )
-    train_doc = meta["run_config"].get("train", {})
+    run_doc = _meta_field(path, meta, "run_config")
+    train_doc = run_doc.get("train", {})
     for key in _RETIRED_TRAIN_KEYS:
         train_doc.pop(key, None)
-    run_config = parse_run_config(meta["run_config"])
+    run_config = parse_run_config(run_doc)
     return params, run_config

@@ -6,7 +6,12 @@ job has one body: both critics build their inputs and call one WGAN-GP
 objective, whose gradient penalty adds its two nonzero blocks straight into
 the step's gradient; both generators share one cached forward of the cycle
 x' -> a' -> x''; the semantic and visual centroid terms share one
-centroid-matching gradient. The test suite pins the values against
+centroid-matching gradient. Every backward asks only for the gradients its
+caller reads: the critic objective takes no input gradients; a generator
+step takes no parameter gradients of the other generator and no input
+gradient where the chain starts; the critic pulls reuse their forward's
+hidden preactivation; the classification value and the softmax fit take no
+input gradient. The test suite pins the values against
 independent term-by-term recomputation from the public term operations, and
 pins every gradient against central finite differences.
 
@@ -73,14 +78,15 @@ def classification_loss(cls: LinearParams, synth_visual: np.ndarray, labels: np.
 
     ``labels`` index classifier columns (seen classes in ascending order).
     """
-    value, _, _, _ = softmax_ce_grads(cls, synth_visual, labels)
+    value, _, _, _ = softmax_ce_grads(cls, synth_visual, labels, input_grad=False)
     return value
 
 
 def softmax_ce_grads(
-    cls: LinearParams, x: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Cross-entropy with gradients w.r.t. (w, b, x). Returns (loss, dw, db, dx)."""
+    cls: LinearParams, x: np.ndarray, labels: np.ndarray, *, input_grad: bool = True
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Cross-entropy with gradients w.r.t. (w, b, x). Returns (loss, dw, db, dx);
+    ``dx`` is None, and its GEMM skipped, when ``input_grad`` is False."""
     labels = np.asarray(labels)
     n_classes = cls.w.shape[1]
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
@@ -100,7 +106,8 @@ def softmax_ce_grads(
     d_logits = probs.copy()
     d_logits[np.arange(b), labels] -= 1.0
     d_logits /= b
-    return loss, x.T @ d_logits, d_logits.sum(axis=0), d_logits @ cls.w.T
+    dx = d_logits @ cls.w.T if input_grad else None
+    return loss, x.T @ d_logits, d_logits.sum(axis=0), dx
 
 
 def class_centroid(features_of_class: np.ndarray) -> np.ndarray:
@@ -250,8 +257,8 @@ def _critic_loss_and_grads(
     fake_cache = mlp_forward_cached(critic, fake_in)
     real_cache = mlp_forward_cached(critic, real_in)
     ones = np.full((b, 1), 1.0 / b)
-    grads, _ = mlp_backward(critic, fake_cache, ones)
-    real_grads, _ = mlp_backward(critic, real_cache, -ones)
+    grads, _ = mlp_backward(critic, fake_cache, ones, input_grad=False)
+    real_grads, _ = mlp_backward(critic, real_cache, -ones, input_grad=False)
     grads.add_(real_grads)
     gp = _add_gp_grads(critic, mixed_in, n_grad, lam, grads)
 
@@ -393,17 +400,17 @@ def gen_sv_loss_and_grads(
 
     # adversarial pull on the synthesized pair
     fake_in = np.hstack([x_synth, batch.attributes])
-    scores_fake = mlp_forward_cached(model.d_v, fake_in).out[:, 0]
-    terms["w_synth"] = -float(scores_fake.mean())
-    d_synth += (-1.0 / b) * critic_input_grads(model.d_v, fake_in)[:, :k]
+    fake_cache = mlp_forward_cached(model.d_v, fake_in)
+    terms["w_synth"] = -float(fake_cache.out[:, 0].mean())
+    d_synth += (-1.0 / b) * critic_input_grads(model.d_v, fake_in, fake_cache.h_pre)[:, :k]
 
     # adversarial pull on the reconstructed-attribute pair
     if include_pair_term:
         paired = batch.visual if pair_mode == "real" else x_cycle
         pair_in = np.hstack([paired, a_recon])
-        scores_pair = mlp_forward_cached(model.d_v, pair_in).out[:, 0]
-        terms["w_pair"] = -float(scores_pair.mean())
-        pair_grads = (-1.0 / b) * critic_input_grads(model.d_v, pair_in)
+        pair_cache = mlp_forward_cached(model.d_v, pair_in)
+        terms["w_pair"] = -float(pair_cache.out[:, 0].mean())
+        pair_grads = (-1.0 / b) * critic_input_grads(model.d_v, pair_in, pair_cache.h_pre)
         d_recon += pair_grads[:, k:]
         if pair_mode == "cycle":
             d_cycle += pair_grads[:, :k]
@@ -431,9 +438,9 @@ def gen_sv_loss_and_grads(
     # backprop: second generator application, semantic generator, first application
     grads, d_u3 = mlp_backward(model.g_sv, cache3, d_cycle)
     d_recon += d_u3[:, : a_recon.shape[1]]
-    _, d_x_from_recon = mlp_backward(model.g_vs, cache2, d_recon)
+    _, d_x_from_recon = mlp_backward(model.g_vs, cache2, d_recon, param_grads=False)
     d_synth += d_x_from_recon
-    first_grads, _ = mlp_backward(model.g_sv, cache1, d_synth)
+    first_grads, _ = mlp_backward(model.g_sv, cache1, d_synth, input_grad=False)
     grads.add_(first_grads)
 
     total = terms["w_synth"] + terms["w_pair"] + terms["cls"] + terms["vc"]
@@ -469,9 +476,9 @@ def gen_vs_loss_and_grads(
     d_recon = np.zeros_like(a_recon)
     terms: dict[str, float] = {}
 
-    scores = mlp_forward_cached(model.d_s, a_recon).out[:, 0]
-    terms["w_recon"] = -float(scores.mean())
-    d_recon += (-1.0 / b) * critic_input_grads(model.d_s, a_recon)
+    critic_cache = mlp_forward_cached(model.d_s, a_recon)
+    terms["w_recon"] = -float(critic_cache.out[:, 0].mean())
+    d_recon += (-1.0 / b) * critic_input_grads(model.d_s, a_recon, critic_cache.h_pre)
 
     if weights.lambda5 > 0:
         sc_value, d_sc = semantic_centroid_grads(a_recon, batch.labels, _attr_targets(batch))
@@ -485,12 +492,12 @@ def gen_vs_loss_and_grads(
             x_cycle, batch.labels, _batch_centroid_targets(batch)
         )
         terms["vc"] = weights.lambda6 * vc_value
-        _, d_u3 = mlp_backward(model.g_sv, cache3, weights.lambda6 * d_vc)
+        _, d_u3 = mlp_backward(model.g_sv, cache3, weights.lambda6 * d_vc, param_grads=False)
         d_recon += d_u3[:, : a_recon.shape[1]]
     else:
         terms["vc"] = 0.0
 
-    grads, _ = mlp_backward(model.g_vs, cache2, d_recon)
+    grads, _ = mlp_backward(model.g_vs, cache2, d_recon, input_grad=False)
     total = terms["w_recon"] + terms["sc"] + terms["vc"]
     return total, terms, grads
 

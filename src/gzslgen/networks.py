@@ -18,6 +18,12 @@ holding w1 | b1 | w2 | b2, each row-major, and ``w1/b1/w2/b2`` are views into
 it. Gradients use the same type and layout, so adding gradients, taking
 their norm and one fused optimizer update per network each make a single
 pass over one buffer, and ``mlp_backward`` writes straight into the views.
+
+Backward passes compute only what their caller reads: ``mlp_backward`` skips
+the parameter gradients (``param_grads=False``) of a network the step does
+not update, or the input gradient (``input_grad=False``) of a network
+nothing lies upstream of, and ``critic_input_grads`` takes the hidden
+preactivation ``h_pre`` of a forward pass that has already run.
 """
 
 from __future__ import annotations
@@ -222,33 +228,54 @@ def mlp_forward_cached(params: MLPParams, u: np.ndarray) -> MLPCache:
 
 
 def mlp_backward(
-    params: MLPParams, cache: MLPCache, d_out: np.ndarray
-) -> tuple[MLPParams, np.ndarray]:
-    """Backprop an upstream gradient; returns (parameter grads, input grad)."""
+    params: MLPParams,
+    cache: MLPCache,
+    d_out: np.ndarray,
+    *,
+    param_grads: bool = True,
+    input_grad: bool = True,
+) -> tuple[MLPParams | None, np.ndarray | None]:
+    """Backprop an upstream gradient; returns (parameter grads, input grad).
+
+    A part switched off with ``param_grads=False`` or ``input_grad=False``
+    is not computed and comes back as ``None``; the other part is
+    bit-identical to the full call's.
+    """
     if params.shape.output_activation == "relu":
         d_opre = d_out * (cache.o_pre > 0)
     else:
         d_opre = d_out
-    grads = MLPParams._from_flat(np.empty_like(params.flat), params.shape)
-    np.matmul(cache.h.T, d_opre, out=grads.w2)
-    np.sum(d_opre, axis=0, out=grads.b2)
     d_h = d_opre @ params.w2.T
     d_hpre = d_h * _leaky_deriv(cache.h_pre, params.shape.negative_slope)
-    np.matmul(cache.u.T, d_hpre, out=grads.w1)
-    np.sum(d_hpre, axis=0, out=grads.b1)
-    d_u = d_hpre @ params.w1.T
+    grads = None
+    if param_grads:
+        grads = MLPParams._from_flat(np.empty_like(params.flat), params.shape)
+        np.matmul(cache.h.T, d_opre, out=grads.w2)
+        np.sum(d_opre, axis=0, out=grads.b2)
+        np.matmul(cache.u.T, d_hpre, out=grads.w1)
+        np.sum(d_hpre, axis=0, out=grads.b1)
+    d_u = d_hpre @ params.w1.T if input_grad else None
     return grads, d_u
 
 
-def critic_input_grads(params: MLPParams, u: np.ndarray) -> np.ndarray:
+def critic_input_grads(
+    params: MLPParams, u: np.ndarray, h_pre: np.ndarray | None = None
+) -> np.ndarray:
     """Per-row gradient of the scalar critic score w.r.t. its input, [B, n_in].
 
-    Valid for critics only (output_dim 1, linear output).
+    Valid for critics only (output_dim 1, linear output). ``h_pre`` is the
+    hidden preactivation of a forward pass over ``u`` that has already run
+    (``MLPCache.h_pre``); without it, ``u @ w1 + b1`` is recomputed.
     """
     if params.shape.output_dim != 1 or params.shape.output_activation != "none":
         raise ContractViolation("input gradients are defined for scalar linear-output critics")
     _check_input(params, u)
-    h_pre = u @ params.w1 + params.b1
+    if h_pre is None:
+        h_pre = u @ params.w1 + params.b1
+    elif h_pre.shape != (u.shape[0], params.shape.hidden_dim):
+        raise ContractViolation(
+            f"h_pre must have shape {(u.shape[0], params.shape.hidden_dim)}, got {h_pre.shape}"
+        )
     s = _leaky_deriv(h_pre, params.shape.negative_slope) * params.w2[:, 0]  # [B, H]
     return s @ params.w1.T
 

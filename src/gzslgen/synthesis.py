@@ -75,7 +75,7 @@ def fit_softmax(
     """
     cls = LinearParams(w=np.zeros((x.shape[1], n_classes)), b=np.zeros(n_classes))
     for _ in range(max_steps):
-        _, dw, db, _ = softmax_ce_grads(cls, x, cols)
+        _, dw, db, _ = softmax_ce_grads(cls, x, cols, input_grad=False)
         gnorm = np.sqrt(np.sum(dw * dw) + np.sum(db * db))
         if gnorm < grad_tol:
             break

@@ -9,7 +9,8 @@ from gzslgen.config import (
     save_checkpoint,
 )
 from gzslgen.data import SyntheticSpec, make_synthetic_dataset
-from gzslgen.errors import TrainingDiverged, ValidationError
+from gzslgen.cli import main
+from gzslgen.errors import FormatError, TrainingDiverged, ValidationError
 from gzslgen.evaluation import evaluate_gzsl
 from gzslgen.matio import read_archive, write_archive
 from gzslgen.trainer import OptimizerConfig, TrainConfig, train
@@ -107,6 +108,31 @@ class TestCheckpoint:
         for a, b in zip(model.all_arrays(), loaded.all_arrays()):
             assert np.array_equal(a, b)
         assert effective_dict(loaded_cfg) == effective_dict(cfg)
+
+    @pytest.mark.parametrize("keys", [
+        ("network_shapes", "d_v", "negative_slope"),
+        ("network_shapes", "g_vs"),
+        ("array_shapes", "cls_w"),
+        ("array_shapes",),
+        ("run_config",),
+    ], ids=".".join)
+    def test_missing_metadata_key_is_named(self, tmp_path, capsys, keys):
+        cfg = tiny_run_config(out=str(tmp_path))
+        model, _ = train(cfg.resolve_bundle(), cfg.train)
+        path = str(tmp_path / "checkpoint.zip")
+        save_checkpoint(path, model, cfg)
+        meta, blobs = read_archive(path)
+        parent = meta
+        for key in keys[:-1]:
+            parent = parent[key]
+        del parent[keys[-1]]
+        arrays = {k[: -len(".f64")]: np.frombuffer(v, "<f8") for k, v in blobs.items()}
+        write_archive(path, meta, arrays)
+        dotted = ".".join(keys)
+        with pytest.raises(FormatError, match=f"missing {dotted}$"):
+            load_checkpoint(path)
+        assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
+        assert dotted in capsys.readouterr().err
 
     def test_identical_params_identical_bytes(self, tmp_path):
         cfg = tiny_run_config(out=str(tmp_path))

@@ -433,6 +433,16 @@ class TestLossGradients:
         assert rel_error(db, numeric_grad(fn, model.cls_seen.b)) < self.TOL
         assert rel_error(dx, numeric_grad(fn, batch.visual)) < self.TOL
 
+    def test_classification_grads_without_input_grad(self):
+        model = small_model(seed=52)
+        batch = random_batch(seed=53)
+        full = losses.softmax_ce_grads(model.cls_seen, batch.visual, batch.labels)
+        loss, dw, db, dx = losses.softmax_ce_grads(
+            model.cls_seen, batch.visual, batch.labels, input_grad=False)
+        assert dx is None
+        assert loss == full[0]
+        assert np.array_equal(dw, full[1]) and np.array_equal(db, full[2])
+
     def test_semantic_centroid_grads(self):
         batch = random_batch(seed=54)
         recon = np.random.default_rng(55).uniform(0.1, 1.0, batch.attributes.shape)

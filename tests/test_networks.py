@@ -8,6 +8,7 @@ from gzslgen.networks import (
     MLPParams,
     NetworkShape,
     classifier_forward,
+    critic_input_grads,
     disc_s_forward,
     disc_v_forward,
     gen_sv_forward,
@@ -18,6 +19,15 @@ from gzslgen.networks import (
     mlp_forward_cached,
 )
 from helpers import check_param_grads, numeric_grad, rel_error, small_model, random_batch, zero_mlp
+
+
+# each network with an input of its kind; the two critics come last
+NET_INPUTS = [
+    ("g_sv", lambda m, b: np.hstack([b.attributes, b.noise])),
+    ("g_vs", lambda m, b: b.visual),
+    ("d_v", lambda m, b: np.hstack([b.visual, b.attributes])),
+    ("d_s", lambda m, b: b.attributes),
+]
 
 
 class TestInit:
@@ -133,12 +143,7 @@ class TestGradients:
         fn = lambda: float((mlp_forward(params, u) * r).mean())
         return fn, grads, d_u, r
 
-    @pytest.mark.parametrize("net,builder", [
-        ("g_sv", lambda m, b: np.hstack([b.attributes, b.noise])),
-        ("g_vs", lambda m, b: b.visual),
-        ("d_v", lambda m, b: np.hstack([b.visual, b.attributes])),
-        ("d_s", lambda m, b: b.attributes),
-    ])
+    @pytest.mark.parametrize("net,builder", NET_INPUTS)
     def test_param_grads_match_fd(self, net, builder):
         model = small_model(seed=3)
         batch = random_batch(seed=4)
@@ -155,7 +160,6 @@ class TestGradients:
         assert rel_error(d_u, numeric_grad(fn, u)) < self.TOL
 
     def test_critic_visual_input_gradient(self):
-        from gzslgen.networks import critic_input_grads
         model = small_model(seed=9)
         batch = random_batch(seed=10)
         u = np.hstack([batch.visual, batch.attributes])
@@ -165,6 +169,50 @@ class TestGradients:
             return float(mlp_forward(model.d_v, u).sum())
 
         assert rel_error(g, numeric_grad(score_sum, u)) < self.TOL
+
+
+class TestSelectiveBackward:
+    """A backward computes only the parts its caller asks for, bit for bit."""
+
+    @staticmethod
+    def full_backward(net, builder):
+        model = small_model(seed=11)
+        params = getattr(model, net)
+        cache = mlp_forward_cached(params, builder(model, random_batch(seed=12)))
+        d_out = np.random.default_rng(13).standard_normal(cache.out.shape)
+        return params, cache, d_out, mlp_backward(params, cache, d_out)
+
+    @pytest.mark.parametrize("net,builder", NET_INPUTS)
+    def test_input_grad_only(self, net, builder):
+        params, cache, d_out, (_, d_u) = self.full_backward(net, builder)
+        grads, d_u_only = mlp_backward(params, cache, d_out, param_grads=False)
+        assert grads is None
+        assert np.array_equal(d_u_only, d_u)
+
+    @pytest.mark.parametrize("net,builder", NET_INPUTS)
+    def test_param_grads_only(self, net, builder):
+        params, cache, d_out, (grads, _) = self.full_backward(net, builder)
+        grads_only, d_u = mlp_backward(params, cache, d_out, input_grad=False)
+        assert d_u is None
+        assert np.array_equal(grads_only.flat, grads.flat)
+
+    @pytest.mark.parametrize("net,builder", NET_INPUTS[2:])
+    def test_critic_input_grads_reuses_h_pre(self, net, builder):
+        model = small_model(seed=14)
+        params = getattr(model, net)
+        u = builder(model, random_batch(seed=15))
+        cache = mlp_forward_cached(params, u)
+        assert np.array_equal(critic_input_grads(params, u, h_pre=cache.h_pre),
+                              critic_input_grads(params, u))
+        # the input gradient depends on u only through h_pre, so a supplied
+        # h_pre is read, not recomputed from u
+        other = builder(model, random_batch(seed=16))
+        assert np.array_equal(
+            critic_input_grads(params, u, h_pre=mlp_forward_cached(params, other).h_pre),
+            critic_input_grads(params, other),
+        )
+        with pytest.raises(ContractViolation, match="h_pre"):
+            critic_input_grads(params, u, h_pre=cache.h_pre[1:])
 
 
 def test_gvs_output_activation_switch():
