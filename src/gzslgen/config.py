@@ -3,12 +3,14 @@
 A run config is one JSON document naming either a dataset directory or an
 inline synthetic spec, plus training and evaluation settings. Every field
 is optional except the data source; defaults follow the library dataclasses.
-Flag overrides beat file values, which beat defaults.
+Flag overrides beat file values, which beat defaults. Options since removed
+are listed by section in ``_RETIRED_KEYS``: loading an older checkpoint
+drops them from its embedded run config, and a run config that names one is
+rejected as an unknown field.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
@@ -28,8 +30,10 @@ _WEIGHT_KEYS = {f.name for f in fields(LossWeights)}
 _OPT_KEYS = {f.name for f in fields(OptimizerConfig)}
 _TRAIN_SCALAR_KEYS = {f.name for f in fields(TrainConfig)} - {"weights", "optimizer"}
 _EVAL_KEYS = {f.name for f in fields(EvalConfig)} | {"counts"}
-# a removed train option that older checkpoints still record; loading ignores it
-_RETIRED_TRAIN_KEYS = ("separate_critic_batches",)
+_RETIRED_KEYS = {
+    "train": ("separate_critic_batches", "noise_dim", "baseline_cls_loss", "pretrain_lr"),
+    "eval": ("classifier_lr",),
+}
 
 
 @dataclass
@@ -47,8 +51,6 @@ class RunConfig:
             raise ValidationError(
                 "config must name exactly one data source: 'dataset' or 'synthetic'"
             )
-        if self.dataset is not None and not os.path.isdir(self.dataset):
-            raise ValidationError(f"dataset directory does not exist: {self.dataset}")
         if self.synthetic is not None:
             self.synthetic.validate()
         self.train.validate()
@@ -183,7 +185,7 @@ def _meta_field(path: str, meta: dict, *keys: str) -> Any:
 
 def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
     meta, blobs = read_archive(path)
-    if meta.get("format") != "gzslgen-checkpoint":
+    if not isinstance(meta, dict) or meta.get("format") != "gzslgen-checkpoint":
         raise FormatError(f"{path}: not a checkpoint archive")
 
     def mat(name: str) -> np.ndarray:
@@ -218,8 +220,7 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
         cls_seen=LinearParams(w=mat("cls_w").copy(), b=mat("cls_b").copy()),
     )
     run_doc = _meta_field(path, meta, "run_config")
-    train_doc = run_doc.get("train", {})
-    for key in _RETIRED_TRAIN_KEYS:
-        train_doc.pop(key, None)
-    run_config = parse_run_config(run_doc)
-    return params, run_config
+    for section, keys in _RETIRED_KEYS.items():
+        for key in keys:
+            run_doc.get(section, {}).pop(key, None)
+    return params, parse_run_config(run_doc)

@@ -200,12 +200,11 @@ def oracle_class_means(spec: SyntheticSpec) -> np.ndarray:
     return _oracle_attributes_and_means(spec)[1]
 
 
-def save_dataset(bundle: DatasetBundle, root: str, split_name: str = "default") -> None:
+def save_dataset(bundle: DatasetBundle, root: str) -> None:
     os.makedirs(root, exist_ok=True)
     meta = {
         "format": "gzslgen-dataset",
         "version": 1,
-        "split_name": split_name,
         "feature_dim": int(bundle.feature_dim),
         "attribute_dim": int(bundle.attribute_dim),
         "seen_classes": [int(c) for c in bundle.seen_classes],
@@ -220,18 +219,13 @@ def save_dataset(bundle: DatasetBundle, root: str, split_name: str = "default") 
         write_matrix(os.path.join(root, fname), getattr(bundle, attr), kind)
 
 
-def load_dataset(root: str, split_name: str = "default", normalize: bool = False) -> DatasetBundle:
+def load_dataset(root: str, normalize: bool = False) -> DatasetBundle:
     """Load a dataset directory written in the documented layout.
 
     ``normalize`` opts into per-feature max-abs scaling fit on the train
     split (features are otherwise used as-is).
     """
     meta = load_json(os.path.join(root, "meta.json"))
-    declared = meta.get("split_name", "default")
-    if split_name != declared:
-        raise ValidationError(
-            f"{root}: directory holds split '{declared}', not '{split_name}'"
-        )
     for field in ("feature_dim", "attribute_dim", "seen_classes", "unseen_classes",
                   "n_train", "n_test_seen", "n_test_unseen"):
         if field not in meta:

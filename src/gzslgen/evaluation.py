@@ -25,7 +25,6 @@ from .trainer import TrainConfig, train
 class EvalConfig:
     n_per_class: int = 300
     include_real_seen: bool = True
-    classifier_lr: float = 1.0
     classifier_max_steps: int = 1000
     classifier_grad_tol: float = 1e-5
     seed: int = 0
@@ -94,7 +93,6 @@ def evaluate_gzsl(
         labels = np.concatenate([labels, bundle.labels_train])
     clf = fit_gzsl_classifier(
         features, labels, all_classes,
-        learning_rate=cfg.classifier_lr,
         max_steps=cfg.classifier_max_steps,
         grad_tol=cfg.classifier_grad_tol,
     )

@@ -126,7 +126,6 @@ def semantic_centroid_loss(
     recon_attrs: np.ndarray,
     labels: np.ndarray,
     attributes: np.ndarray,
-    seen_classes=None,
 ) -> float:
     """Mean over batch-present classes of ||centroid(a'_c) - a_c||_2."""
     value, _ = semantic_centroid_grads(recon_attrs, labels, attributes)

@@ -72,13 +72,17 @@ def write_archive(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 def read_archive(path: str) -> tuple[dict, dict[str, bytes]]:
     if not os.path.exists(path):
         raise DataLoadError(f"missing archive: {path}")
-    blobs = {}
-    with zipfile.ZipFile(path, "r") as zf:
-        for name in zf.namelist():
-            blobs[name] = zf.read(name)
+    try:
+        with zipfile.ZipFile(path, "r") as zf:
+            blobs = {name: zf.read(name) for name in zf.namelist()}
+    except zipfile.BadZipFile as exc:
+        raise FormatError(f"{path}: not a valid zip archive ({exc})") from exc
     if "meta.json" not in blobs:
         raise FormatError(f"{path}: archive has no meta.json")
-    meta = json.loads(blobs.pop("meta.json").decode("utf-8"))
+    try:
+        meta = json.loads(blobs.pop("meta.json").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: meta.json is not valid JSON ({exc})") from exc
     return meta, blobs
 
 

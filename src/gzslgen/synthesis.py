@@ -64,14 +64,13 @@ def synthesize_features(
 
 
 def fit_softmax(
-    x: np.ndarray, cols: np.ndarray, n_classes: int,
-    learning_rate: float, max_steps: int, grad_tol: float,
+    x: np.ndarray, cols: np.ndarray, n_classes: int, max_steps: int, grad_tol: float
 ) -> LinearParams:
     """Fit a linear softmax classifier to rows ``x`` labelled by column ``cols``.
 
-    Full-batch gradient descent from zero init, stopping at a gradient-norm
-    threshold or the step cap, so the fit is convex, deterministic, and
-    invariant to row order.
+    Full-batch gradient descent with a fixed unit step from zero init,
+    stopping at a gradient-norm threshold or the step cap, so the fit is
+    convex, deterministic, and invariant to row order.
     """
     cls = LinearParams(w=np.zeros((x.shape[1], n_classes)), b=np.zeros(n_classes))
     for _ in range(max_steps):
@@ -79,8 +78,8 @@ def fit_softmax(
         gnorm = np.sqrt(np.sum(dw * dw) + np.sum(db * db))
         if gnorm < grad_tol:
             break
-        cls.w -= learning_rate * dw
-        cls.b -= learning_rate * db
+        cls.w -= dw
+        cls.b -= db
     return cls
 
 
@@ -88,7 +87,6 @@ def fit_gzsl_classifier(
     features: np.ndarray,
     labels: np.ndarray,
     all_classes: Sequence[int],
-    learning_rate: float = 1.0,
     max_steps: int = 1000,
     grad_tol: float = 1e-5,
 ) -> GzslClassifier:
@@ -104,7 +102,7 @@ def fit_gzsl_classifier(
 
     col_of = {c: i for i, c in enumerate(class_ids)}
     cols = np.asarray([col_of[int(c)] for c in labels])
-    cls = fit_softmax(features, cols, len(class_ids), learning_rate, max_steps, grad_tol)
+    cls = fit_softmax(features, cols, len(class_ids), max_steps, grad_tol)
     return GzslClassifier(params=cls, class_ids=class_ids)
 
 

@@ -54,15 +54,12 @@ class TrainConfig:
     n2: int = 5
     epochs: int = 50
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    noise_dim: int | None = None  # defaults to the attribute dimension
     hidden_dim: int = 4096
     negative_slope: float = 0.2
     gvs_output_activation: str = "relu"
     seed: int = 0
     variant: str = "full"
     pair_mode: str = "real"  # second adversarial pairing: "real" | "cycle"
-    baseline_cls_loss: bool = True
-    pretrain_lr: float = 1.0
     pretrain_max_steps: int = 1000
     pretrain_grad_tol: float = 1e-5
 
@@ -101,17 +98,11 @@ class TrainLog:
 def effective_weights(config: TrainConfig) -> LossWeights:
     """Apply the ablation variant's term masking to the configured weights."""
     w = replace(config.weights)
-    if config.variant in ("no_SC", "dual_only"):
+    if config.variant in ("no_SC", "dual_only", "baseline_single_gan"):
         w.lambda5 = 0.0
-    if config.variant in ("no_VC", "dual_only"):
+    if config.variant in ("no_VC", "dual_only", "baseline_single_gan"):
         w.lambda3 = 0.0
         w.lambda6 = 0.0
-    if config.variant == "baseline_single_gan":
-        w.lambda3 = 0.0
-        w.lambda6 = 0.0
-        w.lambda5 = 0.0
-        if not config.baseline_cls_loss:
-            w.lambda2 = 0.0
     return w
 
 
@@ -193,7 +184,7 @@ def pretrain_classifier(bundle: DatasetBundle, config: TrainConfig) -> LinearPar
         raise ValidationError(f"seen classes without training rows: {missing}")
     return fit_softmax(
         bundle.visual_train, lookup[bundle.labels_train], len(col_of),
-        config.pretrain_lr, config.pretrain_max_steps, config.pretrain_grad_tol,
+        config.pretrain_max_steps, config.pretrain_grad_tol,
     )
 
 
@@ -225,20 +216,12 @@ def train(
     """
     config.validate()
     k, l = bundle.feature_dim, bundle.attribute_dim
-    if config.noise_dim is not None and config.noise_dim != l:
-        raise ValidationError(
-            f"noise_dim must equal the attribute dimension {l}, got {config.noise_dim}"
-        )
-
     weights = effective_weights(config)
     baseline = config.variant == "baseline_single_gan"
     lookup, col_of = seen_class_columns(bundle)
 
     cls = pretrain_classifier(bundle, config)
-    _check_params_finite(
-        cls.arrays().values(),
-        f"in the seen-class classifier after its pretrain (pretrain_lr={config.pretrain_lr})",
-    )
+    _check_params_finite(cls.arrays().values(), "in the seen-class classifier after its pretrain")
     log = TrainLog(seen_class_cols=col_of)
     log.pretrain_accuracy = classifier_accuracy(
         cls, bundle.visual_train, lookup[bundle.labels_train]

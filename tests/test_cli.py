@@ -1,7 +1,10 @@
+import io
 import json
 import warnings
+import zipfile
 
 import numpy as np
+import pytest
 
 from gzslgen.cli import main
 from gzslgen.data import load_dataset
@@ -66,6 +69,21 @@ class TestTrainCommand:
         assert "learning_rte" in capsys.readouterr().err
 
 
+def write_dataset_config(path, out, dataset):
+    """``write_config`` with the synthetic source replaced by a directory."""
+    doc = json.loads(write_config(path, out).read_text())
+    del doc["synthetic"]
+    path.write_text(dumps_json({**doc, "dataset": str(dataset)}))
+    return path
+
+
+def zip_with_meta(text):
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        zf.writestr("meta.json", text)
+    return buf.getvalue()
+
+
 def write_spec(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(dumps_json(ORACLE_SPEC))
@@ -102,6 +120,34 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--checkpoint", str(tmp_path / "no.zip"),
                      "--out", str(tmp_path / "eval")]) == 2
         assert "no.zip" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b"not a zip archive", zip_with_meta("{not json"), zip_with_meta("[1]"),
+    ], ids=["not_zip", "not_json", "not_object"])
+    def test_corrupt_checkpoint(self, tmp_path, capsys, content):
+        ckpt = tmp_path / "checkpoint.zip"
+        ckpt.write_bytes(content)
+        assert main(["evaluate", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert str(ckpt) in capsys.readouterr().err
+
+    def test_config_follows_a_moved_dataset(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["synth-data", "--spec", str(write_spec(tmp_path)), "--out", str(ds)]) == 0
+        cfg = write_dataset_config(tmp_path / "cfg.json", tmp_path / "run", ds)
+        assert main(["train", "--config", str(cfg)]) == 0
+        moved = tmp_path / "moved"
+        ds.rename(moved)
+        new_cfg = write_dataset_config(tmp_path / "new.json", tmp_path / "run", moved)
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint.zip"),
+                     "--config", str(new_cfg), "--out", str(tmp_path / "eval")]) == 0
+        assert (tmp_path / "eval" / "report.json").exists()
+        # training on the directory's old place still fails cleanly
+        out = tmp_path / "run_missing"
+        assert main(["train", "--config", str(write_dataset_config(
+            tmp_path / "old.json", out, ds))]) == 2
+        assert str(ds) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestAblateAndSweep:

@@ -29,6 +29,16 @@ def tiny_run_config(out="run"):
     })
 
 
+# every removed run-config option, with the default older versions echoed
+RETIRED_KEYS = [
+    ("train", "separate_critic_batches", False),
+    ("train", "noise_dim", None),
+    ("train", "baseline_cls_loss", True),
+    ("train", "pretrain_lr", 1.0),
+    ("eval", "classifier_lr", 1.0),
+]
+
+
 class TestRunConfigParsing:
     def test_defaults_fill_in(self):
         cfg = tiny_run_config()
@@ -95,19 +105,24 @@ class TestCheckpoint:
         b = evaluate_gzsl(loaded, bundle, cfg.eval)
         assert a.to_dict() == b.to_dict()
 
-    def test_older_checkpoint_with_retired_train_key_loads(self, tmp_path):
+    @pytest.mark.parametrize("section,key,old_default", RETIRED_KEYS,
+                             ids=[f"{s}.{k}" for s, k, _ in RETIRED_KEYS])
+    def test_older_checkpoint_with_retired_key_loads(self, tmp_path, section, key, old_default):
         cfg = tiny_run_config(out=str(tmp_path))
         model, _ = train(cfg.resolve_bundle(), cfg.train)
         path = str(tmp_path / "checkpoint.zip")
         save_checkpoint(path, model, cfg)
         meta, blobs = read_archive(path)
-        meta["run_config"]["train"]["separate_critic_batches"] = False
+        meta["run_config"][section][key] = old_default
         arrays = {k[: -len(".f64")]: np.frombuffer(v, "<f8") for k, v in blobs.items()}
         write_archive(path, meta, arrays)
         loaded, loaded_cfg = load_checkpoint(path)
         for a, b in zip(model.all_arrays(), loaded.all_arrays()):
             assert np.array_equal(a, b)
         assert effective_dict(loaded_cfg) == effective_dict(cfg)
+        # a run config that still names the key is rejected, not ignored
+        with pytest.raises(ValidationError, match=f"unknown {section} field.*{key}"):
+            parse_run_config(meta["run_config"])
 
     @pytest.mark.parametrize("keys", [
         ("network_shapes", "d_v", "negative_slope"),
@@ -158,7 +173,8 @@ def test_divergence_names_term_and_iteration():
 def test_divergence_in_pretrain_names_the_pretrain():
     bundle = make_synthetic_dataset(
         SyntheticSpec(2, 1, 8, 2, 8, 0.05, projection_seed=1, noise_seed=2))
-    config = TrainConfig(batch_size=8, epochs=5, hidden_dim=8, pretrain_lr=1e308, seed=0)
+    bundle.visual_train = bundle.visual_train * 1e300
+    config = TrainConfig(batch_size=8, epochs=5, hidden_dim=8, seed=0)
     with pytest.raises(TrainingDiverged, match="classifier after its pretrain") as exc:
         train(bundle, config)
     assert "d_v" not in str(exc.value)

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from gzslgen.cli import main
 from gzslgen.data import (
     DatasetBundle,
     SyntheticSpec,
@@ -150,12 +153,19 @@ class TestRoundTrip:
         with pytest.raises(ValidationError):
             load_dataset(str(root))
 
-    def test_wrong_split_name_rejected(self, tmp_path):
-        bundle = make_synthetic_dataset(oracle_spec(samples_per_class=2))
-        save_dataset(bundle, str(tmp_path / "ds"), split_name="proposed")
-        with pytest.raises(ValidationError, match="proposed"):
-            load_dataset(str(tmp_path / "ds"), split_name="default")
-        load_dataset(str(tmp_path / "ds"), split_name="proposed")
+    def test_directory_naming_a_split_trains(self, tmp_path):
+        # a directory holds one split; older writers recorded its name
+        root = tmp_path / "ds"
+        save_dataset(make_synthetic_dataset(oracle_spec(samples_per_class=4)), str(root))
+        meta = json.loads((root / "meta.json").read_text())
+        (root / "meta.json").write_text(json.dumps({**meta, "split_name": "proposed"}))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "dataset": str(root), "out": str(tmp_path / "run"),
+            "train": {"batch_size": 12, "epochs": 1, "n1": 1, "n2": 1, "hidden_dim": 8},
+        }))
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert (tmp_path / "run" / "checkpoint.zip").exists()
 
 
 class TestBatchIterator:

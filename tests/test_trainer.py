@@ -190,11 +190,6 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged, match=rf"after {kind} update at iteration 1$"):
             train(desk_bundle(samples=20), desk_config())
 
-    def test_noise_dim_must_match_attribute_dim(self):
-        bundle = desk_bundle()
-        with pytest.raises(ValidationError, match="noise_dim"):
-            train(bundle, desk_config(noise_dim=7))
-
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             desk_config(n1=0).validate()
