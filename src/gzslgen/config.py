@@ -84,7 +84,19 @@ def _parse_eval(mapping: dict) -> tuple[EvalConfig, list[int]]:
     return EvalConfig(**scalars), counts
 
 
+def _check_sections(doc: Any) -> None:
+    """A run config, and each of its sections present, must be a JSON object."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"a run config must be a JSON object, got {doc!r:.40}")
+    for section in ("synthetic", "train", "eval"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise ValidationError(
+                f"config section {section!r} must be a JSON object, got {doc[section]!r:.40}"
+            )
+
+
 def parse_run_config(doc: dict, overrides: dict[str, Any] | None = None) -> RunConfig:
+    _check_sections(doc)
     _reject_unknown(
         "top-level", doc, {"dataset", "synthetic", "normalize", "train", "eval", "out"}
     )
@@ -220,6 +232,10 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
         cls_seen=LinearParams(w=mat("cls_w").copy(), b=mat("cls_b").copy()),
     )
     run_doc = _meta_field(path, meta, "run_config")
+    try:
+        _check_sections(run_doc)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: checkpoint metadata run_config: {exc}") from exc
     for section, keys in _RETIRED_KEYS.items():
         for key in keys:
             run_doc.get(section, {}).pop(key, None)

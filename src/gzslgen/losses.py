@@ -86,7 +86,17 @@ def softmax_ce_grads(
     cls: LinearParams, x: np.ndarray, labels: np.ndarray, *, input_grad: bool = True
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
     """Cross-entropy with gradients w.r.t. (w, b, x). Returns (loss, dw, db, dx);
-    ``dx`` is None, and its GEMM skipped, when ``input_grad`` is False."""
+    ``dx`` is None, and its GEMM skipped, when ``input_grad`` is False.
+
+    Entries of the logit gradient below the smallest normal double are set
+    to 0.0 before the GEMMs: an off-class probability of ~1e-310 would
+    otherwise push ``x.T @ d_logits`` onto the CPU's slow subnormal path,
+    which more than doubles the cost of a long softmax fit. Fitted weights do
+    not move: a column of ``dw``/``db`` with a labelled row also sums
+    normal-range terms, and each flushed term lies below half an ulp of them;
+    a column of flushed terms alone loses an update of ~1e-308, which leaves
+    any normal-range weight unchanged.
+    """
     labels = np.asarray(labels)
     n_classes = cls.w.shape[1]
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= n_classes:
@@ -106,6 +116,7 @@ def softmax_ce_grads(
     d_logits = probs.copy()
     d_logits[np.arange(b), labels] -= 1.0
     d_logits /= b
+    d_logits[np.abs(d_logits) < np.finfo(d_logits.dtype).tiny] = 0.0
     dx = d_logits @ cls.w.T if input_grad else None
     return loss, x.T @ d_logits, d_logits.sum(axis=0), dx
 

@@ -70,7 +70,9 @@ def fit_softmax(
 
     Full-batch gradient descent with a fixed unit step from zero init,
     stopping at a gradient-norm threshold or the step cap, so the fit is
-    convex, deterministic, and invariant to row order.
+    convex, deterministic, and invariant to row order. With the subnormal
+    logit gradients flushed in ``softmax_ce_grads``, a step's cost is mostly
+    its two GEMMs, ``x @ w`` and ``x.T @ d_logits``.
     """
     cls = LinearParams(w=np.zeros((x.shape[1], n_classes)), b=np.zeros(n_classes))
     for _ in range(max_steps):

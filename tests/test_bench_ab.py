@@ -1,0 +1,71 @@
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "scripts", "bench_ab.py")
+_spec = importlib.util.spec_from_file_location("bench_ab", _PATH)
+bench_ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_ab)
+
+PARENT = [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9]
+
+
+class TestVerdict:
+    def test_clear_gain(self):
+        change = [p - 1.5 for p in PARENT]
+        v = bench_ab.verdict(PARENT, change, "lower", 0.25)
+        assert v["status"] == "gain" and v["wins"] == 10 and v["pairs"] == 10
+
+    def test_nine_of_ten_wins_is_enough(self):
+        change = [p - 1.5 for p in PARENT[:9]] + [PARENT[9] + 0.1]
+        v = bench_ab.verdict(PARENT, change, "lower", 0.25)
+        assert v["wins"] == 9 and v["status"] == "gain"
+
+    def test_eight_of_ten_wins_is_not(self):
+        change = [p - 1.5 for p in PARENT[:8]] + [PARENT[8], PARENT[9] + 0.1]
+        v = bench_ab.verdict(PARENT, change, "lower", 0.25)
+        assert v["wins"] == 8 and v["status"] != "gain"
+
+    def test_ties_count_for_neither(self):
+        v = bench_ab.verdict(PARENT, list(PARENT), "lower", 0.25)
+        assert v["wins"] == 0 and v["status"] == "within bound"
+
+    def test_gap_inside_the_parent_spread_is_no_gain(self):
+        # wins every pair, but by less than the parent's quartile distance
+        q1, med, q3 = bench_ab.quartiles(PARENT)
+        change = [p - 0.5 * (q3 - q1) for p in PARENT]
+        v = bench_ab.verdict(PARENT, change, "lower", 0.25)
+        assert v["wins"] == 10 and v["status"] == "within bound"
+        assert v["parent"] == (med, q1, q3)
+
+    def test_higher_is_better(self):
+        change = [p + 1.5 for p in PARENT]
+        assert bench_ab.verdict(PARENT, change, "higher", 0.25)["status"] == "gain"
+        assert bench_ab.verdict(PARENT, change, "lower", 0.25)["status"] == "worse"
+
+    def test_worse_beyond_the_bound(self):
+        change = [p * 1.3 for p in PARENT]
+        assert bench_ab.verdict(PARENT, change, "lower", 0.25)["status"] == "worse"
+        assert bench_ab.verdict(PARENT, change, "lower", 0.4)["status"] == "within bound"
+
+    def test_spread_wider_than_the_bound_is_unresolved(self):
+        parent = [1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 3.0, 3.0, 3.0]
+        change = [p + 0.1 for p in parent]
+        assert bench_ab.verdict(parent, change, "lower", 0.25)["status"] == "unresolved"
+
+    def test_every_change_run_better_resolves_a_wide_spread(self):
+        parent = [2.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0, 4.0, 4.0, 4.0]
+        change = [1.9] * 10
+        v = bench_ab.verdict(parent, change, "lower", 0.25)
+        assert v["wins"] == 10 and v["status"] == "within bound"
+
+    def test_unpaired_runs_are_rejected(self):
+        with pytest.raises(ValueError):
+            bench_ab.verdict(PARENT, PARENT[:9], "lower", 0.25)
+
+
+def test_parse_seeds():
+    assert bench_ab.parse_seeds("900-903") == [900, 901, 902, 903]
+    assert bench_ab.parse_seeds("7") == [7]

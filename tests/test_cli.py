@@ -68,6 +68,21 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "learning_rte" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section,value", [
+        ("train", 5), ("eval", [1]), ("synthetic", 3),
+    ], ids=["train", "eval", "synthetic"])
+    def test_section_not_an_object(self, tmp_path, capsys, section, value):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", **{section: value})
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert f"'{section}'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("5")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
 
 def write_dataset_config(path, out, dataset):
     """``write_config`` with the synthetic source replaced by a directory."""
@@ -130,6 +145,30 @@ class TestEvaluateCommand:
         assert main(["evaluate", "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "eval")]) == 2
         assert str(ckpt) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,value", [
+        (None, 5), ("train", 5), ("eval", [1]), ("synthetic", 3),
+    ], ids=["run_config", "train", "eval", "synthetic"])
+    def test_checkpoint_run_config_not_an_object(self, tmp_path, capsys, section, value):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.zip"
+        with zipfile.ZipFile(ckpt) as zf:
+            entries = {name: zf.read(name) for name in zf.namelist()}
+        meta = json.loads(entries["meta.json"])
+        if section is None:
+            meta["run_config"] = value
+        else:
+            meta["run_config"][section] = value
+        with zipfile.ZipFile(ckpt, "w") as zf:
+            for name, data in entries.items():
+                zf.writestr(name, dumps_json(meta) if name == "meta.json" else data)
+        assert main(["evaluate", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "run_config" in err
+        if section is not None:
+            assert f"'{section}'" in err
 
     def test_config_follows_a_moved_dataset(self, tmp_path, capsys):
         ds = tmp_path / "ds"

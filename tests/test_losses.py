@@ -72,6 +72,32 @@ class TestClassificationLoss:
         with pytest.raises(ContractViolation):
             classification_loss(cls, np.zeros((2, K)), np.array([0, 3]))
 
+    def test_subnormal_logit_gradients_are_flushed(self):
+        # rows of two classes; a third, unlabelled column sits ~720 below
+        # them, so its probability (~1e-313) and logit gradient are subnormal
+        rng = np.random.default_rng(4)
+        w = rng.uniform(-0.5, 0.5, (K, 3))
+        cls = LinearParams(w=w, b=np.array([0.0, 0.0, -720.0]))
+        x = rng.uniform(-1.0, 1.0, (B, K))
+        labels = np.arange(B) % 2
+        _, dw, db, dx = losses.softmax_ce_grads(cls, x, labels)
+
+        # the unflushed formula
+        logits = x @ cls.w + cls.b
+        exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+        d_logits = exp / exp.sum(axis=1, keepdims=True)
+        d_logits[np.arange(B), labels] -= 1.0
+        d_logits /= B
+        tiny = np.finfo(np.float64).tiny
+        assert np.all((d_logits[:, 2] != 0) & (np.abs(d_logits[:, 2]) < tiny))
+
+        for grad in (dw, db, dx):
+            assert not np.any((grad != 0) & (np.abs(grad) < tiny))
+        assert np.all(dw[:, 2] == 0.0) and db[2] == 0.0
+        assert np.array_equal(dw[:, :2], (x.T @ d_logits)[:, :2])
+        assert np.array_equal(db[:2], d_logits.sum(axis=0)[:2])
+        assert np.array_equal(dx, d_logits @ cls.w.T)
+
 
 class TestCentroids:
     def test_single_row(self):
