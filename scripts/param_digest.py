@@ -17,6 +17,14 @@ seed=0)``, 3 synthesized rows per class (seed 0) plus the real seen rows,
 and ``fit_gzsl_classifier`` over all 50 classes; the digest covers ``w``
 then ``b``. It adds under ten seconds and ignores ``--epochs`` and ``--seed``.
 
+An eighth ``paper_train <sha256>`` line checks training itself at paper
+shape: ``SyntheticSpec(40, 10, 2048, 85, 6, 0.1, 0, 0)`` trained with
+``TrainConfig(epochs=1, seed=0)``, hashing ``ModelParams.all_arrays()``. Its
+240 rows make three batches of 64 and a last one of 48, and its weight
+gradients are added a block of rows at a time (``networks.add_matmul``),
+which the H=64 oracle lines, one block per gradient, cannot reach. It adds
+about twenty seconds and also ignores ``--epochs`` and ``--seed``.
+
 Run from any directory; it imports ``gzslgen`` from ``src/`` next to this
 script. The oracle is the one of tests/test_acceptance.py (criteria 6 and 7):
 ``SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11)``, B=30, H=64,
@@ -67,6 +75,12 @@ def paper_fit_digest() -> str:
     return _sha256([clf.params.w, clf.params.b])
 
 
+def paper_train_digest() -> str:
+    bundle = make_synthetic_dataset(SyntheticSpec(40, 10, 2048, 85, 6, 0.1, 0, 0))
+    params, _ = train(bundle, TrainConfig(epochs=1, seed=0))
+    return _sha256(params.all_arrays())
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--epochs", type=int, required=True)
@@ -85,6 +99,7 @@ def main() -> None:
         params, _ = train(bundle, config)
         print(label, _sha256(params.all_arrays()), flush=True)
     print("paper_fit", paper_fit_digest(), flush=True)
+    print("paper_train", paper_train_digest(), flush=True)
 
 
 if __name__ == "__main__":

@@ -18,11 +18,12 @@ from .config import (
     effective_dict,
     load_checkpoint,
     load_run_config,
+    parse_synthetic_spec,
     save_checkpoint,
     write_effective_config,
     CHECKPOINT_NAME,
 )
-from .data import SyntheticSpec, make_synthetic_dataset, save_dataset
+from .data import make_synthetic_dataset, save_dataset
 from .errors import (
     ContractViolation,
     DataLoadError,
@@ -125,12 +126,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth_data(args) -> int:
-    doc = load_json(args.spec)
-    try:
-        spec = SyntheticSpec(**doc)
-    except TypeError as exc:
-        raise ValidationError(f"bad synthetic spec: {exc}") from exc
-    bundle = make_synthetic_dataset(spec)
+    bundle = make_synthetic_dataset(parse_synthetic_spec(load_json(args.spec), "spec"))
     save_dataset(bundle, args.out)
     print(f"wrote synthetic dataset to {args.out}")
     return 0

@@ -6,12 +6,14 @@ is optional except the data source; defaults follow the library dataclasses.
 Flag overrides beat file values, which beat defaults. Options since removed
 are listed by section in ``_RETIRED_KEYS``: loading an older checkpoint
 drops them from its embedded run config, and a run config that names one is
-rejected as an unknown field.
+rejected as an unknown field. Every field's value must have the JSON type of
+its dataclass annotation (``_checked``), so a malformed value is a
+``ValidationError`` naming the field.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -69,19 +71,59 @@ def _reject_unknown(section: str, mapping: dict, allowed: set[str]) -> None:
         raise ValidationError(f"unknown {section} field(s): {sorted(unknown)}")
 
 
+# JSON value types accepted for a dataclass field, by its annotation
+_JSON_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+}
+
+
+def _checked(section: str, cls: type, mapping: dict) -> dict:
+    """The entries of ``mapping`` that name fields of the dataclass ``cls``,
+    each checked against its field's annotation; a field without a default
+    must be present."""
+    out = {}
+    for f in fields(cls):
+        if f.name not in mapping:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValidationError(f"{section}.{f.name} is required")
+            continue
+        value = mapping[f.name]
+        kind, described = _JSON_TYPES[f.type]
+        if not isinstance(value, kind) or (isinstance(value, bool) and f.type != "bool"):
+            raise ValidationError(f"{section}.{f.name} must be {described}, got {value!r:.40}")
+        out[f.name] = value
+    return out
+
+
+def parse_synthetic_spec(doc: Any, section: str = "synthetic") -> SyntheticSpec:
+    """A ``SyntheticSpec`` from a JSON object; errors name ``section``'s field."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{section} must be a JSON object, got {doc!r:.40}")
+    _reject_unknown(section, doc, {f.name for f in fields(SyntheticSpec)})
+    return SyntheticSpec(**_checked(section, SyntheticSpec, doc))
+
+
 def _parse_train(mapping: dict) -> TrainConfig:
     _reject_unknown("train", mapping, _TRAIN_SCALAR_KEYS | _WEIGHT_KEYS | _OPT_KEYS)
-    weights = LossWeights(**{k: float(mapping[k]) for k in _WEIGHT_KEYS if k in mapping})
-    opt = OptimizerConfig(**{k: float(mapping[k]) for k in _OPT_KEYS if k in mapping})
-    scalars = {k: mapping[k] for k in _TRAIN_SCALAR_KEYS if k in mapping}
-    return TrainConfig(weights=weights, optimizer=opt, **scalars)
+    floats = lambda cls: {k: float(v) for k, v in _checked("train", cls, mapping).items()}
+    return TrainConfig(
+        weights=LossWeights(**floats(LossWeights)),
+        optimizer=OptimizerConfig(**floats(OptimizerConfig)),
+        **_checked("train", TrainConfig, mapping),
+    )
 
 
 def _parse_eval(mapping: dict) -> tuple[EvalConfig, list[int]]:
     _reject_unknown("eval", mapping, _EVAL_KEYS)
-    counts = [int(c) for c in mapping.get("counts", [10, 50, 100, 300, 500])]
-    scalars = {k: v for k, v in mapping.items() if k != "counts"}
-    return EvalConfig(**scalars), counts
+    counts = mapping.get("counts", [10, 50, 100, 300, 500])
+    if not isinstance(counts, list) or not all(
+        isinstance(c, int) and not isinstance(c, bool) for c in counts
+    ):
+        raise ValidationError(f"eval.counts must be a list of integers, got {counts!r:.40}")
+    return EvalConfig(**_checked("eval", EvalConfig, mapping)), list(counts)
 
 
 def _check_sections(doc: Any) -> None:
@@ -102,9 +144,7 @@ def parse_run_config(doc: dict, overrides: dict[str, Any] | None = None) -> RunC
     )
     synthetic = None
     if "synthetic" in doc:
-        spec_doc = dict(doc["synthetic"])
-        _reject_unknown("synthetic", spec_doc, {f.name for f in fields(SyntheticSpec)})
-        synthetic = SyntheticSpec(**spec_doc)
+        synthetic = parse_synthetic_spec(doc["synthetic"])
     train_cfg = _parse_train(dict(doc.get("train", {})))
     eval_cfg, counts = _parse_eval(dict(doc.get("eval", {})))
     cfg = RunConfig(

@@ -15,6 +15,15 @@ input gradient. The test suite pins the values against
 independent term-by-term recomputation from the public term operations, and
 pins every gradient against central finite differences.
 
+Each ``*_and_grads`` takes a keyword-only ``work``: a 1-D float64 buffer at
+least as large as the updated network, which the trainer allocates once. The
+returned gradient is a view into it, and the step allocates no other
+parameter-sized array: the first backward writes into it, and the second
+backward and the penalty block add into it a block of rows at a time. With
+``work=None`` the gradient is a fresh array. The critic objective scores its
+fake, real and interpolated rows in one forward over the stacked rows, and
+the penalty reuses that forward's hidden preactivations.
+
 Conventions:
   * expectations are uniform batch means;
   * per-class centroids are estimated within the mini-batch, averaging
@@ -37,6 +46,7 @@ from .networks import (
     MLPCache,
     MLPParams,
     ModelParams,
+    add_matmul,
     classifier_logits,
     critic_input_grads,
     mlp_backward,
@@ -219,17 +229,17 @@ def gradient_penalty(
 
 
 def _add_gp_grads(
-    critic: MLPParams, u_hat: np.ndarray, n_grad: int, lam: float, grads: MLPParams
+    critic: MLPParams, h_pre: np.ndarray, n_grad: int, lam: float, grads: MLPParams
 ) -> float:
     """Penalty value; adds ``lam`` times its critic-parameter gradient to ``grads``.
 
+    ``h_pre`` is the critic's hidden preactivation at the interpolated rows.
     The input gradient of a one-hidden-layer critic is piecewise constant
     in the hidden preactivations, so the derivative of the penalty through
     the activation pattern vanishes almost everywhere; only w1 rows in the
     penalized block and w2 receive gradient, so only those are touched.
     """
-    b = u_hat.shape[0]
-    h_pre = u_hat @ critic.w1 + critic.b1
+    b = h_pre.shape[0]
     d = np.where(h_pre >= 0, 1.0, critic.shape.negative_slope)  # [B, H]
     s = d * critic.w2[:, 0]                                     # [B, H]
     g = s @ critic.w1[:n_grad, :].T                             # [B, n_grad]
@@ -241,9 +251,7 @@ def _add_gp_grads(
     coef[nonzero] = 2.0 * (norms[nonzero] - 1.0) / (norms[nonzero] * b)
     v = coef[:, None] * g                                       # [B, n_grad]
 
-    w1_block = v.T @ s
-    w1_block *= lam
-    grads.w1[:n_grad, :] += w1_block
+    add_matmul(grads.w1[:n_grad, :], v.T, s, lam)
     p = v @ critic.w1[:n_grad, :]                               # [B, H]
     grads.w2[:, 0] += lam * (d * p).sum(axis=0)
     return value
@@ -260,17 +268,18 @@ def _critic_loss_and_grads(
     mixed_in: np.ndarray,
     n_grad: int,
     lam: float,
+    work: np.ndarray | None,
 ) -> tuple[float, dict[str, float], MLPParams]:
     """WGAN-GP critic objective: mean fake minus mean real score plus ``lam``
     times the penalty on the first ``n_grad`` input columns at ``mixed_in``."""
     b = real_in.shape[0]
-    fake_cache = mlp_forward_cached(critic, fake_in)
-    real_cache = mlp_forward_cached(critic, real_in)
+    cache = mlp_forward_cached(critic, np.vstack([fake_in, real_in, mixed_in]))
+    fake_cache, real_cache = cache.rows(0, b), cache.rows(b, 2 * b)
     ones = np.full((b, 1), 1.0 / b)
-    grads, _ = mlp_backward(critic, fake_cache, ones, input_grad=False)
-    real_grads, _ = mlp_backward(critic, real_cache, -ones, input_grad=False)
-    grads.add_(real_grads)
-    gp = _add_gp_grads(critic, mixed_in, n_grad, lam, grads)
+    grads = critic.grads_in(work)
+    mlp_backward(critic, fake_cache, ones, input_grad=False, out=grads)
+    mlp_backward(critic, real_cache, -ones, input_grad=False, out=grads, add=True)
+    gp = _add_gp_grads(critic, cache.h_pre[2 * b :], n_grad, lam, grads)
 
     w_fake = float(fake_cache.out.mean())
     w_real = float(real_cache.out.mean())
@@ -296,6 +305,8 @@ def disc_v_loss_and_grads(
     synth_visual: np.ndarray,
     weights: LossWeights,
     mix,
+    *,
+    work: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float], MLPParams]:
     if synth_visual.shape != batch.visual.shape:
         raise ContractViolation(
@@ -310,6 +321,7 @@ def disc_v_loss_and_grads(
         mixed_in=np.hstack([mixed, batch.attributes]),
         n_grad=batch.visual.shape[1],
         lam=weights.lambda1,
+        work=work,
     )
 
 
@@ -331,6 +343,8 @@ def disc_s_loss_and_grads(
     recon_attrs: np.ndarray,
     weights: LossWeights,
     mix,
+    *,
+    work: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float], MLPParams]:
     if recon_attrs.shape != batch.attributes.shape:
         raise ContractViolation(
@@ -341,7 +355,7 @@ def disc_s_loss_and_grads(
     mixed = beta * batch.attributes + (1.0 - beta) * recon_attrs
     return _critic_loss_and_grads(
         model.d_s, real_in=batch.attributes, fake_in=recon_attrs, mixed_in=mixed,
-        n_grad=mixed.shape[1], lam=weights.lambda4,
+        n_grad=mixed.shape[1], lam=weights.lambda4, work=work,
     )
 
 
@@ -384,6 +398,8 @@ def gen_sv_loss_and_grads(
     label_cols: np.ndarray | None = None,
     pair_mode: str = "real",
     include_pair_term: bool = True,
+    *,
+    work: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float], MLPParams]:
     """Visual-generator objective and its gradient w.r.t. that generator.
 
@@ -446,12 +462,11 @@ def gen_sv_loss_and_grads(
         terms["vc"] = 0.0
 
     # backprop: second generator application, semantic generator, first application
-    grads, d_u3 = mlp_backward(model.g_sv, cache3, d_cycle)
+    grads, d_u3 = mlp_backward(model.g_sv, cache3, d_cycle, out=model.g_sv.grads_in(work))
     d_recon += d_u3[:, : a_recon.shape[1]]
     _, d_x_from_recon = mlp_backward(model.g_vs, cache2, d_recon, param_grads=False)
     d_synth += d_x_from_recon
-    first_grads, _ = mlp_backward(model.g_sv, cache1, d_synth, input_grad=False)
-    grads.add_(first_grads)
+    mlp_backward(model.g_sv, cache1, d_synth, input_grad=False, out=grads, add=True)
 
     total = terms["w_synth"] + terms["w_pair"] + terms["cls"] + terms["vc"]
     return total, terms, grads
@@ -472,6 +487,8 @@ def gen_vs_loss_and_grads(
     batch: FeatureBatch,
     weights: LossWeights,
     noise2: np.ndarray,
+    *,
+    work: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float], MLPParams]:
     """Semantic-generator objective and its gradient w.r.t. that generator.
 
@@ -507,7 +524,9 @@ def gen_vs_loss_and_grads(
     else:
         terms["vc"] = 0.0
 
-    grads, _ = mlp_backward(model.g_vs, cache2, d_recon, input_grad=False)
+    grads, _ = mlp_backward(
+        model.g_vs, cache2, d_recon, input_grad=False, out=model.g_vs.grads_in(work)
+    )
     total = terms["w_recon"] + terms["sc"] + terms["vc"]
     return total, terms, grads
 

@@ -15,15 +15,19 @@ Shapes (K = visual dim, L = attribute dim, H = hidden width):
 
 Flat layout: each MLPParams owns one contiguous 1-D float64 buffer ``flat``
 holding w1 | b1 | w2 | b2, each row-major, and ``w1/b1/w2/b2`` are views into
-it. Gradients use the same type and layout, so adding gradients, taking
-their norm and one fused optimizer update per network each make a single
-pass over one buffer, and ``mlp_backward`` writes straight into the views.
+it. Gradients use the same type and layout, so taking their norm and one
+fused optimizer update per network each make a single pass over one buffer,
+and ``mlp_backward`` writes straight into the views.
 
 Backward passes compute only what their caller reads: ``mlp_backward`` skips
 the parameter gradients (``param_grads=False``) of a network the step does
 not update, or the input gradient (``input_grad=False``) of a network
 nothing lies upstream of, and ``critic_input_grads`` takes the hidden
 preactivation ``h_pre`` of a forward pass that has already run.
+
+``mlp_backward(..., out=grads)`` writes the parameter gradients into a
+caller's buffer, and ``add=True`` adds them into it through ``add_matmul``, a
+block of rows at a time, so no parameter-sized temporary is made.
 """
 
 from __future__ import annotations
@@ -103,10 +107,15 @@ class MLPParams:
     def copy(self) -> "MLPParams":
         return MLPParams._from_flat(self.flat.copy(), self.shape)
 
-    def add_(self, other: "MLPParams") -> "MLPParams":
-        """self += other, in place."""
-        self.flat += other.flat
-        return self
+    def grads_in(self, work: np.ndarray | None = None) -> "MLPParams":
+        """Uninitialised parameters of this shape: a view of the leading
+        entries of the 1-D float64 buffer ``work`` if given, else fresh."""
+        n = self.flat.size
+        if work is None:
+            return MLPParams._from_flat(np.empty(n), self.shape)
+        if work.ndim != 1 or work.size < n:
+            raise ContractViolation(f"work buffer must be 1-D with >= {n} entries")
+        return MLPParams._from_flat(work[:n], self.shape)
 
     def norm(self) -> float:
         return float(np.sqrt(self.flat @ self.flat))
@@ -160,6 +169,10 @@ class MLPCache:
     h: np.ndarray
     o_pre: np.ndarray
     out: np.ndarray
+
+    def rows(self, lo: int, hi: int) -> "MLPCache":
+        """The cache of rows ``lo:hi`` of the batch, as views."""
+        return MLPCache(*(a[lo:hi] for a in (self.u, self.h_pre, self.h, self.o_pre, self.out)))
 
 
 def _init_mlp(rng: np.random.Generator, shape: NetworkShape) -> MLPParams:
@@ -227,6 +240,35 @@ def mlp_forward_cached(params: MLPParams, u: np.ndarray) -> MLPCache:
     return MLPCache(u=u, h_pre=h_pre, h=h, o_pre=o_pre, out=out)
 
 
+# add_matmul's scratch holds at most this many doubles (4 MB): 128 rows at
+# H=4096.
+_ADD_BLOCK = 1 << 19
+
+
+def add_matmul(dst: np.ndarray, a: np.ndarray, b: np.ndarray, scale: float | None = None) -> None:
+    """``dst += a @ b`` (the product times ``scale`` first, if given), in place.
+
+    The product is formed a block of rows at a time in one scratch of at
+    most ``_ADD_BLOCK`` doubles, so no temporary the size of ``dst`` is made.
+    The rows are split into equal blocks (sizes differ by at most one) of at
+    least two rows: numpy sends a one-row product down its vector path,
+    which rounds differently. With OpenBLAS every entry is then bit-identical
+    to ``dst += (a @ b) * scale`` at the shapes ``scripts/param_digest.py``
+    covers; the row split of a GEMM is not guaranteed to keep every bit at
+    every shape.
+    """
+    n_rows, n_cols = dst.shape
+    n_blocks = -(-n_rows // max(4, _ADD_BLOCK // n_cols))
+    edges = [n_rows * i // n_blocks for i in range(n_blocks + 1)]
+    scratch = np.empty((-(-n_rows // n_blocks), n_cols))
+    for lo, hi in zip(edges, edges[1:]):
+        block = scratch[: hi - lo]
+        np.matmul(a[lo:hi], b, out=block)
+        if scale is not None:
+            block *= scale
+        dst[lo:hi] += block
+
+
 def mlp_backward(
     params: MLPParams,
     cache: MLPCache,
@@ -234,12 +276,16 @@ def mlp_backward(
     *,
     param_grads: bool = True,
     input_grad: bool = True,
+    out: MLPParams | None = None,
+    add: bool = False,
 ) -> tuple[MLPParams | None, np.ndarray | None]:
     """Backprop an upstream gradient; returns (parameter grads, input grad).
 
     A part switched off with ``param_grads=False`` or ``input_grad=False``
     is not computed and comes back as ``None``; the other part is
-    bit-identical to the full call's.
+    bit-identical to the full call's. The parameter gradients are written
+    into ``out`` when it is given (a fresh buffer otherwise), or, with
+    ``add=True``, added into ``out`` with no parameter-sized temporary.
     """
     if params.shape.output_activation == "relu":
         d_opre = d_out * (cache.o_pre > 0)
@@ -247,15 +293,19 @@ def mlp_backward(
         d_opre = d_out
     d_h = d_opre @ params.w2.T
     d_hpre = d_h * _leaky_deriv(cache.h_pre, params.shape.negative_slope)
-    grads = None
-    if param_grads:
-        grads = MLPParams._from_flat(np.empty_like(params.flat), params.shape)
-        np.matmul(cache.h.T, d_opre, out=grads.w2)
-        np.sum(d_opre, axis=0, out=grads.b2)
-        np.matmul(cache.u.T, d_hpre, out=grads.w1)
-        np.sum(d_hpre, axis=0, out=grads.b1)
+    if param_grads and add:
+        add_matmul(out.w2, cache.h.T, d_opre)
+        out.b2 += np.sum(d_opre, axis=0)
+        add_matmul(out.w1, cache.u.T, d_hpre)
+        out.b1 += np.sum(d_hpre, axis=0)
+    elif param_grads:
+        out = params.grads_in() if out is None else out
+        np.matmul(cache.h.T, d_opre, out=out.w2)
+        np.sum(d_opre, axis=0, out=out.b2)
+        np.matmul(cache.u.T, d_hpre, out=out.w1)
+        np.sum(d_hpre, axis=0, out=out.b1)
     d_u = d_hpre @ params.w1.T if input_grad else None
-    return grads, d_u
+    return (out if param_grads else None), d_u
 
 
 def critic_input_grads(

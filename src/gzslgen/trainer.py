@@ -5,7 +5,9 @@ steps, then each generator takes one step, all on the same mini-batch;
 every critic step draws fresh generator noise. The two critics run from
 one table of (kind, steps, fake-maker, loss) entries, and every step of
 all four kinds goes through one commit: finiteness check, Adam step on
-the network's flat buffer, parameter scan, log record and callback. The
+the network's flat buffer, parameter scan, log record and callback. Every
+step's parameter gradient lives in one buffer that ``train`` allocates once,
+sized to the largest network, so a step makes no parameter-sized array. The
 seen-class classifier is fit once up front with ``synthesis.fit_softmax``
 and stays frozen. The loop is single-threaded over parameter state; inner
 linear algebra parallelizes freely.
@@ -115,7 +117,9 @@ class Adam:
     """Adaptive-moment optimizer over one C-contiguous parameter array.
 
     The parameter is updated in place, block by block, with no full-size
-    temporaries.
+    temporaries. Once a bias correction rounds to exactly 1.0 (t >= 54 at
+    beta1 0.5, t >= 356 at beta2 0.9), dividing by it is an exact identity,
+    so that pass is skipped.
     """
 
     def __init__(self, param: np.ndarray, cfg: OptimizerConfig):
@@ -150,10 +154,16 @@ class Adam:
             np.multiply(den, gb, out=den)
             np.add(vb, den, out=vb)
             # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
-            np.divide(mb, bias1, out=num)
-            np.multiply(num, c.learning_rate, out=num)
-            np.divide(vb, bias2, out=den)
-            np.sqrt(den, out=den)
+            if bias1 == 1.0:
+                np.multiply(mb, c.learning_rate, out=num)
+            else:
+                np.divide(mb, bias1, out=num)
+                np.multiply(num, c.learning_rate, out=num)
+            if bias2 == 1.0:
+                np.sqrt(vb, out=den)
+            else:
+                np.divide(vb, bias2, out=den)
+                np.sqrt(den, out=den)
             np.add(den, c.eps, out=den)
             np.divide(num, den, out=num)
             np.subtract(p[lo:hi], num, out=p[lo:hi])
@@ -198,8 +208,18 @@ def _check_finite(value: float, terms: dict, name: str, iteration: int) -> None:
 
 
 def _check_params_finite(arrays: Iterable[np.ndarray], where: str) -> None:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise TrainingDiverged(f"non-finite parameter {where}")
+    """Raise TrainingDiverged unless every entry is finite.
+
+    ``x @ x`` is one BLAS dot, finite exactly when no entry is NaN or
+    infinite and none is large enough for the sum of squares to overflow;
+    only when it is not finite does the exact element scan decide.
+    """
+    for a in arrays:
+        x = a.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            quick = np.isfinite(x @ x)
+        if not quick and not np.isfinite(x).all():
+            raise TrainingDiverged(f"non-finite parameter {where}")
 
 
 def train(
@@ -240,6 +260,7 @@ def train(
     _check_params_finite((net.flat for net in nets.values()), "at initialisation")
 
     opts = {name: Adam(net.flat, config.optimizer) for name, net in nets.items()}
+    work = np.empty(max(net.flat.size for net in nets.values()))  # every step's gradient
     rng = child_rng(config.seed, "noise")
 
     def commit(kind: str, value: float, terms: dict[str, float], grads: MLPParams) -> None:
@@ -279,7 +300,7 @@ def train(
             iteration += 1
             for kind, n_steps, make_fake, loss in critics:
                 for _ in range(n_steps):
-                    commit(kind, *loss(params, batch, make_fake(batch), weights, rng))
+                    commit(kind, *loss(params, batch, make_fake(batch), weights, rng, work=work))
 
             noise2 = rng.standard_normal(batch.noise.shape)
             commit("g_sv", *losses.gen_sv_loss_and_grads(
@@ -287,10 +308,13 @@ def train(
                 label_cols=lookup[batch.labels],
                 pair_mode=config.pair_mode,
                 include_pair_term=not baseline,
+                work=work,
             ))
             if not baseline:
                 noise2 = rng.standard_normal(batch.noise.shape)
-                commit("g_vs", *losses.gen_vs_loss_and_grads(params, batch, weights, noise2))
+                commit("g_vs", *losses.gen_vs_loss_and_grads(
+                    params, batch, weights, noise2, work=work
+                ))
 
     assert np.array_equal(params.cls_seen.w, theta_snapshot[0])
     assert np.array_equal(params.cls_seen.b, theta_snapshot[1])

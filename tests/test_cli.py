@@ -83,6 +83,27 @@ class TestTrainCommand:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "JSON object" in capsys.readouterr().err
 
+    # a None value deletes the field from the written config
+    @pytest.mark.parametrize("section,update,name", [
+        ("eval", {"counts": 5}, "eval.counts"),
+        ("eval", {"counts": ["a"]}, "eval.counts"),
+        ("eval", {"n_per_class": "3"}, "eval.n_per_class"),
+        ("synthetic", {"cluster_std": None}, "synthetic.cluster_std"),
+        ("synthetic", {"feature_dim": "8"}, "synthetic.feature_dim"),
+        ("train", {"epochs": "1"}, "train.epochs"),
+        ("train", {"learning_rate": "x"}, "train.learning_rate"),
+    ], ids=["counts-int", "counts-str", "n_per_class-str", "cluster_std-missing",
+            "feature_dim-str", "epochs-str", "learning_rate-str"])
+    def test_malformed_field_exits_two_naming_it(self, tmp_path, capsys, section, update, name):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", **{section: update})
+        doc = json.loads(cfg.read_text())
+        doc[section] = {k: v for k, v in doc[section].items() if v is not None}
+        cfg.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
 
 def write_dataset_config(path, out, dataset):
     """``write_config`` with the synthetic source replaced by a directory."""
@@ -117,6 +138,18 @@ class TestSynthDataCommand:
         assert main(["synth-data", "--spec", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "ds")]) == 2
         assert "nope.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("update,name", [
+        ({"feature_dim": "8"}, "spec.feature_dim"),
+        ({"cluster_std": None}, "spec.cluster_std"),
+    ], ids=["feature_dim-str", "cluster_std-missing"])
+    def test_malformed_field_exits_two_naming_it(self, tmp_path, capsys, update, name):
+        doc = {k: v for k, v in {**ORACLE_SPEC, **update}.items() if v is not None}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["synth-data", "--spec", str(spec), "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
 
 
 class TestEvaluateCommand:

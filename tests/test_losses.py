@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gzslgen import losses
+from gzslgen import losses, networks
 from gzslgen.errors import ContractViolation
 from gzslgen.losses import (
     LossWeights,
@@ -21,6 +23,7 @@ from gzslgen.networks import (
     disc_v_forward,
     gen_sv_forward,
     gen_vs_forward,
+    init_params,
     mlp_forward,
 )
 from helpers import (
@@ -485,3 +488,58 @@ class TestLossGradients:
             cycle, batch.labels, losses._batch_centroid_targets(batch))
         fn = lambda: visual_consistency_loss(cycle, batch.labels, real)
         assert rel_error(d, numeric_grad(fn, cycle)) < self.TOL
+
+
+class TestWorkBuffer:
+    """A loss computed in the trainer's reused buffer equals a fresh one bit for bit."""
+
+    @staticmethod
+    def call(name, model, batch, rng, **kw):
+        w = LossWeights()
+        if name == "disc_v_loss_and_grads":
+            synth = np.abs(rng.standard_normal(batch.visual.shape))
+            return losses.disc_v_loss_and_grads(model, batch, synth, w, alpha_for(batch), **kw)
+        if name == "disc_s_loss_and_grads":
+            recon = np.abs(rng.standard_normal(batch.attributes.shape))
+            return losses.disc_s_loss_and_grads(model, batch, recon, w, alpha_for(batch), **kw)
+        noise2 = rng.standard_normal(batch.noise.shape)
+        return getattr(losses, name)(model, batch, w, noise2, **kw)
+
+    @pytest.mark.parametrize("name", [
+        "disc_v_loss_and_grads", "disc_s_loss_and_grads",
+        "gen_sv_loss_and_grads", "gen_vs_loss_and_grads",
+    ])
+    def test_same_value_terms_and_grads_with_and_without_work(self, monkeypatch, name):
+        # a 40-double scratch splits most added weight gradients into several blocks
+        monkeypatch.setattr(networks, "_ADD_BLOCK", 40)
+        model = small_model(seed=60)
+        batch = random_batch(seed=61)
+        value, terms, grads = self.call(name, model, batch, np.random.default_rng(62))
+        work = np.full(model.g_sv.flat.size + model.d_v.flat.size, np.nan)
+        value_w, terms_w, grads_w = self.call(
+            name, model, batch, np.random.default_rng(62), work=work
+        )
+        assert value_w == value
+        assert terms_w == terms
+        assert np.shares_memory(grads_w.flat, work)
+        assert np.array_equal(grads_w.flat, grads.flat)
+
+    def test_critic_step_with_work_peaks_below_one_parameter_buffer(self):
+        k, l, b = 1024, 32, 16
+        model = init_params(k, l, 3, seed=0, hidden_dim=2048)
+        batch = random_batch(seed=63, b=b, k=k, l=l)
+        synth = np.abs(np.random.default_rng(64).standard_normal((b, k)))
+        work = np.empty(model.d_v.flat.size)
+        step = lambda: losses.disc_v_loss_and_grads(
+            model, batch, synth, LossWeights(), alpha_for(batch), work=work
+        )
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the parent's critic step held two fresh gradients and the penalty's
+        # [K, H] block at once
+        assert peak < model.d_v.flat.nbytes, (peak, model.d_v.flat.nbytes)

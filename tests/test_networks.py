@@ -3,10 +3,12 @@ import pytest
 
 from gzslgen.config import load_checkpoint, parse_run_config, save_checkpoint
 from gzslgen.errors import ContractViolation
+from gzslgen import networks
 from gzslgen.networks import (
     LinearParams,
     MLPParams,
     NetworkShape,
+    add_matmul,
     classifier_forward,
     critic_input_grads,
     disc_s_forward,
@@ -169,6 +171,54 @@ class TestGradients:
             return float(mlp_forward(model.d_v, u).sum())
 
         assert rel_error(g, numeric_grad(score_sum, u)) < self.TOL
+
+
+class TestBufferedBackward:
+    """Gradients written or added into a caller's buffer round exactly as
+    fresh arrays and full-size temporaries do."""
+
+    @pytest.mark.parametrize("scale", [None, 10.0 / 3.0])
+    def test_add_matmul_matches_full_temporary(self, monkeypatch, scale):
+        monkeypatch.setattr(networks, "_ADD_BLOCK", 128 * 64)  # 128-row blocks
+        rng = np.random.default_rng(20)
+        a = rng.standard_normal((64, 301)).T  # a transposed view, as u.T is
+        b = rng.standard_normal((64, 64))
+        dst = rng.standard_normal((301, 64))  # 3 blocks of 100 or 101 rows
+        product = a @ b
+        if scale is not None:
+            product *= scale
+        expected = dst + product
+        add_matmul(dst, a, b, scale)
+        assert np.array_equal(dst, expected)
+
+    @pytest.mark.parametrize("net,builder", NET_INPUTS)
+    def test_backward_into_and_adding_into_a_buffer(self, monkeypatch, net, builder):
+        # a 40-double scratch splits most weight gradients into several blocks
+        monkeypatch.setattr(networks, "_ADD_BLOCK", 40)
+        model = small_model(seed=21)
+        params = getattr(model, net)
+        caches = [mlp_forward_cached(params, builder(model, random_batch(seed=s))) for s in (22, 23)]
+        rng = np.random.default_rng(24)
+        d_outs = [rng.standard_normal(c.out.shape) for c in caches]
+        first, d_u = mlp_backward(params, caches[0], d_outs[0])
+        second, _ = mlp_backward(params, caches[1], d_outs[1])
+        expected = first.flat + second.flat
+
+        work = np.full(params.flat.size + 5, np.nan)  # stale contents must not leak
+        grads, d_u_work = mlp_backward(params, caches[0], d_outs[0], out=params.grads_in(work))
+        assert np.shares_memory(grads.flat, work)
+        assert np.array_equal(grads.flat, first.flat)
+        assert np.array_equal(d_u_work, d_u)
+        added, _ = mlp_backward(
+            params, caches[1], d_outs[1], input_grad=False, out=grads, add=True
+        )
+        assert added is grads
+        assert np.array_equal(grads.flat, expected)
+
+    def test_too_small_work_buffer_is_contract_violation(self):
+        params = small_model().d_v
+        with pytest.raises(ContractViolation, match="work buffer"):
+            params.grads_in(np.empty(params.flat.size - 1))
 
 
 class TestSelectiveBackward:

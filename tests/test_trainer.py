@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -220,6 +222,48 @@ class TestAdam:
             v_hat = v / (1 - 0.9**t)
             expected -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
             np.testing.assert_allclose(arrays["p"], expected, rtol=1e-12)
+
+
+class TestAdamBiasCorrection:
+    def test_skipped_unit_bias_corrections_are_bit_identical(self):
+        cfg = OptimizerConfig(learning_rate=0.01, beta1=0.5, beta2=0.9)
+        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.eps
+        # both corrections reach exactly 1.0 before the last step (t=54 and t=356)
+        assert 1.0 - b1**53 != 1.0 and 1.0 - b1**54 == 1.0
+        assert 1.0 - b2**355 != 1.0 and 1.0 - b2**356 == 1.0
+        rng = np.random.default_rng(3)
+        param = rng.standard_normal(1000)
+        opt = Adam(param, cfg)
+        p, m, v = param.copy(), np.zeros(1000), np.zeros(1000)
+        for t in range(1, 401):
+            g = rng.standard_normal(1000)
+            opt.step(g)
+            # the unskipped update, in the optimizer's operation order
+            m = m * b1 + g * (1.0 - b1)
+            v = v * b2 + (g * (1.0 - b2)) * g
+            p = p - ((m / (1.0 - b1**t)) * lr) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert np.array_equal(opt.m, m)
+        assert np.array_equal(opt.v, v)
+        assert np.array_equal(param, p)
+
+
+class TestParamsFiniteScan:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_naming_the_step(self, bad):
+        arr = np.ones((40, 25))
+        arr[17, 3] = bad
+        where = "after d_v update at iteration 7"
+        with pytest.raises(TrainingDiverged, match=f"non-finite parameter {where}$"):
+            trainer._check_params_finite([np.ones(10), arr], where)
+
+    def test_finite_entry_whose_square_overflows_passes(self):
+        arr = np.ones(1000)
+        arr[3] = 1e200
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(arr @ arr)  # the quick dot defers to the exact scan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trainer._check_params_finite([arr, arr.reshape(10, 100)], "after g_sv update")
 
 
 class TestBlockedAdam:
