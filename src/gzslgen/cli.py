@@ -37,13 +37,22 @@ from .synthesis import SynthesisRequest, synthesize_features
 from .trainer import VARIANTS, train, write_train_log
 
 
-def _overrides(args) -> dict:
-    return {
-        "seed": getattr(args, "seed", None),
-        "variant": getattr(args, "variant", None),
-        "n_per_class": getattr(args, "n_per_class", None),
-        "out": getattr(args, "out", None),
-    }
+def _configure(args, embedded: RunConfig | None = None) -> RunConfig:
+    """The run config a command runs with, validated: the ``--config`` file, else
+    a checkpoint's ``embedded`` one, with the flags applied over it. ``--seed``
+    seeds training, or evaluation for the commands that load a checkpoint."""
+    flags = vars(args)
+    cfg = load_run_config(flags["config"]) if flags.get("config") else embedded
+    if flags.get("seed") is not None:
+        (cfg.eval if "checkpoint" in flags else cfg.train).seed = flags["seed"]
+    if flags.get("variant") is not None:
+        cfg.train.variant = flags["variant"]
+    if flags.get("n_per_class") is not None:
+        cfg.eval.n_per_class = flags["n_per_class"]
+    if flags.get("out") is not None:
+        cfg.out = flags["out"]
+    cfg.validate()
+    return cfg
 
 
 def _write_report(out_dir: str, rows: list[tuple[str, EvalReport]]) -> None:
@@ -55,7 +64,7 @@ def _write_report(out_dir: str, rows: list[tuple[str, EvalReport]]) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
+    cfg = _configure(args)
     bundle = cfg.resolve_bundle()
     os.makedirs(cfg.out, exist_ok=True)
     write_effective_config(cfg, os.path.join(cfg.out, "config_effective.json"))
@@ -68,26 +77,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_for_model(args) -> tuple:
-    """Resolve (params, config) for checkpoint-based commands.
-
-    An explicit --config replaces the checkpoint-embedded one; --seed and
-    --n-per-class adjust the evaluation settings either way.
-    """
-    params, cfg = load_checkpoint(args.checkpoint)
-    if getattr(args, "config", None):
-        cfg = load_run_config(args.config, {"out": getattr(args, "out", None)})
-    if getattr(args, "seed", None) is not None:
-        cfg.eval.seed = int(args.seed)
-    if getattr(args, "n_per_class", None) is not None:
-        cfg.eval.n_per_class = int(args.n_per_class)
-    if getattr(args, "out", None):
-        cfg.out = args.out
-    return params, cfg
-
-
 def cmd_evaluate(args) -> int:
-    params, cfg = _load_for_model(args)
+    params, embedded = load_checkpoint(args.checkpoint)
+    cfg = _configure(args, embedded)
     bundle = cfg.resolve_bundle()
     report = evaluate_gzsl(params, bundle, cfg.eval)
     os.makedirs(cfg.out, exist_ok=True)
@@ -97,7 +89,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
+    cfg = _configure(args)
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
     for v in variants:
         if v not in VARIANTS:
@@ -112,7 +104,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
+    cfg = _configure(args)
     bundle = cfg.resolve_bundle()
     os.makedirs(cfg.out, exist_ok=True)
     write_effective_config(cfg, os.path.join(cfg.out, "config_effective.json"))
@@ -133,13 +125,13 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_export_viz(args) -> int:
-    params, cfg = _load_for_model(args)
+    params, embedded = load_checkpoint(args.checkpoint)
+    cfg = _configure(args, embedded)
     bundle = cfg.resolve_bundle()
     if args.classes:
         classes = [int(c) for c in args.classes.split(",")]
     else:
         classes = list(bundle.unseen_classes)[:3]
-    n_per_class = args.n_per_class or cfg.eval.n_per_class
 
     real_rows, real_labels = [], []
     for c in classes:
@@ -155,7 +147,7 @@ def cmd_export_viz(args) -> int:
         real_labels.append(np.full(rows.shape[0], c, dtype=np.int64))
 
     request = SynthesisRequest(
-        classes=tuple(classes), n_per_class=n_per_class, seed=cfg.eval.seed
+        classes=tuple(classes), n_per_class=cfg.eval.n_per_class, seed=cfg.eval.seed
     )
     synth_x, synth_y = synthesize_features(params, bundle, request)
     features = np.vstack(real_rows + [synth_x])

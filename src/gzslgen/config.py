@@ -2,36 +2,33 @@
 
 A run config is one JSON document naming either a dataset directory or an
 inline synthetic spec, plus training and evaluation settings. Every field
-is optional except the data source; defaults follow the library dataclasses.
-Flag overrides beat file values, which beat defaults. Options since removed
-are listed by section in ``_RETIRED_KEYS``: loading an older checkpoint
-drops them from its embedded run config, and a run config that names one is
-rejected as an unknown field. Every field's value must have the JSON type of
-its dataclass annotation (``_checked``), so a malformed value is a
-``ValidationError`` naming the field.
+is optional except the data source; defaults follow the library dataclasses,
+and the CLI applies its flags over the file. Options since removed are listed
+by section in ``_RETIRED_KEYS``: loading an older checkpoint drops them from
+its embedded run config, and a run config that names one is rejected as an
+unknown field. Both documents are typed through ``matio.read_fields``, so a
+malformed value is an error naming the field.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Any
+from dataclasses import Field, asdict, dataclass, field, fields
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
 from .data import DatasetBundle, SyntheticSpec, load_dataset, make_synthetic_dataset
-from .errors import FormatError, ValidationError
+from .errors import ContractViolation, FormatError, ValidationError
 from .evaluation import EvalConfig
 from .losses import LossWeights
-from .matio import dumps_json, load_json, matrix_from_blob, read_archive, write_archive
+from .matio import dumps_json, load_json, matrix_from_blob, read_archive, read_fields, write_archive
 from .networks import LinearParams, MLPParams, ModelParams, NetworkShape
 from .trainer import OptimizerConfig, TrainConfig
 
 CHECKPOINT_NAME = "checkpoint.zip"
 
-_WEIGHT_KEYS = {f.name for f in fields(LossWeights)}
-_OPT_KEYS = {f.name for f in fields(OptimizerConfig)}
-_TRAIN_SCALAR_KEYS = {f.name for f in fields(TrainConfig)} - {"weights", "optimizer"}
-_EVAL_KEYS = {f.name for f in fields(EvalConfig)} | {"counts"}
+_TRAIN_SCALARS = [f for f in fields(TrainConfig) if f.name not in ("weights", "optimizer")]
+_TRAIN_FIELDS = (*fields(LossWeights), *fields(OptimizerConfig), *_TRAIN_SCALARS)
 _RETIRED_KEYS = {
     "train": ("separate_critic_batches", "noise_dim", "baseline_cls_loss", "pretrain_lr"),
     "eval": ("classifier_lr",),
@@ -40,7 +37,7 @@ _RETIRED_KEYS = {
 
 @dataclass
 class RunConfig:
-    out: str
+    out: str = "run"
     dataset: str | None = None
     synthetic: SyntheticSpec | None = None
     normalize: bool = False
@@ -58,6 +55,8 @@ class RunConfig:
         self.train.validate()
         if self.eval.n_per_class < 1:
             raise ValidationError("eval.n_per_class must be >= 1")
+        if self.eval.seed < 0:
+            raise ValidationError("eval.seed must be >= 0")
 
     def resolve_bundle(self) -> DatasetBundle:
         if self.synthetic is not None:
@@ -65,116 +64,54 @@ class RunConfig:
         return load_dataset(self.dataset, normalize=self.normalize)
 
 
-def _reject_unknown(section: str, mapping: dict, allowed: set[str]) -> None:
-    unknown = set(mapping) - allowed
+# the run-config fields read at the top level, and the one read in "eval"
+_TOP_FIELDS = [f for f in fields(RunConfig) if f.name in ("out", "dataset", "normalize")]
+_COUNTS_FIELD = [f for f in fields(RunConfig) if f.name == "counts"]
+
+
+def _reject_unknown(section: str, mapping: dict, declared: Iterable[Field]) -> None:
+    unknown = set(mapping) - {f.name for f in declared}
     if unknown:
         raise ValidationError(f"unknown {section} field(s): {sorted(unknown)}")
 
 
-# JSON value types accepted for a dataclass field, by its annotation
-_JSON_TYPES = {
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "bool": (bool, "true or false"),
-    "str": (str, "a string"),
-}
-
-
-def _checked(section: str, cls: type, mapping: dict) -> dict:
-    """The entries of ``mapping`` that name fields of the dataclass ``cls``,
-    each checked against its field's annotation; a field without a default
-    must be present."""
-    out = {}
-    for f in fields(cls):
-        if f.name not in mapping:
-            if f.default is MISSING and f.default_factory is MISSING:
-                raise ValidationError(f"{section}.{f.name} is required")
-            continue
-        value = mapping[f.name]
-        kind, described = _JSON_TYPES[f.type]
-        if not isinstance(value, kind) or (isinstance(value, bool) and f.type != "bool"):
-            raise ValidationError(f"{section}.{f.name} must be {described}, got {value!r:.40}")
-        out[f.name] = value
-    return out
-
-
 def parse_synthetic_spec(doc: Any, section: str = "synthetic") -> SyntheticSpec:
     """A ``SyntheticSpec`` from a JSON object; errors name ``section``'s field."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{section} must be a JSON object, got {doc!r:.40}")
-    _reject_unknown(section, doc, {f.name for f in fields(SyntheticSpec)})
-    return SyntheticSpec(**_checked(section, SyntheticSpec, doc))
+    spec = SyntheticSpec(**read_fields(section, doc, fields(SyntheticSpec)))
+    _reject_unknown(section, doc, fields(SyntheticSpec))
+    return spec
 
 
-def _parse_train(mapping: dict) -> TrainConfig:
-    _reject_unknown("train", mapping, _TRAIN_SCALAR_KEYS | _WEIGHT_KEYS | _OPT_KEYS)
-    floats = lambda cls: {k: float(v) for k, v in _checked("train", cls, mapping).items()}
-    return TrainConfig(
+def _parse_train(doc: Any) -> TrainConfig:
+    floats = lambda cls: {k: float(v) for k, v in read_fields("train", doc, fields(cls)).items()}
+    cfg = TrainConfig(
         weights=LossWeights(**floats(LossWeights)),
         optimizer=OptimizerConfig(**floats(OptimizerConfig)),
-        **_checked("train", TrainConfig, mapping),
+        **read_fields("train", doc, _TRAIN_SCALARS),
     )
+    _reject_unknown("train", doc, _TRAIN_FIELDS)
+    return cfg
 
 
-def _parse_eval(mapping: dict) -> tuple[EvalConfig, list[int]]:
-    _reject_unknown("eval", mapping, _EVAL_KEYS)
-    counts = mapping.get("counts", [10, 50, 100, 300, 500])
-    if not isinstance(counts, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) for c in counts
-    ):
-        raise ValidationError(f"eval.counts must be a list of integers, got {counts!r:.40}")
-    return EvalConfig(**_checked("eval", EvalConfig, mapping)), list(counts)
-
-
-def _check_sections(doc: Any) -> None:
-    """A run config, and each of its sections present, must be a JSON object."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"a run config must be a JSON object, got {doc!r:.40}")
-    for section in ("synthetic", "train", "eval"):
-        if not isinstance(doc.get(section, {}), dict):
-            raise ValidationError(
-                f"config section {section!r} must be a JSON object, got {doc[section]!r:.40}"
-            )
-
-
-def parse_run_config(doc: dict, overrides: dict[str, Any] | None = None) -> RunConfig:
-    _check_sections(doc)
-    _reject_unknown(
-        "top-level", doc, {"dataset", "synthetic", "normalize", "train", "eval", "out"}
-    )
-    synthetic = None
-    if "synthetic" in doc:
-        synthetic = parse_synthetic_spec(doc["synthetic"])
-    train_cfg = _parse_train(dict(doc.get("train", {})))
-    eval_cfg, counts = _parse_eval(dict(doc.get("eval", {})))
+def parse_run_config(doc: Any) -> RunConfig:
+    """A validated ``RunConfig`` from a run-config JSON document."""
+    top = read_fields("config", doc, _TOP_FIELDS)
+    _reject_unknown("top-level", doc, [f for f in fields(RunConfig) if f.name != "counts"])
+    eval_doc = doc.get("eval", {})
     cfg = RunConfig(
-        out=doc.get("out", "run"),
-        dataset=doc.get("dataset"),
-        synthetic=synthetic,
-        normalize=bool(doc.get("normalize", False)),
-        train=train_cfg,
-        eval=eval_cfg,
-        counts=counts,
+        **top,
+        synthetic=parse_synthetic_spec(doc["synthetic"]) if "synthetic" in doc else None,
+        train=_parse_train(doc.get("train", {})),
+        eval=EvalConfig(**read_fields("eval", eval_doc, fields(EvalConfig))),
+        **read_fields("eval", eval_doc, _COUNTS_FIELD),
     )
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key == "seed":
-            cfg.train.seed = int(value)
-        elif key == "variant":
-            cfg.train.variant = str(value)
-        elif key == "n_per_class":
-            cfg.eval.n_per_class = int(value)
-        elif key == "out":
-            cfg.out = str(value)
-        else:
-            raise ValidationError(f"unknown override {key!r}")
+    _reject_unknown("eval", eval_doc, (*fields(EvalConfig), *_COUNTS_FIELD))
     cfg.validate()
     return cfg
 
 
-def load_run_config(path: str, overrides: dict[str, Any] | None = None) -> RunConfig:
-    return parse_run_config(load_json(path), overrides)
+def load_run_config(path: str) -> RunConfig:
+    return parse_run_config(load_json(path))
 
 
 def effective_dict(cfg: RunConfig) -> dict:
@@ -183,15 +120,11 @@ def effective_dict(cfg: RunConfig) -> dict:
     if cfg.dataset is not None:
         doc["dataset"] = cfg.dataset
     if cfg.synthetic is not None:
-        doc["synthetic"] = dict(cfg.synthetic.__dict__)
+        doc["synthetic"] = asdict(cfg.synthetic)
     t = cfg.train
-    doc["train"] = {
-        **{k: getattr(t.weights, k) for k in sorted(_WEIGHT_KEYS)},
-        **{k: getattr(t.optimizer, k) for k in sorted(_OPT_KEYS)},
-        **{k: getattr(t, k) for k in sorted(_TRAIN_SCALAR_KEYS)},
-    }
-    doc["eval"] = {f.name: getattr(cfg.eval, f.name) for f in fields(EvalConfig)}
-    doc["eval"]["counts"] = list(cfg.counts)
+    doc["train"] = {**asdict(t.weights), **asdict(t.optimizer),
+                    **{f.name: getattr(t, f.name) for f in _TRAIN_SCALARS}}
+    doc["eval"] = {**asdict(cfg.eval), "counts": list(cfg.counts)}
     return doc
 
 
@@ -235,48 +168,64 @@ def _meta_field(path: str, meta: dict, *keys: str) -> Any:
     return value
 
 
+@dataclass
+class _ClassifierShapes:
+    """The ``array_shapes`` entries read; networks are shaped by ``network_shapes``."""
+
+    cls_w: list[int]
+    cls_b: list[int]
+
+
 def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
     meta, blobs = read_archive(path)
     if not isinstance(meta, dict) or meta.get("format") != "gzslgen-checkpoint":
         raise FormatError(f"{path}: not a checkpoint archive")
 
-    def mat(name: str) -> np.ndarray:
-        # each blob is dropped once copied out of, so the archive and the
-        # loaded parameters are never both held in full
+    def read(cls: type, *keys: str) -> Any:
+        """``cls`` from the metadata object ``meta[k0][k1]...``, every field present."""
+        doc = _meta_field(path, meta, *keys)
+        try:
+            return cls(**read_fields(".".join(keys), doc, fields(cls), complete=True))
+        except ValidationError as exc:
+            raise FormatError(f"{path}: checkpoint metadata: {exc}") from exc
+
+    def mat(name: str, shape: Sequence[int], declared_by: str) -> np.ndarray:
+        # each blob leaves the archive once read and is freed once copied out
+        # of, so the archive and the loaded parameters are never both held in full
         key = name + ".f64"
         if key not in blobs:
             raise FormatError(f"{path}: archive is missing {key}")
-        shape = tuple(_meta_field(path, meta, "array_shapes", name))
-        return matrix_from_blob(blobs.pop(key), shape, f"{path}:{name}")
+        return matrix_from_blob(blobs.pop(key), tuple(shape), f"{path}:{name} ({declared_by})")
 
     def mlp(name: str) -> MLPParams:
-        net = MLPParams.zeros(NetworkShape(**{
-            f.name: _meta_field(path, meta, "network_shapes", name, f.name)
-            for f in fields(NetworkShape)
-        }))
-        for key, view in net.arrays().items():
-            arr = mat(f"{name}_{key}")
-            if arr.shape != view.shape:
-                raise FormatError(
-                    f"{path}:{name}_{key}: shape {arr.shape} does not match "
-                    f"the network shape {view.shape}"
-                )
-            view[...] = arr
-        return net
+        # the blobs are checked against the declared shape before the network
+        # of that shape is allocated
+        shape = read(NetworkShape, "network_shapes", name)
+        try:
+            shape.validate()
+        except ContractViolation as exc:
+            raise FormatError(f"{path}: checkpoint metadata network_shapes.{name}: {exc}") from exc
+        i, h, o = shape.input_dim, shape.hidden_dim, shape.output_dim
+        dims = {"w1": (i, h), "b1": (h,), "w2": (h, o), "b2": (o,)}
+        return MLPParams(**{k: mat(f"{name}_{k}", d, f"network_shapes.{name}")
+                            for k, d in dims.items()}, shape=shape)
 
+    shapes = read(_ClassifierShapes, "array_shapes")
     params = ModelParams(
         g_sv=mlp("g_sv"),
         g_vs=mlp("g_vs"),
         d_v=mlp("d_v"),
         d_s=mlp("d_s"),
-        cls_seen=LinearParams(w=mat("cls_w").copy(), b=mat("cls_b").copy()),
+        cls_seen=LinearParams(w=mat("cls_w", shapes.cls_w, "array_shapes.cls_w").copy(),
+                              b=mat("cls_b", shapes.cls_b, "array_shapes.cls_b").copy()),
     )
     run_doc = _meta_field(path, meta, "run_config")
+    for section, keys in _RETIRED_KEYS.items():
+        part = run_doc.get(section) if isinstance(run_doc, dict) else None
+        if isinstance(part, dict):
+            for key in keys:
+                part.pop(key, None)
     try:
-        _check_sections(run_doc)
+        return params, parse_run_config(run_doc)
     except ValidationError as exc:
         raise FormatError(f"{path}: checkpoint metadata run_config: {exc}") from exc
-    for section, keys in _RETIRED_KEYS.items():
-        for key in keys:
-            run_doc.get(section, {}).pop(key, None)
-    return params, parse_run_config(run_doc)

@@ -4,6 +4,8 @@ oracle, and deterministic mini-batch iteration.
 A dataset directory is self-describing: ``meta.json`` plus flat binary
 matrices (see ``save_dataset``). Class ids must be the integers
 ``0 .. C_total-1`` so that labels index the attribute matrix directly.
+``load_dataset`` types ``meta.json`` as a ``DatasetMeta`` through
+``matio.read_fields``.
 
 Loading and synthetic generation are pure functions; a batch iterator is
 single-consumer (create one per worker).
@@ -13,13 +15,13 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, ValidationError
-from .matio import dumps_json, load_json, read_matrix, write_matrix
+from .matio import dumps_json, load_json, read_fields, read_matrix, write_matrix
 
 # key -> (file name, on-disk kind, DatasetBundle field)
 DATASET_FILES = {
@@ -61,6 +63,19 @@ class DatasetBundle:
 
 
 @dataclass
+class DatasetMeta:
+    """The fields of a dataset directory's ``meta.json`` besides its format tag."""
+
+    feature_dim: int
+    attribute_dim: int
+    seen_classes: list[int]
+    unseen_classes: list[int]
+    n_train: int
+    n_test_seen: int
+    n_test_unseen: int
+
+
+@dataclass
 class SyntheticSpec:
     """Parameters of the Gaussian-cluster oracle dataset.
 
@@ -88,6 +103,9 @@ class SyntheticSpec:
         for field in ("n_seen_classes", "n_unseen_classes", "samples_per_class"):
             if getattr(self, field) < 1:
                 raise ValidationError(f"{field} must be >= 1")
+        for field in ("projection_seed", "noise_seed"):
+            if getattr(self, field) < 0:
+                raise ValidationError(f"{field} must be >= 0")
         if not self.cluster_std > 0:
             raise ValidationError("cluster_std must be > 0")
 
@@ -202,19 +220,17 @@ def oracle_class_means(spec: SyntheticSpec) -> np.ndarray:
 
 def save_dataset(bundle: DatasetBundle, root: str) -> None:
     os.makedirs(root, exist_ok=True)
-    meta = {
-        "format": "gzslgen-dataset",
-        "version": 1,
-        "feature_dim": int(bundle.feature_dim),
-        "attribute_dim": int(bundle.attribute_dim),
-        "seen_classes": [int(c) for c in bundle.seen_classes],
-        "unseen_classes": [int(c) for c in bundle.unseen_classes],
-        "n_train": int(bundle.visual_train.shape[0]),
-        "n_test_seen": int(bundle.visual_test_seen.shape[0]),
-        "n_test_unseen": int(bundle.visual_test_unseen.shape[0]),
-    }
+    meta = DatasetMeta(
+        feature_dim=int(bundle.feature_dim),
+        attribute_dim=int(bundle.attribute_dim),
+        seen_classes=[int(c) for c in bundle.seen_classes],
+        unseen_classes=[int(c) for c in bundle.unseen_classes],
+        n_train=int(bundle.visual_train.shape[0]),
+        n_test_seen=int(bundle.visual_test_seen.shape[0]),
+        n_test_unseen=int(bundle.visual_test_unseen.shape[0]),
+    )
     with open(os.path.join(root, "meta.json"), "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(meta))
+        fh.write(dumps_json({"format": "gzslgen-dataset", "version": 1, **asdict(meta)}))
     for fname, kind, attr in DATASET_FILES.values():
         write_matrix(os.path.join(root, fname), getattr(bundle, attr), kind)
 
@@ -225,22 +241,17 @@ def load_dataset(root: str, normalize: bool = False) -> DatasetBundle:
     ``normalize`` opts into per-feature max-abs scaling fit on the train
     split (features are otherwise used as-is).
     """
-    meta = load_json(os.path.join(root, "meta.json"))
-    for field in ("feature_dim", "attribute_dim", "seen_classes", "unseen_classes",
-                  "n_train", "n_test_seen", "n_test_unseen"):
-        if field not in meta:
-            raise ValidationError(f"{root}/meta.json: missing field '{field}'")
-
-    k, l = int(meta["feature_dim"]), int(meta["attribute_dim"])
-    c_total = len(meta["seen_classes"]) + len(meta["unseen_classes"])
+    path = os.path.join(root, "meta.json")
+    meta = DatasetMeta(**read_fields(path, load_json(path), fields(DatasetMeta)))
+    k = meta.feature_dim
     shapes = {
-        "train_X": (int(meta["n_train"]), k),
-        "train_y": (int(meta["n_train"]),),
-        "test_seen_X": (int(meta["n_test_seen"]), k),
-        "test_seen_y": (int(meta["n_test_seen"]),),
-        "test_unseen_X": (int(meta["n_test_unseen"]), k),
-        "test_unseen_y": (int(meta["n_test_unseen"]),),
-        "attributes": (c_total, l),
+        "train_X": (meta.n_train, k),
+        "train_y": (meta.n_train,),
+        "test_seen_X": (meta.n_test_seen, k),
+        "test_seen_y": (meta.n_test_seen,),
+        "test_unseen_X": (meta.n_test_unseen, k),
+        "test_unseen_y": (meta.n_test_unseen,),
+        "attributes": (len(meta.seen_classes) + len(meta.unseen_classes), meta.attribute_dim),
     }
     loaded = {
         attr: read_matrix(os.path.join(root, fname), shapes[key], kind)
@@ -249,8 +260,8 @@ def load_dataset(root: str, normalize: bool = False) -> DatasetBundle:
     bundle = validate_bundle(
         DatasetBundle(
             **loaded,
-            seen_classes=tuple(int(c) for c in meta["seen_classes"]),
-            unseen_classes=tuple(int(c) for c in meta["unseen_classes"]),
+            seen_classes=tuple(meta.seen_classes),
+            unseen_classes=tuple(meta.unseen_classes),
         )
     )
     if normalize:

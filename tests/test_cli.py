@@ -92,8 +92,12 @@ class TestTrainCommand:
         ("synthetic", {"feature_dim": "8"}, "synthetic.feature_dim"),
         ("train", {"epochs": "1"}, "train.epochs"),
         ("train", {"learning_rate": "x"}, "train.learning_rate"),
+        ("synthetic", {"projection_seed": -1}, "projection_seed"),
+        ("synthetic", {"noise_seed": -1}, "noise_seed"),
+        ("eval", {"seed": -1}, "eval.seed"),
     ], ids=["counts-int", "counts-str", "n_per_class-str", "cluster_std-missing",
-            "feature_dim-str", "epochs-str", "learning_rate-str"])
+            "feature_dim-str", "epochs-str", "learning_rate-str", "projection_seed-negative",
+            "noise_seed-negative", "eval_seed-negative"])
     def test_malformed_field_exits_two_naming_it(self, tmp_path, capsys, section, update, name):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", **{section: update})
         doc = json.loads(cfg.read_text())
@@ -302,11 +306,15 @@ class TestDeterminism:
 
 
 class TestSeedOverride:
-    def test_flag_beats_file(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
-        assert main(["train", "--config", str(cfg), "--seed", "9"]) == 0
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--seed", "9", "seed"), ("--seed", "7", "seed"), ("--variant", "no_SC", "variant"),
+    ], ids=["seed-9", "seed-7", "variant"])
+    def test_flag_beats_file(self, tmp_path, flag, value, field):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run",
+                           train={"seed": 1, "variant": "full"})
+        assert main(["train", "--config", str(cfg), flag, value]) == 0
         echoed = json.loads((tmp_path / "run" / "config_effective.json").read_text())
-        assert echoed["train"]["seed"] == 9
+        assert str(echoed["train"][field]) == value
 
 
 class TestRuntimeFailures:

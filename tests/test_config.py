@@ -62,18 +62,6 @@ class TestRunConfigParsing:
                 "out": "x",
             })
 
-    def test_overrides_beat_file(self):
-        doc = {
-            "synthetic": {"n_seen_classes": 1, "n_unseen_classes": 1,
-                          "feature_dim": 4, "attribute_dim": 2,
-                          "samples_per_class": 2, "cluster_std": 0.1},
-            "train": {"seed": 1, "variant": "full"},
-            "out": "x",
-        }
-        cfg = parse_run_config(doc, overrides={"seed": 7, "variant": "no_SC"})
-        assert cfg.train.seed == 7
-        assert cfg.train.variant == "no_SC"
-
     def test_effective_dict_round_trips(self):
         cfg = tiny_run_config()
         doc = effective_dict(cfg)
@@ -148,6 +136,23 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
         assert dotted in capsys.readouterr().err
+
+    # the shape is checked before a network of that shape is allocated
+    @pytest.mark.parametrize("key,value", [("output_activation", "tanh"), ("hidden_dim", 10**9)],
+                             ids=["output_activation", "hidden_dim"])
+    def test_malformed_network_shape_is_named(self, tmp_path, capsys, key, value):
+        cfg = tiny_run_config(out=str(tmp_path))
+        model, _ = train(cfg.resolve_bundle(), cfg.train)
+        path = str(tmp_path / "checkpoint.zip")
+        save_checkpoint(path, model, cfg)
+        meta, blobs = read_archive(path)
+        meta["network_shapes"]["d_s"][key] = value
+        arrays = {k[: -len(".f64")]: np.frombuffer(v, "<f8") for k, v in blobs.items()}
+        write_archive(path, meta, arrays)
+        with pytest.raises(FormatError, match="network_shapes.d_s"):
+            load_checkpoint(path)
+        assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
+        assert "network_shapes.d_s" in capsys.readouterr().err
 
     def test_identical_params_identical_bytes(self, tmp_path):
         cfg = tiny_run_config(out=str(tmp_path))
