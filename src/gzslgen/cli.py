@@ -129,7 +129,10 @@ def cmd_export_viz(args) -> int:
     cfg = _configure(args, embedded)
     bundle = cfg.resolve_bundle()
     if args.classes:
-        classes = [int(c) for c in args.classes.split(",")]
+        try:
+            classes = [int(c) for c in args.classes.split(",")]
+        except ValueError:
+            raise ValidationError(f"--classes must list class ids, got {args.classes!r}") from None
     else:
         classes = list(bundle.unseen_classes)[:3]
 

@@ -30,7 +30,8 @@ CHECKPOINT_NAME = "checkpoint.zip"
 _TRAIN_SCALARS = [f for f in fields(TrainConfig) if f.name not in ("weights", "optimizer")]
 _TRAIN_FIELDS = (*fields(LossWeights), *fields(OptimizerConfig), *_TRAIN_SCALARS)
 _RETIRED_KEYS = {
-    "train": ("separate_critic_batches", "noise_dim", "baseline_cls_loss", "pretrain_lr"),
+    "train": ("separate_critic_batches", "noise_dim", "baseline_cls_loss", "pretrain_lr",
+              "negative_slope", "gvs_output_activation", "eps"),
     "eval": ("classifier_lr",),
 }
 
@@ -57,6 +58,8 @@ class RunConfig:
             raise ValidationError("eval.n_per_class must be >= 1")
         if self.eval.seed < 0:
             raise ValidationError("eval.seed must be >= 0")
+        if not self.counts or min(self.counts) < 1:
+            raise ValidationError("eval.counts must be a nonempty list of integers >= 1")
 
     def resolve_bundle(self) -> DatasetBundle:
         if self.synthetic is not None:
@@ -150,7 +153,6 @@ def save_checkpoint(path: str, params: ModelParams, run_config: RunConfig) -> No
         "format": "gzslgen-checkpoint",
         "version": 1,
         "network_shapes": shapes,
-        "cls_shape": [int(v) for v in params.cls_seen.w.shape],
         "array_shapes": {k: [int(v) for v in a.shape] for k, a in arrays.items()},
         "run_config": effective_dict(run_config),
     }
@@ -211,8 +213,13 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
                             for k, d in dims.items()}, shape=shape)
 
     shapes = read(_ClassifierShapes, "array_shapes")
+    g_sv = mlp("g_sv")
+    k = g_sv.shape.output_dim
+    if len(shapes.cls_b) != 1 or shapes.cls_b[0] < 1 or shapes.cls_w != [k, *shapes.cls_b]:
+        raise FormatError(f"{path}: checkpoint metadata array_shapes.cls_w {shapes.cls_w} and "
+                          f"array_shapes.cls_b {shapes.cls_b} must be [{k}, n] and [n], n >= 1")
     params = ModelParams(
-        g_sv=mlp("g_sv"),
+        g_sv=g_sv,
         g_vs=mlp("g_vs"),
         d_v=mlp("d_v"),
         d_s=mlp("d_s"),

@@ -46,6 +46,7 @@ from .networks import (
     MLPCache,
     MLPParams,
     ModelParams,
+    _leaky_deriv,
     add_matmul,
     classifier_logits,
     critic_input_grads,
@@ -240,7 +241,7 @@ def _add_gp_grads(
     penalized block and w2 receive gradient, so only those are touched.
     """
     b = h_pre.shape[0]
-    d = np.where(h_pre >= 0, 1.0, critic.shape.negative_slope)  # [B, H]
+    d = _leaky_deriv(h_pre, critic.shape.negative_slope)        # [B, H]
     s = d * critic.w2[:, 0]                                     # [B, H]
     g = s @ critic.w1[:n_grad, :].T                             # [B, n_grad]
     norms = np.linalg.norm(g, axis=1)

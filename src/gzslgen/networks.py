@@ -8,7 +8,7 @@ owned by the trainer.
 
 Shapes (K = visual dim, L = attribute dim, H = hidden width):
     visual generator    [a | z] (2L) -> H -> K, rectified output
-    semantic generator  x (K) -> H -> L, rectified output (configurable)
+    semantic generator  x (K) -> H -> L, rectified output
     visual critic       [x | a] (K+L) -> H -> 1, linear output
     semantic critic     a (L) -> H -> 1, linear output
     seen classifier     x (K) -> n_seen logits, softmax
@@ -55,6 +55,8 @@ class NetworkShape:
             raise ContractViolation("all network dimensions must be >= 1")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ContractViolation(f"unknown output activation {self.output_activation!r}")
+        if not 0.0 <= self.negative_slope <= 1.0:
+            raise ContractViolation(f"negative_slope must be in [0, 1], got {self.negative_slope}")
 
 
 class MLPParams:
@@ -136,9 +138,6 @@ class LinearParams:
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w": self.w, "b": self.b}
 
-    def copy(self) -> "LinearParams":
-        return LinearParams(self.w.copy(), self.b.copy())
-
 
 @dataclass
 class ModelParams:
@@ -147,12 +146,6 @@ class ModelParams:
     d_v: MLPParams
     d_s: MLPParams
     cls_seen: LinearParams
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.g_sv.copy(), self.g_vs.copy(), self.d_v.copy(),
-            self.d_s.copy(), self.cls_seen.copy(),
-        )
 
     def all_arrays(self) -> Iterable[np.ndarray]:
         for net in (self.g_sv, self.g_vs, self.d_v, self.d_s):
@@ -192,19 +185,15 @@ def init_params(
     n_seen: int,
     seed: int,
     hidden_dim: int = 4096,
-    negative_slope: float = 0.2,
-    gvs_output_activation: str = "relu",
 ) -> ModelParams:
     """Deterministically initialize all five parameter sets."""
     if min(feature_dim, attribute_dim, n_seen) < 1:
         raise ContractViolation("dims must be >= 1")
     rng = np.random.default_rng(seed)
     k, l = feature_dim, attribute_dim
-    mk = lambda i, o, act: _init_mlp(
-        rng, NetworkShape(i, hidden_dim, o, negative_slope, act)
-    )
+    mk = lambda i, o, act: _init_mlp(rng, NetworkShape(i, hidden_dim, o, output_activation=act))
     g_sv = mk(2 * l, k, "relu")
-    g_vs = mk(k, l, gvs_output_activation)
+    g_vs = mk(k, l, "relu")
     d_v = mk(k + l, 1, "none")
     d_s = mk(l, 1, "none")
     cls_w = rng.standard_normal((k, n_seen)) / np.sqrt(k)
@@ -213,7 +202,9 @@ def init_params(
 
 
 def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x >= 0, x, slope * x)
+    # the same bits as np.where(x >= 0, x, slope * x) when 0 <= slope <= 1,
+    # which NetworkShape.validate enforces
+    return np.maximum(x, slope * x)
 
 
 def _leaky_deriv(x: np.ndarray, slope: float) -> np.ndarray:

@@ -45,7 +45,6 @@ class OptimizerConfig:
     learning_rate: float = 1e-4
     beta1: float = 0.5
     beta2: float = 0.9
-    eps: float = 1e-8
 
 
 @dataclass
@@ -57,8 +56,6 @@ class TrainConfig:
     epochs: int = 50
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     hidden_dim: int = 4096
-    negative_slope: float = 0.2
-    gvs_output_activation: str = "relu"
     seed: int = 0
     variant: str = "full"
     pair_mode: str = "real"  # second adversarial pairing: "real" | "cycle"
@@ -90,9 +87,6 @@ class TrainLog:
     seen_class_cols: dict[int, int] = field(default_factory=dict)
     checkpoint_path: str | None = None
 
-    def append(self, record: dict) -> None:
-        self.records.append(record)
-
     def step_kinds(self, iteration: int) -> list[str]:
         return [r["step"] for r in self.records if r["iteration"] == iteration]
 
@@ -111,6 +105,7 @@ def effective_weights(config: TrainConfig) -> LossWeights:
 # Adam streams each parameter through the cache in blocks of this many
 # doubles; 2^14 to 2^15 measured fastest on an 8.7M-parameter critic.
 _ADAM_BLOCK = 1 << 15
+_ADAM_EPS = 1e-8  # the standard epsilon of Kingma & Ba 2015
 
 
 class Adam:
@@ -164,7 +159,7 @@ class Adam:
             else:
                 np.divide(vb, bias2, out=den)
                 np.sqrt(den, out=den)
-            np.add(den, c.eps, out=den)
+            np.add(den, _ADAM_EPS, out=den)
             np.divide(num, den, out=num)
             np.subtract(p[lo:hi], num, out=p[lo:hi])
 
@@ -251,8 +246,6 @@ def train(
         k, l, len(col_of),
         seed=child_seed(config.seed, "init"),
         hidden_dim=config.hidden_dim,
-        negative_slope=config.negative_slope,
-        gvs_output_activation=config.gvs_output_activation,
     )
     params.cls_seen = cls
     theta_snapshot = (cls.w.copy(), cls.b.copy())
@@ -268,7 +261,7 @@ def train(
         _check_finite(value, terms, kind, iteration)
         opts[kind].step(grads.flat)
         _check_params_finite([nets[kind].flat], f"after {kind} update at iteration {iteration}")
-        log.append({
+        log.records.append({
             "iteration": iteration,
             "epoch": epoch,
             "step": kind,

@@ -242,6 +242,13 @@ class TestAblateAndSweep:
         curve = json.loads((tmp_path / "run" / "curve.json").read_text())
         assert [p["n_per_class"] for p in curve["curve"]] == [5, 20]
 
+    @pytest.mark.parametrize("counts", [[0], [5, -1], []], ids=["zero", "negative", "empty"])
+    def test_sweep_rejects_counts_before_writing(self, tmp_path, capsys, counts):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", eval={"counts": counts})
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "eval.counts" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestExportViz:
     def test_export_counts(self, tmp_path):
@@ -260,6 +267,17 @@ class TestExportViz:
         assert feats.size == 44 * 12
         source = np.fromfile(out / "viz_source.i32", dtype="<i4")
         assert source.sum() == 20
+
+    def test_malformed_classes_exit_two_naming_the_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.zip"
+        out = tmp_path / "viz"
+        assert main(["export-viz", "--checkpoint", str(ckpt), "--classes", "a",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--classes" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -35,6 +35,9 @@ RETIRED_KEYS = [
     ("train", "noise_dim", None),
     ("train", "baseline_cls_loss", True),
     ("train", "pretrain_lr", 1.0),
+    ("train", "negative_slope", 0.2),
+    ("train", "gvs_output_activation", "relu"),
+    ("train", "eps", 1e-8),
     ("eval", "classifier_lr", 1.0),
 ]
 
@@ -67,6 +70,22 @@ class TestRunConfigParsing:
         doc = effective_dict(cfg)
         again = parse_run_config(doc)
         assert effective_dict(again) == doc
+
+    def test_settable_value_count(self):
+        # a new run-config setting must show up here as an edit to this number
+        def leaves(doc, prefix=()):
+            for key, value in doc.items():
+                if isinstance(value, dict):
+                    yield from leaves(value, prefix + (key,))
+                else:
+                    yield prefix + (key,)
+
+        synthetic = effective_dict(tiny_run_config())
+        dataset = effective_dict(parse_run_config({"dataset": "ds"}))
+        paths = set(leaves(synthetic)) | set(leaves(dataset))
+        sections = [p[0] for p in paths]
+        assert [sections.count(s) for s in ("synthetic", "train", "eval")] == [8, 19, 6]
+        assert len(paths) == 36
 
 
 class TestCheckpoint:
@@ -137,22 +156,36 @@ class TestCheckpoint:
         assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
         assert dotted in capsys.readouterr().err
 
-    # the shape is checked before a network of that shape is allocated
-    @pytest.mark.parametrize("key,value", [("output_activation", "tanh"), ("hidden_dim", 10**9)],
-                             ids=["output_activation", "hidden_dim"])
-    def test_malformed_network_shape_is_named(self, tmp_path, capsys, key, value):
+    # a network's shape is checked before a network of that shape is allocated;
+    # the seen-class classifier must be [K, n] and [n], K being g_sv's output width
+    @pytest.mark.parametrize("keys,value", [
+        (("network_shapes", "d_s", "output_activation"), "tanh"),
+        (("network_shapes", "d_s", "hidden_dim"), 10**9),
+        (("network_shapes", "d_s", "negative_slope"), 1.5),
+        (("network_shapes", "d_s", "negative_slope"), -0.1),
+        (("array_shapes", "cls_w"), [16]),
+        (("array_shapes", "cls_w"), [2, 8]),
+        (("array_shapes", "cls_b"), [1, 2]),
+    ], ids=["output_activation", "hidden_dim", "slope-above-one", "slope-negative",
+            "cls_w-flat", "cls_w-transposed", "cls_b-matrix"])
+    def test_malformed_network_shape_is_named(self, tmp_path, capsys, keys, value):
         cfg = tiny_run_config(out=str(tmp_path))
         model, _ = train(cfg.resolve_bundle(), cfg.train)
         path = str(tmp_path / "checkpoint.zip")
         save_checkpoint(path, model, cfg)
         meta, blobs = read_archive(path)
-        meta["network_shapes"]["d_s"][key] = value
+        assert (meta["array_shapes"]["cls_w"], meta["array_shapes"]["cls_b"]) == ([8, 2], [2])
+        parent = meta
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
         arrays = {k[: -len(".f64")]: np.frombuffer(v, "<f8") for k, v in blobs.items()}
         write_archive(path, meta, arrays)
-        with pytest.raises(FormatError, match="network_shapes.d_s"):
+        named = ".".join(keys[:2])
+        with pytest.raises(FormatError, match=named):
             load_checkpoint(path)
         assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
-        assert "network_shapes.d_s" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_identical_params_identical_bytes(self, tmp_path):
         cfg = tiny_run_config(out=str(tmp_path))

@@ -267,14 +267,30 @@ class TestSelectiveBackward:
 
 def test_gvs_output_activation_switch():
     rectified = init_params(12, 3, 3, seed=0, hidden_dim=16)
-    linear = init_params(12, 3, 3, seed=0, hidden_dim=16,
-                         gvs_output_activation="none")
+    linear = MLPParams(**rectified.g_vs.arrays(),
+                       shape=NetworkShape(12, 16, 3, output_activation="none"))
     x = np.random.default_rng(0).standard_normal((40, 12))
     out_rect = gen_vs_forward(rectified, x)
-    out_lin = gen_vs_forward(linear, x)
+    out_lin = mlp_forward(linear, x)
     assert np.all(out_rect >= 0)
     assert (out_lin < 0).any()  # same weights, no rectifier
     np.testing.assert_array_equal(out_rect, np.maximum(out_lin, 0.0))
+
+
+@pytest.mark.parametrize("slope", [1.5, -0.1])
+def test_slope_outside_unit_interval_rejected(slope):
+    with pytest.raises(ContractViolation, match="negative_slope"):
+        NetworkShape(4, 8, 2, negative_slope=slope).validate()
+
+
+@pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+def test_leaky_is_the_where_form_bit_for_bit(slope):
+    rng = np.random.default_rng(0)
+    scaled = rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000)
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308]
+    x = np.concatenate([scaled, edges]).reshape(8, 251)
+    expected = np.where(x >= 0, x, slope * x)
+    assert networks._leaky(x, slope).tobytes() == expected.tobytes()
 
 
 class TestFlatLayout:

@@ -227,7 +227,7 @@ class TestAdam:
 class TestAdamBiasCorrection:
     def test_skipped_unit_bias_corrections_are_bit_identical(self):
         cfg = OptimizerConfig(learning_rate=0.01, beta1=0.5, beta2=0.9)
-        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, cfg.eps
+        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, trainer._ADAM_EPS
         # both corrections reach exactly 1.0 before the last step (t=54 and t=356)
         assert 1.0 - b1**53 != 1.0 and 1.0 - b1**54 == 1.0
         assert 1.0 - b2**355 != 1.0 and 1.0 - b2**356 == 1.0
@@ -284,7 +284,7 @@ class TestBlockedAdam:
             v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
             m_hat = m / (1.0 - cfg.beta1**t)
             v_hat = v / (1.0 - cfg.beta2**t)
-            expected -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+            expected -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + trainer._ADAM_EPS)
             assert opt.param is param
             assert np.array_equal(param, expected)
             assert np.array_equal(flat, expected.reshape(-1))
