@@ -25,6 +25,12 @@ gradients are added a block of rows at a time (``networks.add_matmul``),
 which the H=64 oracle lines, one block per gradient, cannot reach. It adds
 about twenty seconds and also ignores ``--epochs`` and ``--seed``.
 
+A ninth ``checkpoint <sha256>`` line hashes the archive bytes that
+``save_checkpoint`` writes for the oracle ``full`` model, with the oracle
+spec and that model's ``TrainConfig`` as its run config. The parameter lines
+cannot see the checkpoint format; this one pins it, so a change to how
+checkpoints are written must leave it equal.
+
 Run from any directory; it imports ``gzslgen`` from ``src/`` next to this
 script. The oracle is the one of tests/test_acceptance.py (criteria 6 and 7):
 ``SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11)``, B=30, H=64,
@@ -39,6 +45,7 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -54,7 +61,10 @@ from gzslgen import (  # noqa: E402
     synthesize_features,
     train,
 )
+from gzslgen.config import RunConfig, save_checkpoint  # noqa: E402
 from gzslgen.trainer import VARIANTS  # noqa: E402
+
+ORACLE = SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11)
 
 
 def _sha256(arrays) -> str:
@@ -81,13 +91,21 @@ def paper_train_digest() -> str:
     return _sha256(params.all_arrays())
 
 
+def checkpoint_digest(params, config: TrainConfig) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.zip")
+        save_checkpoint(path, params, RunConfig(synthetic=ORACLE, train=config))
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--epochs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    bundle = make_synthetic_dataset(SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11))
+    bundle = make_synthetic_dataset(ORACLE)
     runs = [(variant, variant, "real") for variant in VARIANTS]
     runs.append(("full_cycle", "full", "cycle"))
     for label, variant, pair_mode in runs:
@@ -98,8 +116,11 @@ def main() -> None:
         )
         params, _ = train(bundle, config)
         print(label, _sha256(params.all_arrays()), flush=True)
+        if label == "full":
+            full = params, config
     print("paper_fit", paper_fit_digest(), flush=True)
     print("paper_train", paper_train_digest(), flush=True)
+    print("checkpoint", checkpoint_digest(*full), flush=True)
 
 
 if __name__ == "__main__":

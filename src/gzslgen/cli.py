@@ -23,7 +23,7 @@ from .config import (
     write_effective_config,
     CHECKPOINT_NAME,
 )
-from .data import make_synthetic_dataset, save_dataset
+from .data import DatasetBundle, make_synthetic_dataset, save_dataset
 from .errors import (
     ContractViolation,
     DataLoadError,
@@ -33,6 +33,7 @@ from .errors import (
 )
 from .evaluation import EvalReport, evaluate_gzsl, format_report_table, run_ablation, sweep_samples
 from .matio import dumps_json, load_json, write_matrix
+from .networks import ModelParams
 from .synthesis import SynthesisRequest, synthesize_features
 from .trainer import VARIANTS, train, write_train_log
 
@@ -53,6 +54,23 @@ def _configure(args, embedded: RunConfig | None = None) -> RunConfig:
         cfg.out = flags["out"]
     cfg.validate()
     return cfg
+
+
+def _load_model(args) -> tuple[ModelParams, RunConfig, DatasetBundle]:
+    """The ``--checkpoint`` parameters, the run config and a dataset of their shapes."""
+    params, embedded = load_checkpoint(args.checkpoint)
+    cfg = _configure(args, embedded)
+    bundle = cfg.resolve_bundle()
+    g_sv = params.g_sv.shape  # [a | z] (2L) -> K
+    for quantity, trained, given in (
+        ("feature_dim", g_sv.output_dim, bundle.feature_dim),
+        ("attribute_dim", g_sv.input_dim / 2, bundle.attribute_dim),
+        ("seen-class count", params.cls_seen.b.size, len(bundle.seen_classes)),
+    ):
+        if trained != given:
+            raise ValidationError(f"{args.checkpoint}: trained on {quantity} {trained:g}, "
+                                  f"the dataset has {given}")
+    return params, cfg, bundle
 
 
 def _write_report(out_dir: str, rows: list[tuple[str, EvalReport]]) -> None:
@@ -78,9 +96,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    params, embedded = load_checkpoint(args.checkpoint)
-    cfg = _configure(args, embedded)
-    bundle = cfg.resolve_bundle()
+    params, cfg, bundle = _load_model(args)
     report = evaluate_gzsl(params, bundle, cfg.eval)
     os.makedirs(cfg.out, exist_ok=True)
     _write_report(cfg.out, [("gzsl", report)])
@@ -125,9 +141,7 @@ def cmd_synth_data(args) -> int:
 
 
 def cmd_export_viz(args) -> int:
-    params, embedded = load_checkpoint(args.checkpoint)
-    cfg = _configure(args, embedded)
-    bundle = cfg.resolve_bundle()
+    params, cfg, bundle = _load_model(args)
     if args.classes:
         try:
             classes = [int(c) for c in args.classes.split(",")]

@@ -13,7 +13,7 @@ malformed value is an error naming the field.
 from __future__ import annotations
 
 from dataclasses import Field, asdict, dataclass, field, fields
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .data import DatasetBundle, SyntheticSpec, load_dataset, make_synthetic_dat
 from .errors import ContractViolation, FormatError, ValidationError
 from .evaluation import EvalConfig
 from .losses import LossWeights
-from .matio import dumps_json, load_json, matrix_from_blob, read_archive, read_fields, write_archive
+from .matio import (check_member, dumps_json, load_json, open_archive, read_fields, read_member,
+                    write_archive)
 from .networks import LinearParams, MLPParams, ModelParams, NetworkShape
 from .trainer import OptimizerConfig, TrainConfig
 
@@ -179,10 +180,6 @@ class _ClassifierShapes:
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
-    meta, blobs = read_archive(path)
-    if not isinstance(meta, dict) or meta.get("format") != "gzslgen-checkpoint":
-        raise FormatError(f"{path}: not a checkpoint archive")
-
     def read(cls: type, *keys: str) -> Any:
         """``cls`` from the metadata object ``meta[k0][k1]...``, every field present."""
         doc = _meta_field(path, meta, *keys)
@@ -191,17 +188,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
         except ValidationError as exc:
             raise FormatError(f"{path}: checkpoint metadata: {exc}") from exc
 
-    def mat(name: str, shape: Sequence[int], declared_by: str) -> np.ndarray:
-        # each blob leaves the archive once read and is freed once copied out
-        # of, so the archive and the loaded parameters are never both held in full
-        key = name + ".f64"
-        if key not in blobs:
-            raise FormatError(f"{path}: archive is missing {key}")
-        return matrix_from_blob(blobs.pop(key), tuple(shape), f"{path}:{name} ({declared_by})")
-
     def mlp(name: str) -> MLPParams:
-        # the blobs are checked against the declared shape before the network
-        # of that shape is allocated
+        # the members are checked against the declared shape before the
+        # network of that shape is allocated, then read straight into it
         shape = read(NetworkShape, "network_shapes", name)
         try:
             shape.validate()
@@ -209,23 +198,29 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
             raise FormatError(f"{path}: checkpoint metadata network_shapes.{name}: {exc}") from exc
         i, h, o = shape.input_dim, shape.hidden_dim, shape.output_dim
         dims = {"w1": (i, h), "b1": (h,), "w2": (h, o), "b2": (o,)}
-        return MLPParams(**{k: mat(f"{name}_{k}", d, f"network_shapes.{name}")
-                            for k, d in dims.items()}, shape=shape)
+        for k, d in dims.items():
+            check_member(zf, f"{name}_{k}", d, f"network_shapes.{name}")
+        net = MLPParams.zeros(shape)
+        for k, view in net.arrays().items():
+            read_member(zf, f"{name}_{k}", view)
+        return net
 
-    shapes = read(_ClassifierShapes, "array_shapes")
-    g_sv = mlp("g_sv")
-    k = g_sv.shape.output_dim
-    if len(shapes.cls_b) != 1 or shapes.cls_b[0] < 1 or shapes.cls_w != [k, *shapes.cls_b]:
-        raise FormatError(f"{path}: checkpoint metadata array_shapes.cls_w {shapes.cls_w} and "
-                          f"array_shapes.cls_b {shapes.cls_b} must be [{k}, n] and [n], n >= 1")
-    params = ModelParams(
-        g_sv=g_sv,
-        g_vs=mlp("g_vs"),
-        d_v=mlp("d_v"),
-        d_s=mlp("d_s"),
-        cls_seen=LinearParams(w=mat("cls_w", shapes.cls_w, "array_shapes.cls_w").copy(),
-                              b=mat("cls_b", shapes.cls_b, "array_shapes.cls_b").copy()),
-    )
+    with open_archive(path) as (meta, zf):
+        if not isinstance(meta, dict) or meta.get("format") != "gzslgen-checkpoint":
+            raise FormatError(f"{path}: not a checkpoint archive")
+        shapes = read(_ClassifierShapes, "array_shapes")
+        g_sv = mlp("g_sv")
+        k = g_sv.shape.output_dim
+        if len(shapes.cls_b) != 1 or shapes.cls_b[0] < 1 or shapes.cls_w != [k, *shapes.cls_b]:
+            raise FormatError(f"{path}: checkpoint metadata array_shapes.cls_w {shapes.cls_w} and "
+                              f"array_shapes.cls_b {shapes.cls_b} must be [{k}, n] and [n], n >= 1")
+        for key in ("cls_w", "cls_b"):
+            check_member(zf, key, getattr(shapes, key), f"array_shapes.{key}")
+        cls_seen = LinearParams(w=np.zeros(shapes.cls_w), b=np.zeros(shapes.cls_b))
+        for key, out in cls_seen.arrays().items():
+            read_member(zf, f"cls_{key}", out)
+        params = ModelParams(g_sv=g_sv, g_vs=mlp("g_vs"), d_v=mlp("d_v"), d_s=mlp("d_s"),
+                             cls_seen=cls_seen)
     run_doc = _meta_field(path, meta, "run_config")
     for section, keys in _RETIRED_KEYS.items():
         part = run_doc.get(section) if isinstance(run_doc, dict) else None

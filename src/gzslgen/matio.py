@@ -5,7 +5,8 @@ row-major little-endian. Datasets use 32-bit floats / ints; checkpoints
 keep 64-bit floats so a save/load round trip is exact.
 
 Checkpoint archives are plain uncompressed zips with pinned timestamps,
-so identical parameters always produce byte-identical files.
+so identical parameters always produce byte-identical files. Their arrays
+stream between the caller's buffers and the zip members with no full-size copy.
 
 ``read_fields`` types every JSON document the program reads against its
 dataclass: run configs and specs (``config.parse_run_config``), a dataset's
@@ -20,8 +21,9 @@ import math
 import os
 import sys
 import zipfile
+from contextlib import contextmanager
 from dataclasses import MISSING, Field
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .errors import DataLoadError, FormatError, ValidationError
 DTYPES = {"f32": "<f4", "f64": "<f8", "i32": "<i4"}
 # Fixed DOS timestamp (zip epoch) keeps archive bytes reproducible.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
+_CHUNK = 1 << 20  # bytes read from an archive member per call into the array it fills
 
 
 def dumps_json(obj) -> str:
@@ -101,43 +104,55 @@ def read_fields(section: str, doc: Any, declared: Iterable[Field], complete: boo
 
 
 def write_archive(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write meta + named float64 matrices into one reproducible zip."""
+    """Write meta + named matrices as C-order float64 into one reproducible zip."""
     entries = {"meta.json": dumps_json(meta).encode("utf-8")}
     for name, arr in arrays.items():
-        entries[name + ".f64"] = np.ascontiguousarray(arr, dtype=DTYPES["f64"]).tobytes()
+        entries[name + ".f64"] = np.ascontiguousarray(arr, DTYPES["f64"]).ravel().view(np.uint8)
     with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
         for name in sorted(entries):
             info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
             zf.writestr(info, entries[name])
 
 
-def read_archive(path: str) -> tuple[dict, dict[str, bytes]]:
+@contextmanager
+def open_archive(path: str) -> Iterator[tuple[Any, zipfile.ZipFile]]:
+    """The parsed meta.json of the zip that ``write_archive`` wrote at ``path``, and the
+    zip, open. Damage found while it is open, a CRC-32 mismatch included, is a FormatError."""
     if not os.path.exists(path):
         raise DataLoadError(f"missing archive: {path}")
     try:
         with zipfile.ZipFile(path, "r") as zf:
-            blobs = {name: zf.read(name) for name in zf.namelist()}
-    except zipfile.BadZipFile as exc:
+            try:
+                meta = json.loads(zf.read("meta.json").decode("utf-8"))
+            except KeyError:
+                raise FormatError(f"{path}: archive has no meta.json") from None
+            except ValueError as exc:  # invalid UTF-8 or JSON
+                raise FormatError(f"{path}: meta.json is not valid JSON ({exc})") from exc
+            yield meta, zf
+    except (zipfile.BadZipFile, EOFError) as exc:
         raise FormatError(f"{path}: not a valid zip archive ({exc})") from exc
-    if "meta.json" not in blobs:
-        raise FormatError(f"{path}: archive has no meta.json")
-    try:
-        meta = json.loads(blobs.pop("meta.json").decode("utf-8"))
-    except ValueError as exc:  # invalid UTF-8 or JSON
-        raise FormatError(f"{path}: meta.json is not valid JSON ({exc})") from exc
-    return meta, blobs
 
 
-def matrix_from_blob(blob: bytes, shape: tuple[int, ...], source: str) -> np.ndarray:
-    """Read-only view of a float64 blob; copy it to keep or modify it."""
-    raw = np.frombuffer(blob, dtype=DTYPES["f64"])
-    _check_size(raw.size, shape, source)
-    return raw.reshape(shape)
+def check_member(zf: zipfile.ZipFile, name: str, shape: Sequence[int], declared_by: str) -> None:
+    """A FormatError unless float64 member ``name`` holds ``shape``; run before allocating it."""
+    if name + ".f64" not in zf.namelist():
+        raise FormatError(f"{zf.filename}: archive is missing {name}.f64")
+    size = zf.getinfo(name + ".f64").file_size
+    _check_size(size / 8, shape, f"{zf.filename}:{name} ({declared_by})")
 
 
-def _check_size(size: int, shape: tuple[int, ...], source: str) -> None:
-    """A FormatError unless ``size`` values fill ``shape`` exactly."""
+def read_member(zf: zipfile.ZipFile, name: str, out: np.ndarray) -> None:
+    """Fill C-order float64 ``out`` from member ``name``, read to its end to check its CRC-32."""
+    buf = memoryview(out).cast("B")
+    with zf.open(name + ".f64") as fh:
+        got = sum(fh.readinto(buf[i : i + _CHUNK]) for i in range(0, len(buf), _CHUNK))
+    if got != len(buf):
+        raise FormatError(f"{zf.filename}: {name}.f64 ends after {got} of its {len(buf)} bytes")
+
+
+def _check_size(size: float, shape: Sequence[int], source: str) -> None:
+    """A FormatError unless ``size`` values (a fraction for a partial one) fill ``shape``."""
     if min(shape, default=0) < 0 or size != math.prod(shape):
         raise FormatError(
-            f"{source}: payload holds {size} values, metadata declares shape {tuple(shape)}"
+            f"{source}: payload holds {size:.15g} values, metadata declares shape {tuple(shape)}"
         )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import zipfile
+
 import numpy as np
 
 from gzslgen.data import FeatureBatch
@@ -39,6 +42,15 @@ def check_param_grads(fn, params: MLPParams, analytic, step=1e-5) -> dict[str, f
         num = numeric_grad(fn, arr, step)
         errors[name] = rel_error(getattr(analytic, name), num)
     return errors
+
+
+def archive_contents(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """A checkpoint's metadata and read-only arrays, read with ``zipfile`` for rewriting."""
+    with zipfile.ZipFile(path) as zf:
+        meta = json.loads(zf.read("meta.json"))
+        arrays = {name[: -len(".f64")]: np.frombuffer(zf.read(name), "<f8")
+                  for name in zf.namelist() if name != "meta.json"}
+    return meta, arrays
 
 
 def small_model(seed=0, k=12, l=3, n_seen=3, hidden=16) -> ModelParams:

@@ -1,5 +1,6 @@
 import io
 import json
+import shutil
 import warnings
 import zipfile
 
@@ -207,6 +208,21 @@ class TestEvaluateCommand:
         if section is not None:
             assert f"'{section}'" in err
 
+    @pytest.mark.parametrize("spec,quantity", [
+        ({"attribute_dim": 6}, "attribute_dim"),
+        ({"feature_dim": 10}, "feature_dim"),
+        ({"n_seen_classes": 4}, "seen-class count"),
+    ], ids=["attribute_dim", "feature_dim", "seen_classes"])
+    def test_dataset_of_other_shape_is_named(self, tmp_path, capsys, spec, quantity):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.zip"
+        other = write_config(tmp_path / "other.json", tmp_path / "eval", synthetic=spec)
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--config", str(other)]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and quantity in err
+        assert not (tmp_path / "eval").exists()
+
     def test_config_follows_a_moved_dataset(self, tmp_path, capsys):
         ds = tmp_path / "ds"
         assert main(["synth-data", "--spec", str(write_spec(tmp_path)), "--out", str(ds)]) == 0
@@ -267,6 +283,23 @@ class TestExportViz:
         assert feats.size == 44 * 12
         source = np.fromfile(out / "viz_source.i32", dtype="<i4")
         assert source.sum() == 20
+
+    def test_dataset_of_other_shape_is_named(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["synth-data", "--spec", str(write_spec(tmp_path)), "--out", str(ds)]) == 0
+        cfg = write_dataset_config(tmp_path / "cfg.json", tmp_path / "run", ds)
+        assert main(["train", "--config", str(cfg)]) == 0
+        # the directory the embedded run config names now holds wider attributes
+        shutil.rmtree(ds)
+        wide = tmp_path / "wide.json"
+        wide.write_text(dumps_json({**ORACLE_SPEC, "attribute_dim": 5}))
+        assert main(["synth-data", "--spec", str(wide), "--out", str(ds)]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.zip"
+        out = tmp_path / "viz"
+        assert main(["export-viz", "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "attribute_dim" in err
+        assert not out.exists()
 
     def test_malformed_classes_exit_two_naming_the_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")

@@ -1,3 +1,7 @@
+import hashlib
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -12,8 +16,11 @@ from gzslgen.data import SyntheticSpec, make_synthetic_dataset
 from gzslgen.cli import main
 from gzslgen.errors import FormatError, TrainingDiverged, ValidationError
 from gzslgen.evaluation import evaluate_gzsl
-from gzslgen.matio import read_archive, write_archive
+from gzslgen.networks import init_params
+from gzslgen.matio import write_archive
 from gzslgen.trainer import OptimizerConfig, TrainConfig, train
+
+from helpers import archive_contents
 
 
 def tiny_run_config(out="run"):
@@ -119,9 +126,8 @@ class TestCheckpoint:
         model, _ = train(cfg.resolve_bundle(), cfg.train)
         path = str(tmp_path / "checkpoint.zip")
         save_checkpoint(path, model, cfg)
-        meta, blobs = read_archive(path)
+        meta, arrays = archive_contents(path)
         meta["run_config"][section][key] = old_default
-        arrays = {k[: -len(".f64")]: np.frombuffer(v, "<f8") for k, v in blobs.items()}
         write_archive(path, meta, arrays)
         loaded, loaded_cfg = load_checkpoint(path)
         for a, b in zip(model.all_arrays(), loaded.all_arrays()):
@@ -143,12 +149,11 @@ class TestCheckpoint:
         model, _ = train(cfg.resolve_bundle(), cfg.train)
         path = str(tmp_path / "checkpoint.zip")
         save_checkpoint(path, model, cfg)
-        meta, blobs = read_archive(path)
+        meta, arrays = archive_contents(path)
         parent = meta
         for key in keys[:-1]:
             parent = parent[key]
         del parent[keys[-1]]
-        arrays = {k[: -len(".f64")]: np.frombuffer(v, "<f8") for k, v in blobs.items()}
         write_archive(path, meta, arrays)
         dotted = ".".join(keys)
         with pytest.raises(FormatError, match=f"missing {dotted}$"):
@@ -173,13 +178,12 @@ class TestCheckpoint:
         model, _ = train(cfg.resolve_bundle(), cfg.train)
         path = str(tmp_path / "checkpoint.zip")
         save_checkpoint(path, model, cfg)
-        meta, blobs = read_archive(path)
+        meta, arrays = archive_contents(path)
         assert (meta["array_shapes"]["cls_w"], meta["array_shapes"]["cls_b"]) == ([8, 2], [2])
         parent = meta
         for key in keys[:-1]:
             parent = parent[key]
         parent[keys[-1]] = value
-        arrays = {k[: -len(".f64")]: np.frombuffer(v, "<f8") for k, v in blobs.items()}
         write_archive(path, meta, arrays)
         named = ".".join(keys[:2])
         with pytest.raises(FormatError, match=named):
@@ -195,6 +199,90 @@ class TestCheckpoint:
         save_checkpoint(p1, model, cfg)
         save_checkpoint(p2, model, cfg)
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_round_trip_keeps_special_values_bit_for_bit(self, tmp_path):
+        cfg = tiny_run_config(out=str(tmp_path))
+        model = init_params(8, 2, 2, seed=0, hidden_dim=8)
+        special = np.array([-0.0, 5e-324, 2.2e-310, -1e-310, np.inf, -np.inf])
+        for arr in model.all_arrays():
+            n = min(arr.size, special.size)
+            arr.flat[:n] = special[:n]
+        path = str(tmp_path / "checkpoint.zip")
+        save_checkpoint(path, model, cfg)
+        loaded, _ = load_checkpoint(path)
+        for a, b in zip(model.all_arrays(), loaded.all_arrays()):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_corrupted_payload_fails_its_crc(self, tmp_path, capsys):
+        cfg = tiny_run_config(out=str(tmp_path))
+        model, _ = train(cfg.resolve_bundle(), cfg.train)
+        path = str(tmp_path / "checkpoint.zip")
+        save_checkpoint(path, model, cfg)
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("g_sv_w1.f64")
+        data = bytearray(open(path, "rb").read())
+        # the payload follows the 30-byte local header, the member's name and its extra field
+        name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+        data[info.header_offset + 30 + name_len + extra_len + info.file_size // 2] ^= 0xFF
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(FormatError, match="CRC"):
+            load_checkpoint(path)
+        assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert path in err and "CRC" in err
+
+    # a member's size is checked against its declared shape before anything of
+    # that shape is allocated
+    @pytest.mark.parametrize("name", ["d_v_b1", "cls_w"])
+    def test_member_one_value_short_is_named(self, tmp_path, capsys, name):
+        cfg = tiny_run_config(out=str(tmp_path))
+        model, _ = train(cfg.resolve_bundle(), cfg.train)
+        path = str(tmp_path / "checkpoint.zip")
+        save_checkpoint(path, model, cfg)
+        meta, arrays = archive_contents(path)
+        arrays[name] = arrays[name].ravel()[:-1]
+        write_archive(path, meta, arrays)
+        with pytest.raises(FormatError, match=f"{name} .*payload holds {arrays[name].size} values"):
+            load_checkpoint(path)
+        assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert path in err and name in err
+
+    def test_member_with_a_partial_value_is_named(self, tmp_path, capsys):
+        cfg = tiny_run_config(out=str(tmp_path))
+        path = str(tmp_path / "checkpoint.zip")
+        save_checkpoint(path, init_params(8, 2, 2, seed=0, hidden_dim=8), cfg)
+        with zipfile.ZipFile(path) as zf:
+            entries = {name: zf.read(name) for name in zf.namelist()}
+        entries["d_v_b1.f64"] = entries["d_v_b1.f64"][:-3]
+        with zipfile.ZipFile(path, "w") as zf:
+            for name, data in entries.items():
+                zf.writestr(name, data)
+        with pytest.raises(FormatError, match="d_v_b1 .*payload holds 7.625 values"):
+            load_checkpoint(path)
+        assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
+        assert "d_v_b1" in capsys.readouterr().err
+
+
+# SHA-256 of write_archive's output for these inputs, which pins the archive
+# format: a transposed view and a float32 array are written as C-order <f8
+ARCHIVE_SHA256 = "5d5c862917b92c373661e879f14b8739e13053d6b88e5c54fe5e57ea5a6558f5"
+
+
+def test_archive_bytes_are_frozen(tmp_path):
+    meta = {"format": "frozen", "shapes": {"c": [2, 2], "t": [3, 2], "f": [3]}}
+    arrays = {
+        "c": np.array([[1.5, -0.0], [np.inf, 5e-324]]),
+        "t": np.arange(6.0).reshape(2, 3).T,
+        "f": np.array([0.1, -2.5, 3.0], dtype=np.float32),
+    }
+    path = tmp_path / "archive.zip"
+    write_archive(str(path), meta, arrays)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ARCHIVE_SHA256
+    read_meta, read = archive_contents(path)
+    assert read_meta == meta
+    for name, arr in arrays.items():
+        assert read[name].tobytes() == np.ascontiguousarray(arr, "<f8").tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # intentional blow-up

@@ -11,15 +11,16 @@ run config it returns must also hold the changed field as written.
 import copy
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gzslgen.config import effective_dict, load_checkpoint, parse_run_config, save_checkpoint
 from gzslgen.data import load_dataset, make_synthetic_dataset, save_dataset
 from gzslgen.errors import ContractViolation, DataLoadError, FormatError, ValidationError
-from gzslgen.matio import read_archive, write_archive
+from gzslgen.matio import write_archive
 from gzslgen.trainer import train
+
+from helpers import archive_contents
 
 EXIT_TWO = (ValidationError, FormatError, DataLoadError, ContractViolation)
 DELETE = object()
@@ -119,8 +120,7 @@ def checkpoint(tmp_path_factory):
     params, _ = train(cfg.resolve_bundle(), cfg.train)
     path = str(tmp_path_factory.mktemp("ckpt") / "checkpoint.zip")
     save_checkpoint(path, params, cfg)
-    meta, blobs = read_archive(path)
-    arrays = {k[: -len(".f64")]: np.frombuffer(v, "<f8") for k, v in blobs.items()}
+    meta, arrays = archive_contents(path)
     return path, meta, arrays
 
 
