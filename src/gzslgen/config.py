@@ -55,10 +55,10 @@ class RunConfig:
         if self.synthetic is not None:
             self.synthetic.validate()
         self.train.validate()
-        if self.eval.n_per_class < 1:
-            raise ValidationError("eval.n_per_class must be >= 1")
-        if self.eval.seed < 0:
-            raise ValidationError("eval.seed must be >= 0")
+        for name, least in (("n_per_class", 1), ("seed", 0), ("classifier_max_steps", 0),
+                            ("classifier_grad_tol", 0)):
+            if not getattr(self.eval, name) >= least:
+                raise ValidationError(f"eval.{name} must be >= {least}")
         if not self.counts or min(self.counts) < 1:
             raise ValidationError("eval.counts must be a nonempty list of integers >= 1")
 
@@ -87,10 +87,9 @@ def parse_synthetic_spec(doc: Any, section: str = "synthetic") -> SyntheticSpec:
 
 
 def _parse_train(doc: Any) -> TrainConfig:
-    floats = lambda cls: {k: float(v) for k, v in read_fields("train", doc, fields(cls)).items()}
     cfg = TrainConfig(
-        weights=LossWeights(**floats(LossWeights)),
-        optimizer=OptimizerConfig(**floats(OptimizerConfig)),
+        weights=LossWeights(**read_fields("train", doc, fields(LossWeights))),
+        optimizer=OptimizerConfig(**read_fields("train", doc, fields(OptimizerConfig))),
         **read_fields("train", doc, _TRAIN_SCALARS),
     )
     _reject_unknown("train", doc, _TRAIN_FIELDS)

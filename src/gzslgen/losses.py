@@ -76,7 +76,7 @@ class LossWeights:
 
     def validate(self) -> None:
         for name, value in self.__dict__.items():
-            if value < 0:
+            if not value >= 0:
                 raise ValidationError(f"{name} must be nonnegative, got {value}")
 
 

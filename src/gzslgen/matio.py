@@ -69,12 +69,13 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# JSON values accepted for a dataclass field, by its annotation; an integer
-# given for a float must convert without overflow
+# JSON values accepted for a dataclass field, by its annotation; a float is
+# finite (``json`` parses NaN and Infinity), and an integer given for one must
+# convert without overflow
 _JSON_TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: isinstance(v, float) or _is_int(v) and abs(v) <= sys.float_info.max,
-              "a number"),
+    "float": (lambda v: isinstance(v, float) and math.isfinite(v)
+              or _is_int(v) and abs(v) <= sys.float_info.max, "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string or null"),
@@ -84,9 +85,10 @@ _JSON_TYPES = {
 
 def read_fields(section: str, doc: Any, declared: Iterable[Field], complete: bool = False) -> dict:
     """The entries of the JSON object ``doc`` that name the dataclass fields
-    ``declared``, each checked against its annotation; errors name
-    ``section.field``. A field without a default (with ``complete``, every
-    field) must be present; keys naming no declared field are left alone."""
+    ``declared``, each checked against its annotation, a ``float`` one returned
+    as a Python float; errors name ``section.field``. A field without a default
+    (with ``complete``, every field) must be present; keys naming no declared
+    field are left alone."""
     if not isinstance(doc, dict):
         raise ValidationError(f"{section!r} must be a JSON object, got {doc!r:.40}")
     out = {}
@@ -99,7 +101,7 @@ def read_fields(section: str, doc: Any, declared: Iterable[Field], complete: boo
         accepts, described = _JSON_TYPES[f.type]
         if not accepts(value):
             raise ValidationError(f"{section}.{f.name} must be {described}, got {value!r:.40}")
-        out[f.name] = value
+        out[f.name] = float(value) if f.type == "float" else value
     return out
 
 

@@ -66,25 +66,11 @@ class MLPParams:
     into them (``net.b1[:] = ...``, ``net.w2 *= 3``), never rebind them.
     """
 
-    def __init__(
-        self,
-        w1: np.ndarray,  # [input_dim, hidden_dim]
-        b1: np.ndarray,  # [hidden_dim]
-        w2: np.ndarray,  # [hidden_dim, output_dim]
-        b2: np.ndarray,  # [output_dim]
-        shape: NetworkShape,
-    ):
-        self._bind(np.empty(_flat_size(shape)), shape)
-        for name, src in zip(("w1", "b1", "w2", "b2"), (w1, b1, w2, b2)):
-            view = getattr(self, name)
-            if np.shape(src) != view.shape:
-                raise ContractViolation(
-                    f"{name} must have shape {view.shape}, got {np.shape(src)}"
-                )
-            view[...] = src
-
-    def _bind(self, flat: np.ndarray, shape: NetworkShape) -> None:
-        i, h, o = shape.input_dim, shape.hidden_dim, shape.output_dim
+    def __init__(self, flat: np.ndarray, shape: NetworkShape):
+        """Wrap ``flat``, a contiguous 1-D float64 buffer of ``shape``'s size, uncopied."""
+        i, h, o, n = shape.input_dim, shape.hidden_dim, shape.output_dim, _flat_size(shape)
+        if flat.dtype != np.float64 or flat.shape != (n,) or not flat.flags.c_contiguous:
+            raise ContractViolation(f"flat must be a contiguous float64 array of shape ({n},)")
         self.shape = shape
         self.flat = flat
         self.w1 = flat[: i * h].reshape(i, h)
@@ -93,31 +79,21 @@ class MLPParams:
         self.b2 = flat[i * h + h + h * o :]
 
     @classmethod
-    def _from_flat(cls, flat: np.ndarray, shape: NetworkShape) -> "MLPParams":
-        """Wrap a contiguous 1-D float64 buffer of the right size, uncopied."""
-        net = cls.__new__(cls)
-        net._bind(flat, shape)
-        return net
-
-    @classmethod
     def zeros(cls, shape: NetworkShape) -> "MLPParams":
-        return cls._from_flat(np.zeros(_flat_size(shape)), shape)
+        return cls(np.zeros(_flat_size(shape)), shape)
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def copy(self) -> "MLPParams":
-        return MLPParams._from_flat(self.flat.copy(), self.shape)
 
     def grads_in(self, work: np.ndarray | None = None) -> "MLPParams":
         """Uninitialised parameters of this shape: a view of the leading
         entries of the 1-D float64 buffer ``work`` if given, else fresh."""
         n = self.flat.size
         if work is None:
-            return MLPParams._from_flat(np.empty(n), self.shape)
-        if work.ndim != 1 or work.size < n:
+            work = np.empty(n)
+        elif work.ndim != 1 or work.size < n:
             raise ContractViolation(f"work buffer must be 1-D with >= {n} entries")
-        return MLPParams._from_flat(work[:n], self.shape)
+        return MLPParams(work[:n], self.shape)
 
     def norm(self) -> float:
         return float(np.sqrt(self.flat @ self.flat))

@@ -14,10 +14,11 @@ def child_seed(root: int, name: str) -> int:
     """Derive a stable child seed from a root seed and a stream name.
 
     Uses CRC32 of the name (not ``hash()``, which is salted per process)
-    so the mapping is reproducible across runs and machines.
+    so the mapping is reproducible across runs and machines. ``root`` must
+    be >= 0; distinct roots give distinct streams.
     """
     tag = zlib.crc32(name.encode("utf-8"))
-    seq = np.random.SeedSequence([int(root) & 0xFFFFFFFFFFFF, tag])
+    seq = np.random.SeedSequence([int(root), tag])
     return int(seq.generate_state(1, np.uint64)[0])
 
 

@@ -64,17 +64,26 @@ def synthesize_features(
 
 
 def fit_softmax(
-    x: np.ndarray, cols: np.ndarray, n_classes: int, max_steps: int, grad_tol: float
+    x: np.ndarray, labels: np.ndarray, class_ids: Sequence[int], max_steps: int, grad_tol: float
 ) -> LinearParams:
-    """Fit a linear softmax classifier to rows ``x`` labelled by column ``cols``.
+    """Fit a linear softmax classifier to rows ``x`` labelled with ids from the
+    ascending ``class_ids``; column j of the result scores ``class_ids[j]``.
 
+    Every class must have rows, and every label must be one of the classes.
     Full-batch gradient descent with a fixed unit step from zero init,
     stopping at a gradient-norm threshold or the step cap, so the fit is
     convex, deterministic, and invariant to row order. With the subnormal
     logit gradients flushed in ``softmax_ce_grads``, a step's cost is mostly
     its two GEMMs, ``x @ w`` and ``x.T @ d_logits``.
     """
-    cls = LinearParams(w=np.zeros((x.shape[1], n_classes)), b=np.zeros(n_classes))
+    ids = np.asarray(class_ids)
+    missing, extra = np.setdiff1d(ids, labels), np.setdiff1d(labels, ids)
+    if missing.size:
+        raise ValidationError(f"classes without training rows: {missing.tolist()}")
+    if extra.size:
+        raise ValidationError(f"labels outside the declared class set: {extra.tolist()}")
+    cols = np.searchsorted(ids, labels)
+    cls = LinearParams(w=np.zeros((x.shape[1], ids.size)), b=np.zeros(ids.size))
     for _ in range(max_steps):
         _, dw, db, _ = softmax_ce_grads(cls, x, cols, input_grad=False)
         gnorm = np.sqrt(np.sum(dw * dw) + np.sum(db * db))
@@ -94,18 +103,7 @@ def fit_gzsl_classifier(
 ) -> GzslClassifier:
     """Fit the final softmax classifier over the full label set (``fit_softmax``)."""
     class_ids = tuple(sorted(int(c) for c in all_classes))
-    present = set(np.unique(labels).tolist())
-    missing = [c for c in class_ids if c not in present]
-    if missing:
-        raise ValidationError(f"classes with no training rows: {missing}")
-    extra = present - set(class_ids)
-    if extra:
-        raise ValidationError(f"labels outside the declared class set: {sorted(extra)}")
-
-    col_of = {c: i for i, c in enumerate(class_ids)}
-    cols = np.asarray([col_of[int(c)] for c in labels])
-    cls = fit_softmax(features, cols, len(class_ids), max_steps, grad_tol)
-    return GzslClassifier(params=cls, class_ids=class_ids)
+    return GzslClassifier(fit_softmax(features, labels, class_ids, max_steps, grad_tol), class_ids)
 
 
 def predict(clf: GzslClassifier, visual: np.ndarray) -> np.ndarray:

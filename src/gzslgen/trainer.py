@@ -64,14 +64,16 @@ class TrainConfig:
 
     def validate(self) -> None:
         self.weights.validate()
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValidationError("n1 and n2 must be >= 1")
-        if self.optimizer.learning_rate <= 0:
-            raise ValidationError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise ValidationError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
+        for name, least in (("n1", 1), ("n2", 1), ("epochs", 1), ("batch_size", 1),
+                            ("hidden_dim", 1), ("seed", 0), ("pretrain_max_steps", 0),
+                            ("pretrain_grad_tol", 0)):
+            if not getattr(self, name) >= least:  # NaN fails too
+                raise ValidationError(f"train.{name} must be >= {least}")
+        if not self.optimizer.learning_rate > 0:
+            raise ValidationError("train.learning_rate must be > 0")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self.optimizer, name) < 1:
+                raise ValidationError(f"train.{name} must lie in [0, 1)")
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
         if self.pair_mode not in losses.PAIR_MODES:
@@ -182,15 +184,8 @@ def classifier_accuracy(cls: LinearParams, x: np.ndarray, cols: np.ndarray) -> f
 def pretrain_classifier(bundle: DatasetBundle, config: TrainConfig) -> LinearParams:
     """Fit the frozen seen-class softmax classifier on real training features
     with ``fit_softmax`` and the config's pretrain settings."""
-    lookup, col_of = seen_class_columns(bundle)
-    present = set(np.unique(bundle.labels_train).tolist())
-    missing = [c for c in bundle.seen_classes if c not in present]
-    if missing:
-        raise ValidationError(f"seen classes without training rows: {missing}")
-    return fit_softmax(
-        bundle.visual_train, lookup[bundle.labels_train], len(col_of),
-        config.pretrain_max_steps, config.pretrain_grad_tol,
-    )
+    return fit_softmax(bundle.visual_train, bundle.labels_train, sorted(bundle.seen_classes),
+                       config.pretrain_max_steps, config.pretrain_grad_tol)
 
 
 def _check_finite(value: float, terms: dict, name: str, iteration: int) -> None:

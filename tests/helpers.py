@@ -83,21 +83,13 @@ def linear_critic(n_in: int, direction: np.ndarray, hidden_offset: float = 50.0)
     One hidden unit with a large positive bias keeps the leaky activation
     on its identity branch, so the score is u @ direction + const - const.
     """
-    w1 = direction.reshape(n_in, 1).astype(float)
-    return MLPParams(
-        w1=w1,
-        b1=np.array([hidden_offset]),
-        w2=np.array([[1.0]]),
-        b2=np.array([-hidden_offset]),
-        shape=NetworkShape(n_in, 1, 1, negative_slope=0.2, output_activation="none"),
-    )
+    net = MLPParams.zeros(NetworkShape(n_in, 1, 1, negative_slope=0.2, output_activation="none"))
+    net.w1[:] = direction.reshape(n_in, 1)
+    net.b1[:] = hidden_offset
+    net.w2[:] = 1.0
+    net.b2[:] = -hidden_offset
+    return net
 
 
 def zero_mlp(n_in: int, hidden: int, n_out: int, activation: str = "none") -> MLPParams:
-    return MLPParams(
-        w1=np.zeros((n_in, hidden)),
-        b1=np.zeros(hidden),
-        w2=np.zeros((hidden, n_out)),
-        b2=np.zeros(n_out),
-        shape=NetworkShape(n_in, hidden, n_out, output_activation=activation),
-    )
+    return MLPParams.zeros(NetworkShape(n_in, hidden, n_out, output_activation=activation))

@@ -96,9 +96,30 @@ class TestTrainCommand:
         ("synthetic", {"projection_seed": -1}, "projection_seed"),
         ("synthetic", {"noise_seed": -1}, "noise_seed"),
         ("eval", {"seed": -1}, "eval.seed"),
+        ("train", {"seed": -1}, "train.seed"),
+        ("train", {"beta1": 1.0}, "train.beta1"),
+        ("train", {"beta2": 1.0}, "train.beta2"),
+        ("train", {"beta2": -0.5}, "train.beta2"),
+        ("train", {"hidden_dim": 0}, "train.hidden_dim"),
+        ("train", {"pretrain_max_steps": -5}, "train.pretrain_max_steps"),
+        ("train", {"pretrain_grad_tol": -1e-5}, "train.pretrain_grad_tol"),
+        ("eval", {"classifier_max_steps": -5}, "eval.classifier_max_steps"),
+        ("eval", {"classifier_grad_tol": -1e-5}, "eval.classifier_grad_tol"),
+        ("train", {"learning_rate": float("nan")}, "train.learning_rate"),
+        ("train", {"learning_rate": float("inf")}, "train.learning_rate"),
+        ("train", {"lambda1": float("nan")}, "train.lambda1"),
+        ("train", {"lambda2": float("inf")}, "train.lambda2"),
+        ("train", {"pretrain_grad_tol": float("nan")}, "train.pretrain_grad_tol"),
+        ("eval", {"classifier_grad_tol": float("-inf")}, "eval.classifier_grad_tol"),
+        ("synthetic", {"cluster_std": float("nan")}, "synthetic.cluster_std"),
     ], ids=["counts-int", "counts-str", "n_per_class-str", "cluster_std-missing",
             "feature_dim-str", "epochs-str", "learning_rate-str", "projection_seed-negative",
-            "noise_seed-negative", "eval_seed-negative"])
+            "noise_seed-negative", "eval_seed-negative", "train_seed-negative", "beta1-one",
+            "beta2-one", "beta2-negative", "hidden_dim-zero", "pretrain_max_steps-negative",
+            "pretrain_grad_tol-negative", "classifier_max_steps-negative",
+            "classifier_grad_tol-negative", "learning_rate-NaN", "learning_rate-Infinity",
+            "lambda1-NaN", "lambda2-Infinity", "pretrain_grad_tol-NaN",
+            "classifier_grad_tol--Infinity", "cluster_std-NaN"])
     def test_malformed_field_exits_two_naming_it(self, tmp_path, capsys, section, update, name):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", **{section: update})
         doc = json.loads(cfg.read_text())
@@ -366,6 +387,12 @@ class TestSeedOverride:
         assert main(["train", "--config", str(cfg), flag, value]) == 0
         echoed = json.loads((tmp_path / "run" / "config_effective.json").read_text())
         assert str(echoed["train"][field]) == value
+
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
+        assert main(["train", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert "train.seed" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestRuntimeFailures:

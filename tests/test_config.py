@@ -72,6 +72,14 @@ class TestRunConfigParsing:
                 "out": "x",
             })
 
+    def test_integer_given_for_a_float_echoes_as_a_float(self):
+        doc = effective_dict(tiny_run_config())
+        doc["synthetic"]["cluster_std"] = 1
+        doc["eval"]["classifier_grad_tol"] = 0
+        echoed = effective_dict(parse_run_config(doc))
+        assert repr(echoed["synthetic"]["cluster_std"]) == "1.0"
+        assert repr(echoed["eval"]["classifier_grad_tol"]) == "0.0"
+
     def test_effective_dict_round_trips(self):
         cfg = tiny_run_config()
         doc = effective_dict(cfg)

@@ -10,15 +10,19 @@ run config it returns must also hold the changed field as written.
 
 import copy
 import json
+import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gzslgen.config import effective_dict, load_checkpoint, parse_run_config, save_checkpoint
-from gzslgen.data import load_dataset, make_synthetic_dataset, save_dataset
+from gzslgen.data import SyntheticSpec, load_dataset, make_synthetic_dataset, save_dataset
 from gzslgen.errors import ContractViolation, DataLoadError, FormatError, ValidationError
+from gzslgen.evaluation import EvalConfig
+from gzslgen.losses import LossWeights
 from gzslgen.matio import write_archive
-from gzslgen.trainer import train
+from gzslgen.trainer import OptimizerConfig, TrainConfig, train
 
 from helpers import archive_contents
 
@@ -49,6 +53,12 @@ RUN_DOC = {
     "eval": {"n_per_class": 2, "counts": [1, 2]},
     "out": "run",
 }
+# every run-config field annotated float, as (section, name)
+FLOAT_FIELDS = [(section, f.name) for section, declared in (
+    ("synthetic", fields(SyntheticSpec)),
+    ("train", (*fields(LossWeights), *fields(OptimizerConfig), *fields(TrainConfig))),
+    ("eval", fields(EvalConfig)),
+) for f in declared if f.type == "float"]
 # every field present, with the data source given either way
 RUN_DOCS = [
     effective_dict(parse_run_config(RUN_DOC)),
@@ -95,8 +105,8 @@ def kind(value):
 
 
 def same(echoed, written):
-    if isinstance(echoed, float):  # the loss weights and Adam settings are converted
-        return echoed == float(written) or echoed != echoed and written != written
+    if isinstance(echoed, float):  # every float field is converted, integers included
+        return echoed == float(written)
     return echoed == written
 
 
@@ -143,8 +153,13 @@ def test_run_config_field(data):
         cfg = parse_run_config(mutated(doc, path, value))
     except EXIT_TWO:
         return
+    echo = effective_dict(cfg)
+    for float_path in FLOAT_FIELDS:
+        if float_path[0] in echo:
+            echoed = lookup(echo, float_path)
+            assert type(echoed) is float and math.isfinite(echoed), float_path
     if value is not DELETE and not isinstance(lookup(doc, path), dict):
-        echoed = lookup(effective_dict(cfg), path)
+        echoed = lookup(echo, path)
         assert kind(echoed) == kind(value) == kind(lookup(doc, path)) and same(echoed, value)
 
 

@@ -267,8 +267,7 @@ class TestSelectiveBackward:
 
 def test_gvs_output_activation_switch():
     rectified = init_params(12, 3, 3, seed=0, hidden_dim=16)
-    linear = MLPParams(**rectified.g_vs.arrays(),
-                       shape=NetworkShape(12, 16, 3, output_activation="none"))
+    linear = MLPParams(rectified.g_vs.flat, NetworkShape(12, 16, 3, output_activation="none"))
     x = np.random.default_rng(0).standard_normal((40, 12))
     out_rect = gen_vs_forward(rectified, x)
     out_lin = mlp_forward(linear, x)
@@ -311,27 +310,19 @@ class TestFlatLayout:
         for net in (m.g_sv, m.g_vs, m.d_v, m.d_s):
             self.assert_flat_layout(net)
 
-    def test_keyword_constructor(self):
-        rng = np.random.default_rng(0)
+    def test_flat_buffer_constructor(self):
         shape = NetworkShape(5, 7, 2)
-        arrays = {"w1": rng.standard_normal((5, 7)), "b1": rng.standard_normal(7),
-                  "w2": rng.standard_normal((7, 2)), "b2": rng.standard_normal(2)}
-        net = MLPParams(**arrays, shape=shape)
-        for name, arr in arrays.items():
-            assert np.array_equal(getattr(net, name), arr)
-            assert not np.shares_memory(getattr(net, name), arr)
+        flat = np.random.default_rng(0).standard_normal(5 * 7 + 7 + 7 * 2 + 2)
+        net = MLPParams(flat, shape)
+        assert net.flat is flat  # wrapped, not copied
+        assert np.array_equal(net.w1, flat[:35].reshape(5, 7))
+        assert np.array_equal(net.b2, flat[-2:])
         self.assert_flat_layout(net)
         self.assert_flat_layout(zero_mlp(4, 6, 3))
-        with pytest.raises(ContractViolation, match="b1"):
-            MLPParams(**{**arrays, "b1": np.zeros(6)}, shape=shape)
-
-    def test_copy_shares_nothing_with_its_source(self):
-        source = small_model().d_v
-        twin = source.copy()
-        assert np.array_equal(twin.flat, source.flat)
-        assert not np.shares_memory(twin.flat, source.flat)
-        self.assert_flat_layout(twin)
-        assert not np.array_equal(twin.flat, source.flat)  # the probe wrote only the copy
+        for bad in (flat[:-1], flat.reshape(1, -1), flat.astype(np.float32),
+                    np.repeat(flat, 2)[::2]):
+            with pytest.raises(ContractViolation, match="flat"):
+                MLPParams(bad, shape)
 
     def test_load_checkpoint(self, tmp_path):
         model = init_params(8, 2, 2, seed=0, hidden_dim=8)

@@ -86,8 +86,13 @@ class TestFitClassifier:
 
     def test_missing_class_rejected(self):
         feats, labels = self.separated_data()
-        with pytest.raises(ValidationError, match="no training rows"):
+        with pytest.raises(ValidationError, match=r"classes without training rows: \[2\]"):
             fit_gzsl_classifier(feats, labels, [0, 1, 2])
+
+    def test_label_outside_class_set_rejected(self):
+        feats, labels = self.separated_data()
+        with pytest.raises(ValidationError, match=r"outside the declared class set: \[1\]"):
+            fit_gzsl_classifier(feats, labels, [0])
 
 
 class TestPredict:

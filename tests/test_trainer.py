@@ -202,6 +202,29 @@ class TestTrainLoop:
         with pytest.raises(ValidationError):
             TrainConfig(weights=LossWeights(lambda1=-1.0)).validate()
 
+    def test_library_train_checks_its_bounds_before_the_pretrain(self, monkeypatch):
+        def pretrain(*args):
+            raise AssertionError("pretrain reached")
+
+        monkeypatch.setattr(trainer, "pretrain_classifier", pretrain)
+        nan = float("nan")
+        for name, bad in (
+            ("train.hidden_dim", desk_config(hidden_dim=0)),
+            ("train.seed", desk_config(seed=-1)),
+            ("train.beta1", desk_config(optimizer=OptimizerConfig(beta1=1.0))),
+            ("train.pretrain_grad_tol", desk_config(pretrain_grad_tol=nan)),
+            ("train.learning_rate", desk_config(optimizer=OptimizerConfig(learning_rate=nan))),
+            ("lambda1", desk_config(weights=LossWeights(lambda1=nan))),
+        ):
+            with pytest.raises(ValidationError, match=name):
+                train(desk_bundle(), bad)
+
+
+def test_child_seeds_of_roots_2_48_apart_differ():
+    from gzslgen.seeds import child_seed
+
+    assert child_seed(0, "init") != child_seed(2**48, "init")
+
 
 class TestAdam:
     def test_matches_reference_formula(self):
