@@ -31,6 +31,12 @@ spec and that model's ``TrainConfig`` as its run config. The parameter lines
 cannot see the checkpoint format; this one pins it, so a change to how
 checkpoints are written must leave it equal.
 
+A tenth ``synth <sha256>`` line hashes the features, then the labels, that
+``synthesize_features`` returns for the ``paper_fit`` model and request
+(3 rows per class, seed 0), so a change to how features are synthesized
+must leave them equal. It reuses the ``paper_fit`` model and adds well under
+a second.
+
 Run from any directory; it imports ``gzslgen`` from ``src/`` next to this
 script. The oracle is the one of tests/test_acceptance.py (criteria 6 and 7):
 ``SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11)``, B=30, H=64,
@@ -74,15 +80,16 @@ def _sha256(arrays) -> str:
     return digest.hexdigest()
 
 
-def paper_fit_digest() -> str:
+def paper_fit_digests() -> tuple[str, str]:
+    """The ``paper_fit`` and ``synth`` digests, from one trained model."""
     bundle = make_synthetic_dataset(SyntheticSpec(40, 10, 2048, 85, 2, 0.1, 0, 0))
     params, _ = train(bundle, TrainConfig(epochs=1, batch_size=40, seed=0))
     request = SynthesisRequest(classes=bundle.all_classes, n_per_class=3, seed=0)
-    features, labels = synthesize_features(params, bundle, request)
-    features = np.vstack([features, bundle.visual_train])
-    labels = np.concatenate([labels, bundle.labels_train])
+    synth, synth_labels = synthesize_features(params, bundle, request)
+    features = np.vstack([synth, bundle.visual_train])
+    labels = np.concatenate([synth_labels, bundle.labels_train])
     clf = fit_gzsl_classifier(features, labels, bundle.all_classes)
-    return _sha256([clf.params.w, clf.params.b])
+    return _sha256([clf.params.w, clf.params.b]), _sha256([synth, synth_labels])
 
 
 def paper_train_digest() -> str:
@@ -118,9 +125,11 @@ def main() -> None:
         print(label, _sha256(params.all_arrays()), flush=True)
         if label == "full":
             full = params, config
-    print("paper_fit", paper_fit_digest(), flush=True)
+    fit, synth = paper_fit_digests()
+    print("paper_fit", fit, flush=True)
     print("paper_train", paper_train_digest(), flush=True)
     print("checkpoint", checkpoint_digest(*full), flush=True)
+    print("synth", synth, flush=True)
 
 
 if __name__ == "__main__":

@@ -11,9 +11,10 @@ caller reads: the critic objective takes no input gradients; a generator
 step takes no parameter gradients of the other generator and no input
 gradient where the chain starts; the critic pulls reuse their forward's
 hidden preactivation; the classification value and the softmax fit take no
-input gradient. The test suite pins the values against
-independent term-by-term recomputation from the public term operations, and
-pins every gradient against central finite differences.
+input gradient, and the classification value and the generator's
+classification term take no classifier gradient. The test suite pins the
+values against independent term-by-term recomputation from the public term
+operations, and pins every gradient against central finite differences.
 
 Each ``*_and_grads`` takes a keyword-only ``work``: a 1-D float64 buffer at
 least as large as the updated network, which the trainer allocates once. The
@@ -89,24 +90,51 @@ def classification_loss(cls: LinearParams, synth_visual: np.ndarray, labels: np.
 
     ``labels`` index classifier columns (seen classes in ascending order).
     """
-    value, _, _, _ = softmax_ce_grads(cls, synth_visual, labels, input_grad=False)
+    value, _, _, _ = softmax_ce_grads(
+        cls, synth_visual, labels, input_grad=False, param_grads=False)
     return value
 
 
+_TINY = np.finfo(np.float64).tiny
+# np.exp of a shifted logit below this is subnormal or 0.0
+_EXP_FLOOR = np.log(_TINY)
+
+
 def softmax_ce_grads(
-    cls: LinearParams, x: np.ndarray, labels: np.ndarray, *, input_grad: bool = True
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
+    cls: LinearParams,
+    x: np.ndarray,
+    labels: np.ndarray,
+    *,
+    input_grad: bool = True,
+    param_grads: bool = True,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Cross-entropy with gradients w.r.t. (w, b, x). Returns (loss, dw, db, dx);
-    ``dx`` is None, and its GEMM skipped, when ``input_grad`` is False.
+    ``dx`` is None, and its GEMM skipped, when ``input_grad`` is False, and
+    ``dw`` and ``db`` are None, their GEMM and column sum skipped, when
+    ``param_grads`` is False.
+
+    ``out`` is an optional workspace ``(logits [n, C], dw_t [C, K], db [C])``
+    for a caller that takes many steps at one shape: the step then allocates
+    neither its logits nor its parameter gradients, and the returned ``dw``
+    is the view ``dw_t.T`` and ``db`` is ``out[2]``, both overwritten by the
+    next call. The weight
+    gradient is formed as ``d_logits.T @ x`` into a ``[C, K]`` buffer, which
+    OpenBLAS computes in about two thirds of the time of ``x.T @ d_logits`` at
+    paper shape, with the same bits at every shape the tests cover.
 
     Entries of the logit gradient below the smallest normal double are set
     to 0.0 before the GEMMs: an off-class probability of ~1e-310 would
-    otherwise push ``x.T @ d_logits`` onto the CPU's slow subnormal path,
-    which more than doubles the cost of a long softmax fit. Fitted weights do
-    not move: a column of ``dw``/``db`` with a labelled row also sums
-    normal-range terms, and each flushed term lies below half an ulp of them;
-    a column of flushed terms alone loses an update of ~1e-308, which leaves
-    any normal-range weight unchanged.
+    otherwise push the weight-gradient GEMM onto the CPU's slow subnormal
+    path, which more than doubles the cost of a long softmax fit. Fitted
+    weights do not move: a column of ``dw``/``db`` with a labelled row also
+    sums normal-range terms, and each flushed term lies below half an ulp of
+    them; a column of flushed terms alone loses an update of ~1e-308, which
+    leaves any normal-range weight unchanged. For the same reason ``np.exp``
+    is skipped, and 0.0 written, where a shifted logit lies below ln(tiny):
+    its result would be subnormal, ``np.exp`` is some 30 times slower on such
+    inputs, and the probability it gives is flushed anyway. Every row's sum
+    holds the 1.0 of its largest logit, which a subnormal term cannot move.
     """
     labels = np.asarray(labels)
     n_classes = cls.w.shape[1]
@@ -116,20 +144,35 @@ def softmax_ce_grads(
             f"[{labels.min()}, {labels.max()}]"
         )
     b = x.shape[0]
-    # stable log-sum-exp route for the true-class log probability
-    logits = classifier_logits(cls, x)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    norm = exp.sum(axis=1, keepdims=True)
-    probs = exp / norm
-    log_probs = shifted - np.log(norm)
-    loss = float(-log_probs[np.arange(b), labels].mean())
-    d_logits = probs.copy()
-    d_logits[np.arange(b), labels] -= 1.0
+    rows = np.arange(b)
+    if out is None:
+        d_logits = classifier_logits(cls, x)
+        dw_t = np.empty((n_classes, x.shape[1])) if param_grads else None
+        db = np.empty(n_classes) if param_grads else None
+    else:
+        d_logits, dw_t, db = out
+        np.matmul(x, cls.w, out=d_logits)
+        d_logits += cls.b
+    # stable log-sum-exp route for the true-class log probability, in place:
+    # the buffer holds the logits, then their shifted values, then exp, then
+    # probabilities, then the logit gradient
+    d_logits -= d_logits.max(axis=1, keepdims=True)
+    true_shifted = d_logits[rows, labels]
+    live = d_logits >= _EXP_FLOOR
+    np.exp(d_logits, out=d_logits, where=live)
+    d_logits[~live] = 0.0
+    norm = d_logits.sum(axis=1, keepdims=True)
+    loss = float(-(true_shifted - np.log(norm[:, 0])).mean())
+    d_logits /= norm
+    d_logits[rows, labels] -= 1.0
     d_logits /= b
-    d_logits[np.abs(d_logits) < np.finfo(d_logits.dtype).tiny] = 0.0
+    d_logits[np.abs(d_logits) < _TINY] = 0.0
     dx = d_logits @ cls.w.T if input_grad else None
-    return loss, x.T @ d_logits, d_logits.sum(axis=0), dx
+    if not param_grads:
+        return loss, None, None, dx
+    np.matmul(d_logits.T, x, out=dw_t)
+    np.sum(d_logits, axis=0, out=db)
+    return loss, dw_t.T, db, dx
 
 
 def class_centroid(features_of_class: np.ndarray) -> np.ndarray:
@@ -446,7 +489,8 @@ def gen_sv_loss_and_grads(
 
     # inter-class discrimination under the frozen classifier
     if weights.lambda2 > 0:
-        cls_value, _, _, d_x_cls = softmax_ce_grads(model.cls_seen, x_synth, cols)
+        cls_value, _, _, d_x_cls = softmax_ce_grads(
+            model.cls_seen, x_synth, cols, param_grads=False)
         terms["cls"] = weights.lambda2 * cls_value
         d_synth += weights.lambda2 * d_x_cls
     else:

@@ -6,6 +6,17 @@ off-the-shelf softmax classifier fit on them carries out recognition over
 the union of seen and unseen labels. ``fit_softmax`` is the one softmax
 solver: it fits both this full-label classifier and the trainer's frozen
 seen-class classifier.
+
+``synthesize_features`` draws the noise of every requested row at once (the
+same stream as one draw per class, in class order) and runs the generator
+over the stacked rows in equal chunks of at most ``_SYNTH_ROWS`` rows, so a
+large request keeps its hidden layers small. With OpenBLAS the bytes match
+one forward per class (the tests check this at small shape, the ``synth``
+line of ``scripts/param_digest.py`` at paper shape), with one exception: at
+one row per class each such forward was a one-row product, which numpy sends
+down its vector (gemv) path, and gemv rounds differently from the GEMM that
+now computes those rows. Chunks therefore hold at least two rows whenever
+the request has two.
 """
 
 from __future__ import annotations
@@ -43,6 +54,12 @@ class GzslClassifier:
     class_ids: tuple[int, ...]
 
 
+# Rows per generator forward in synthesize_features. At H=4096 and K=2048 a
+# row carries about 100 KB of hidden and output layers, so a chunk stays
+# under ~50 MB.
+_SYNTH_ROWS = 512
+
+
 def synthesize_features(
     model: ModelParams, bundle: DatasetBundle, request: SynthesisRequest
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -53,14 +70,18 @@ def synthesize_features(
     """
     request.validate(bundle.attributes.shape[0])
     rng = np.random.default_rng(request.seed)
-    l = bundle.attribute_dim
-    blocks, labels = [], []
-    for c in request.classes:
-        attrs = np.tile(bundle.attributes[c], (request.n_per_class, 1))
-        noise = rng.standard_normal((request.n_per_class, l))
-        blocks.append(gen_sv_forward(model, attrs, noise))
-        labels.append(np.full(request.n_per_class, c, dtype=np.int64))
-    return np.vstack(blocks), np.concatenate(labels)
+    labels = np.repeat(np.asarray(request.classes, dtype=np.int64), request.n_per_class)
+    m = labels.size
+    noise = rng.standard_normal((m, bundle.attribute_dim))
+    attrs = bundle.attributes[labels]
+    features = np.empty((m, model.g_sv.shape.output_dim))
+    # equal chunks (sizes differ by at most one); as _SYNTH_ROWS >= 3, each
+    # holds at least two rows when the request does
+    n_chunks = max(1, -(-m // _SYNTH_ROWS))
+    edges = [m * i // n_chunks for i in range(n_chunks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        features[lo:hi] = gen_sv_forward(model, attrs[lo:hi], noise[lo:hi])
+    return features, labels
 
 
 def fit_softmax(
@@ -73,8 +94,20 @@ def fit_softmax(
     Full-batch gradient descent with a fixed unit step from zero init,
     stopping at a gradient-norm threshold or the step cap, so the fit is
     convex, deterministic, and invariant to row order. With the subnormal
-    logit gradients flushed in ``softmax_ce_grads``, a step's cost is mostly
-    its two GEMMs, ``x @ w`` and ``x.T @ d_logits``.
+    logit gradients flushed and their ``np.exp`` skipped in
+    ``softmax_ce_grads``, a step's cost is mostly its two GEMMs, ``x @ w``
+    and ``d_logits.T @ x``. The fit allocates the step's workspace once: a
+    logit buffer, the weight gradient laid out ``[C, K]`` and the bias
+    gradient. ``w`` stays C-contiguous ``[K, C]``, because with OpenBLAS
+    ``x @ w`` over the transposed view of a ``[C, K]`` buffer rounds
+    differently at small shapes; the update reads the gradient through its
+    transpose.
+
+    The stopping test sums the squared gradient in ``w``'s ``[K, C]`` order,
+    as it always has, but only once a BLAS dot product over the ``[C, K]``
+    buffer puts it within 1e-6 (relative) of ``grad_tol`` squared. Any two
+    orders of summing n nonnegative terms agree to about n ulps, far inside
+    that margin for any n below 1e9, so every step takes the same decision.
     """
     ids = np.asarray(class_ids)
     missing, extra = np.setdiff1d(ids, labels), np.setdiff1d(labels, ids)
@@ -83,12 +116,17 @@ def fit_softmax(
     if extra.size:
         raise ValidationError(f"labels outside the declared class set: {extra.tolist()}")
     cols = np.searchsorted(ids, labels)
-    cls = LinearParams(w=np.zeros((x.shape[1], ids.size)), b=np.zeros(ids.size))
+    n, k = x.shape
+    cls = LinearParams(w=np.zeros((k, ids.size)), b=np.zeros(ids.size))
+    dw_t = np.empty((ids.size, k))
+    work = np.empty((n, ids.size)), dw_t, np.empty(ids.size)
+    near_tol = grad_tol * grad_tol * (1 + 1e-6)
     for _ in range(max_steps):
-        _, dw, db, _ = softmax_ce_grads(cls, x, cols, input_grad=False)
-        gnorm = np.sqrt(np.sum(dw * dw) + np.sum(db * db))
-        if gnorm < grad_tol:
-            break
+        _, dw, db, _ = softmax_ce_grads(cls, x, cols, input_grad=False, out=work)
+        if np.vdot(dw_t, dw_t) + np.vdot(db, db) <= near_tol:
+            grad = np.ascontiguousarray(dw)
+            if np.sqrt(np.sum(grad * grad) + np.sum(db * db)) < grad_tol:
+                break
         cls.w -= dw
         cls.b -= db
     return cls

@@ -101,6 +101,56 @@ class TestClassificationLoss:
         assert np.array_equal(db[:2], d_logits.sum(axis=0)[:2])
         assert np.array_equal(dx, d_logits @ cls.w.T)
 
+    def test_exp_floor_bounds_the_subnormal_results(self):
+        # every shifted logit that skips np.exp would have given less than
+        # the smallest normal double
+        floor = losses._EXP_FLOOR
+        assert np.exp(np.nextafter(floor, -np.inf)) < np.finfo(np.float64).tiny
+        assert floor < -700.0
+
+    @staticmethod
+    def large_logit_case():
+        # a third of the shifted logits lie below the exp floor, and a third
+        # just above it, where np.exp is still a normal double
+        rng = np.random.default_rng(5)
+        cls = LinearParams(w=rng.uniform(-0.5, 0.5, (K, 3)), b=np.array([0.0, -700.0, -900.0]))
+        x = rng.uniform(-1.0, 1.0, (B, K))
+        return cls, x, np.arange(B) % 3
+
+    def test_workspace_gives_the_same_bytes(self):
+        cls, x, labels = self.large_logit_case()
+        fresh = losses.softmax_ce_grads(cls, x, labels)
+        out = np.full((B, 3), np.nan), np.full((3, K), np.nan), np.full(3, np.nan)
+        loss, dw, db, dx = losses.softmax_ce_grads(cls, x, labels, out=out)
+        assert loss == fresh[0]
+        for got, want in zip((dw, db, dx), fresh[1:]):
+            assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(dw, out[1]) and db is out[2]
+
+    def test_without_param_grads_loss_and_input_grad_are_unchanged(self):
+        cls, x, labels = self.large_logit_case()
+        full = losses.softmax_ce_grads(cls, x, labels)
+        loss, dw, db, dx = losses.softmax_ce_grads(cls, x, labels, param_grads=False)
+        assert dw is None and db is None
+        assert loss == full[0] and dx.tobytes() == full[3].tobytes()
+
+    def test_matches_the_unmasked_formula(self):
+        cls, x, labels = self.large_logit_case()
+        loss, dw, db, dx = losses.softmax_ce_grads(cls, x, labels)
+        logits = x @ cls.w + cls.b
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        assert np.mean(shifted < losses._EXP_FLOOR) >= 1 / 3
+        exp = np.exp(shifted)
+        norm = exp.sum(axis=1, keepdims=True)
+        d_logits = exp / norm
+        d_logits[np.arange(B), labels] -= 1.0
+        d_logits /= B
+        d_logits[np.abs(d_logits) < np.finfo(np.float64).tiny] = 0.0
+        assert loss == float(-(shifted - np.log(norm))[np.arange(B), labels].mean())
+        assert dw.tobytes() == (x.T @ d_logits).tobytes()
+        assert db.tobytes() == d_logits.sum(axis=0).tobytes()
+        assert dx.tobytes() == (d_logits @ cls.w.T).tobytes()
+
 
 class TestCentroids:
     def test_single_row(self):

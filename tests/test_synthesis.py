@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from gzslgen import losses, synthesis
 from gzslgen.data import SyntheticSpec, make_synthetic_dataset
 from gzslgen.errors import ValidationError
-from gzslgen.networks import init_params
+from gzslgen.networks import gen_sv_forward, init_params
 from gzslgen.synthesis import (
     GzslClassifier,
     SynthesisRequest,
     fit_gzsl_classifier,
+    fit_softmax,
     predict,
     synthesize_features,
 )
@@ -55,6 +57,81 @@ class TestSynthesize:
             synthesize_features(
                 model, bundle, SynthesisRequest(classes=(0,), n_per_class=0, seed=0))
 
+    @staticmethod
+    def per_class_reference(model, bundle, request):
+        """One noise draw and one generator forward per class, in request order."""
+        rng = np.random.default_rng(request.seed)
+        blocks, labels = [], []
+        for c in request.classes:
+            attrs = np.tile(bundle.attributes[c], (request.n_per_class, 1))
+            noise = rng.standard_normal((request.n_per_class, bundle.attribute_dim))
+            blocks.append(gen_sv_forward(model, attrs, noise))
+            labels.append(np.full(request.n_per_class, c, dtype=np.int64))
+        return np.vstack(blocks), np.concatenate(labels)
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_matches_per_class_forwards_bytewise(self, model, bundle, n):
+        request = SynthesisRequest(classes=(4, 0, 2, 1), n_per_class=n, seed=5)
+        feats, labels = synthesize_features(model, bundle, request)
+        ref_feats, ref_labels = self.per_class_reference(model, bundle, request)
+        assert feats.tobytes() == ref_feats.tobytes()
+        assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+
+    def test_one_row_per_class_matches_to_rounding(self, model, bundle):
+        # a one-row forward per class goes down numpy's gemv path, which
+        # rounds differently from the GEMM over the stacked rows
+        request = SynthesisRequest(classes=bundle.all_classes, n_per_class=1, seed=6)
+        feats, labels = synthesize_features(model, bundle, request)
+        ref_feats, ref_labels = self.per_class_reference(model, bundle, request)
+        np.testing.assert_allclose(feats, ref_feats, rtol=1e-12, atol=1e-14)
+        assert np.array_equal(labels, ref_labels)
+
+    def test_chunking_keeps_the_bytes(self, model, bundle, monkeypatch):
+        request = SynthesisRequest(classes=(0, 3, 1), n_per_class=7, seed=8)
+        whole, _ = synthesize_features(model, bundle, request)
+        chunk_rows = []
+
+        def recording_forward(model, attributes, noise):
+            chunk_rows.append(len(attributes))
+            return gen_sv_forward(model, attributes, noise)
+
+        monkeypatch.setattr(synthesis, "_SYNTH_ROWS", 4)
+        monkeypatch.setattr(synthesis, "gen_sv_forward", recording_forward)
+        chunked, _ = synthesize_features(model, bundle, request)
+        assert chunked.tobytes() == whole.tobytes()
+        assert sum(chunk_rows) == 21 and len(chunk_rows) == 6
+        assert 2 <= min(chunk_rows) and max(chunk_rows) - min(chunk_rows) <= 1
+        assert max(chunk_rows) <= 4
+
+
+def reference_fit(x, labels, class_ids, max_steps, grad_tol, log=None):
+    """The softmax fit as written before its step workspace: out-of-place
+    arrays, ``np.exp`` of every shifted logit, and ``x.T @ d_logits``.
+    ``log``, if given, collects every step's shifted logits and gradient norm."""
+    ids = np.asarray(class_ids)
+    cols = np.searchsorted(ids, labels)
+    rows = np.arange(x.shape[0])
+    w, b = np.zeros((x.shape[1], ids.size)), np.zeros(ids.size)
+    tiny = np.finfo(np.float64).tiny
+    for _ in range(max_steps):
+        logits = x @ w + b
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        norm = exp.sum(axis=1, keepdims=True)
+        d_logits = exp / norm
+        d_logits[rows, cols] -= 1.0
+        d_logits /= x.shape[0]
+        d_logits[np.abs(d_logits) < tiny] = 0.0
+        dw, db = x.T @ d_logits, d_logits.sum(axis=0)
+        gnorm = np.sqrt(np.sum(dw * dw) + np.sum(db * db))
+        if log is not None:
+            log.append((shifted, gnorm))
+        if gnorm < grad_tol:
+            break
+        w -= dw
+        b -= db
+    return w, b
+
 
 class TestFitClassifier:
     def separated_data(self):
@@ -83,6 +160,56 @@ class TestFitClassifier:
         clf_b = fit_gzsl_classifier(feats[perm], labels[perm], [0, 1])
         np.testing.assert_allclose(clf_a.params.w, clf_b.params.w, atol=1e-8)
         np.testing.assert_allclose(clf_a.params.b, clf_b.params.b, atol=1e-8)
+
+    def test_matches_reference_fit_bytewise(self):
+        feats, labels = self.separated_data()
+        got = fit_softmax(feats, labels, [0, 1], 1000, 1e-5)
+        w, b = reference_fit(feats, labels, [0, 1], 1000, 1e-5)
+        assert got.w.flags.c_contiguous
+        assert got.w.tobytes() == w.tobytes() and got.b.tobytes() == b.tobytes()
+
+    @staticmethod
+    def large_norm_data():
+        # rows of norm ~1000, like real paper-shape features, make the unit
+        # step overshoot, so most shifted logits underflow in np.exp; ten
+        # rows repeated under another label keep the fit from separating the
+        # classes, so it runs to the step cap
+        rng = np.random.default_rng(9)
+        n_classes, k = 10, 256
+        centers = rng.standard_normal((n_classes, k)) * (1000 / np.sqrt(k))
+        labels = np.repeat(np.arange(n_classes), 12)
+        feats = centers[labels] + 20.0 * rng.standard_normal((labels.size, k))
+        feats = np.vstack([feats, feats[:10]])
+        labels = np.concatenate([labels, (labels[:10] + 1) % n_classes])
+        assert 800 < np.median(np.linalg.norm(feats, axis=1)) < 1200
+        return feats, labels, range(n_classes)
+
+    def test_matches_reference_fit_bytewise_at_large_norms(self):
+        feats, labels, ids = self.large_norm_data()
+        got = fit_softmax(feats, labels, ids, 300, 1e-5)
+        log = []
+        w, b = reference_fit(feats, labels, ids, 300, 1e-5, log=log)
+        assert len(log) == 300
+        assert np.mean(np.stack([s for s, _ in log]) < losses._EXP_FLOOR) >= 0.5
+        assert got.w.tobytes() == w.tobytes() and got.b.tobytes() == b.tobytes()
+
+    def test_stops_at_the_reference_step_when_the_norm_meets_the_tolerance(self):
+        # overlapping classes at unit scale: the gradient norm falls at
+        # every step, so each step's norm is a tolerance the fit first meets
+        # there. Equal to the norm, the fit takes that step; one ulp above
+        # it, the fit stops. A norm rounded one ulp off flips one of the two.
+        rng = np.random.default_rng(10)
+        labels = np.repeat(np.arange(4), 50)
+        feats = 0.5 * rng.standard_normal((4, 16))[labels] + rng.standard_normal((200, 16))
+        log = []
+        reference_fit(feats, labels, range(4), 200, 0.0, log=log)
+        norms = [g for _, g in log]
+        assert all(later < earlier for earlier, later in zip(norms, norms[1:]))
+        for j in range(0, 200, 10):
+            for tol in (norms[j], np.nextafter(norms[j], np.inf)):
+                got = fit_softmax(feats, labels, range(4), j + 2, tol)
+                w, b = reference_fit(feats, labels, range(4), j + 2, tol)
+                assert got.w.tobytes() == w.tobytes() and got.b.tobytes() == b.tobytes()
 
     def test_missing_class_rejected(self):
         feats, labels = self.separated_data()
