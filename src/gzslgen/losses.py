@@ -118,10 +118,13 @@ def softmax_ce_grads(
     for a caller that takes many steps at one shape: the step then allocates
     neither its logits nor its parameter gradients, and the returned ``dw``
     is the view ``dw_t.T`` and ``db`` is ``out[2]``, both overwritten by the
-    next call. The weight
-    gradient is formed as ``d_logits.T @ x`` into a ``[C, K]`` buffer, which
-    OpenBLAS computes in about two thirds of the time of ``x.T @ d_logits`` at
-    paper shape, with the same bits at every shape the tests cover.
+    next call. Without it the step allocates the same three arrays and takes
+    the same path. The weight gradient is formed as ``d_logits.T @ x`` into
+    the ``[C, K]`` buffer, which OpenBLAS computes in about two thirds of the
+    time of ``x.T @ d_logits`` at paper shape. On the OpenBLAS build the
+    tests were checked on (scipy-openblas 0.3.31, bundled with numpy's
+    wheels) the two products have the same bits at every shape the tests
+    cover; another BLAS build may round them differently.
 
     Entries of the logit gradient below the smallest normal double are set
     to 0.0 before the GEMMs: an off-class probability of ~1e-310 would
@@ -145,14 +148,8 @@ def softmax_ce_grads(
         )
     b = x.shape[0]
     rows = np.arange(b)
-    if out is None:
-        d_logits = classifier_logits(cls, x)
-        dw_t = np.empty((n_classes, x.shape[1])) if param_grads else None
-        db = np.empty(n_classes) if param_grads else None
-    else:
-        d_logits, dw_t, db = out
-        np.matmul(x, cls.w, out=d_logits)
-        d_logits += cls.b
+    logits, dw_t, db = (None, None, None) if out is None else out
+    d_logits = classifier_logits(cls, x, out=logits)
     # stable log-sum-exp route for the true-class log probability, in place:
     # the buffer holds the logits, then their shifted values, then exp, then
     # probabilities, then the logit gradient
@@ -170,8 +167,8 @@ def softmax_ce_grads(
     dx = d_logits @ cls.w.T if input_grad else None
     if not param_grads:
         return loss, None, None, dx
-    np.matmul(d_logits.T, x, out=dw_t)
-    np.sum(d_logits, axis=0, out=db)
+    dw_t = np.matmul(d_logits.T, x, out=dw_t)
+    db = np.sum(d_logits, axis=0, out=db)
     return loss, dw_t.T, db, dx
 
 

@@ -329,12 +329,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def classifier_logits(cls: LinearParams, visual: np.ndarray) -> np.ndarray:
+def classifier_logits(
+    cls: LinearParams, visual: np.ndarray, *, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``visual @ w + b``, written into ``out`` ([B, C]) when one is given."""
     if visual.ndim != 2 or visual.shape[1] != cls.w.shape[0]:
         raise ContractViolation(
             f"expected visual [B, {cls.w.shape[0]}], got {visual.shape}"
         )
-    return visual @ cls.w + cls.b
+    logits = np.matmul(visual, cls.w, out=out)
+    logits += cls.b
+    return logits
 
 
 def classifier_forward(cls: LinearParams, visual: np.ndarray) -> np.ndarray:

@@ -135,6 +135,9 @@ class TestClassificationLoss:
         assert loss == full[0] and dx.tobytes() == full[3].tobytes()
 
     def test_matches_the_unmasked_formula(self):
+        # dw against x.T @ d_logits: equal bytes on the OpenBLAS build this was
+        # checked on (scipy-openblas 0.3.31, bundled with numpy's wheels), not
+        # necessarily under another BLAS
         cls, x, labels = self.large_logit_case()
         loss, dw, db, dx = losses.softmax_ce_grads(cls, x, labels)
         logits = x @ cls.w + cls.b

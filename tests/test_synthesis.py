@@ -57,6 +57,10 @@ class TestSynthesize:
             synthesize_features(
                 model, bundle, SynthesisRequest(classes=(0,), n_per_class=0, seed=0))
 
+    # The byte-equality tests below hold for the OpenBLAS build they were checked
+    # on (scipy-openblas 0.3.31, bundled with numpy's wheels): stacked-row and
+    # per-class GEMMs round alike there. Another BLAS build, or another kernel
+    # choice for small matrices, may round them differently.
     @staticmethod
     def per_class_reference(model, bundle, request):
         """One noise draw and one generator forward per class, in request order."""
@@ -107,7 +111,11 @@ class TestSynthesize:
 def reference_fit(x, labels, class_ids, max_steps, grad_tol, log=None):
     """The softmax fit as written before its step workspace: out-of-place
     arrays, ``np.exp`` of every shifted logit, and ``x.T @ d_logits``.
-    ``log``, if given, collects every step's shifted logits and gradient norm."""
+    ``log``, if given, collects every step's shifted logits and gradient norm.
+
+    ``fit_softmax`` forms ``d_logits.T @ x`` instead; its byte equality with
+    this reference holds for the OpenBLAS build the tests were checked on
+    (scipy-openblas 0.3.31, bundled with numpy's wheels), not for every BLAS."""
     ids = np.asarray(class_ids)
     cols = np.searchsorted(ids, labels)
     rows = np.arange(x.shape[0])
