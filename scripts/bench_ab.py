@@ -21,6 +21,11 @@ change won (ties count for neither), followed by the verdict:
 A last line gives each side's failed/attempted operation count. Only the
 standard library is used; the two checkouts need not be the one holding
 this script.
+
+Run it alone on a small host, not beside the tests, another
+``bench/run.py`` or ``scripts/param_digest.py``: nothing caps the BLAS
+thread count, and overlapping runs slow each other far more than twofold,
+so timings taken while another run overlaps cannot be compared.
 """
 
 from __future__ import annotations

@@ -43,6 +43,11 @@ script. The oracle is the one of tests/test_acceptance.py (criteria 6 and 7):
 learning rate 1e-4, beta2 0.999. The digest covers the bytes of every array
 of ``ModelParams.all_arrays()`` in order, so two commits that print the same
 digest trained bit-identical parameters.
+
+Run it alone on a small host, not beside the tests, ``bench/run.py`` or
+``scripts/bench_ab.py``: nothing caps the BLAS thread count, and
+overlapping runs slow each other far more than twofold, so the timings of
+whatever it overlaps cannot be compared.
 """
 
 from __future__ import annotations

@@ -109,7 +109,7 @@ def cmd_ablate(args) -> int:
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
     for v in variants:
         if v not in VARIANTS:
-            raise ValidationError(f"unknown variant {v!r}; pick from {VARIANTS}")
+            raise ValidationError(f"unknown variant {v!r}; pick from {tuple(VARIANTS)}")
     bundle = cfg.resolve_bundle()
     os.makedirs(cfg.out, exist_ok=True)
     write_effective_config(cfg, os.path.join(cfg.out, "config_effective.json"))

@@ -243,6 +243,9 @@ def load_dataset(root: str, normalize: bool = False) -> DatasetBundle:
     """
     path = os.path.join(root, "meta.json")
     meta = DatasetMeta(**read_fields(path, load_json(path), fields(DatasetMeta)))
+    for name in ("feature_dim", "attribute_dim"):
+        if getattr(meta, name) < 1:
+            raise ValidationError(f"{path}: {name} must be >= 1, got {getattr(meta, name)}")
     k = meta.feature_dim
     shapes = {
         "train_X": (meta.n_train, k),

@@ -2,18 +2,20 @@
 
 The ``*_and_grads`` variants return analytic parameter gradients for the
 training loop; the value-only functions are thin wrappers over them. Each
-job has one body: both critics build their inputs and call one WGAN-GP
-objective, whose gradient penalty adds its two nonzero blocks straight into
-the step's gradient; both generators share one cached forward of the cycle
+job has one body: one interpolation gives every penalized row; both critics
+call one WGAN-GP objective, whose gradient penalty adds its two nonzero
+blocks straight into the step's gradient; one critic pull gives all three
+adversarial terms of the generators, reusing its forward's hidden
+preactivation; both generators share one cached forward of the cycle
 x' -> a' -> x''; the semantic and visual centroid terms share one
-centroid-matching gradient. Every backward asks only for the gradients its
-caller reads: the critic objective takes no input gradients; a generator
-step takes no parameter gradients of the other generator and no input
-gradient where the chain starts; the critic pulls reuse their forward's
-hidden preactivation; the classification value and the softmax fit take no
-input gradient, and the classification value and the generator's
-classification term take no classifier gradient. The test suite pins the
-values against independent term-by-term recomputation from the public term
+centroid-matching gradient. A generator's terms start at 0.0, and a term
+of weight 0, or the pair term at ``pair_mode=None``, is skipped. Every
+backward asks only for the gradients its caller reads: the critic objective
+takes no input gradients; a generator step takes no parameter gradients of
+the other generator and no input gradient where the chain starts; the
+classification value and the softmax fit take no input gradient, and the
+classification value and the generator's classification term take no
+classifier gradient. The test suite pins the values against independent term-by-term recomputation from the public term
 operations, and pins every gradient against central finite differences.
 
 Each ``*_and_grads`` takes a keyword-only ``work``: a 1-D float64 buffer at
@@ -237,14 +239,20 @@ def _batch_centroid_targets(batch: FeatureBatch) -> dict[int, np.ndarray]:
 # gradient penalty
 
 
-def _mix_coefficients(mix, n: int) -> np.ndarray:
+def _interpolate(real: np.ndarray, fake: np.ndarray, mix) -> np.ndarray:
+    """Rows ``alpha*real + (1-alpha)*fake``; ``mix`` is an interpolation seed, a
+    Generator, or an explicit [B] coefficient vector ``alpha``."""
+    if real.shape != fake.shape:
+        raise ContractViolation(f"real {real.shape} and fake {fake.shape} must match")
+    n = real.shape[0]
     if isinstance(mix, np.ndarray):
         if mix.shape != (n,):
             raise ContractViolation(f"mix coefficients must have shape ({n},)")
-        return mix
-    if isinstance(mix, np.random.Generator):
-        return mix.uniform(0.0, 1.0, size=n)
-    return np.random.default_rng(int(mix)).uniform(0.0, 1.0, size=n)
+        alpha = mix[:, None]
+    else:
+        rng = mix if isinstance(mix, np.random.Generator) else np.random.default_rng(int(mix))
+        alpha = rng.uniform(0.0, 1.0, size=(n, 1))
+    return alpha * real + (1.0 - alpha) * fake
 
 
 def gradient_penalty(
@@ -256,15 +264,9 @@ def gradient_penalty(
     """Two-sided penalty pushing the critic's input-gradient norm to 1.
 
     ``critic_input_grad`` maps a batch of inputs to the per-row gradient of
-    the critic score w.r.t. those inputs. ``mix`` is an interpolation seed,
-    a Generator, or an explicit [B] coefficient vector; interpolants are
-    alpha*real + (1-alpha)*fake.
+    the critic score w.r.t. those inputs; see ``_interpolate`` for ``mix``.
     """
-    if real.shape != fake.shape:
-        raise ContractViolation(f"real {real.shape} and fake {fake.shape} must match")
-    alpha = _mix_coefficients(mix, real.shape[0])[:, None]
-    mixed = alpha * real + (1.0 - alpha) * fake
-    grads = critic_input_grad(mixed)
+    grads = critic_input_grad(_interpolate(real, fake, mix))
     norms = np.linalg.norm(grads, axis=1)
     return float(np.mean((norms - 1.0) ** 2))
 
@@ -349,12 +351,7 @@ def disc_v_loss_and_grads(
     *,
     work: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float], MLPParams]:
-    if synth_visual.shape != batch.visual.shape:
-        raise ContractViolation(
-            f"synthetic visual {synth_visual.shape} must match batch {batch.visual.shape}"
-        )
-    alpha = _mix_coefficients(mix, len(batch))[:, None]
-    mixed = alpha * batch.visual + (1.0 - alpha) * synth_visual
+    mixed = _interpolate(batch.visual, synth_visual, mix)
     return _critic_loss_and_grads(
         model.d_v,
         real_in=np.hstack([batch.visual, batch.attributes]),
@@ -387,21 +384,23 @@ def disc_s_loss_and_grads(
     *,
     work: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float], MLPParams]:
-    if recon_attrs.shape != batch.attributes.shape:
-        raise ContractViolation(
-            f"reconstructed attributes {recon_attrs.shape} must match "
-            f"batch {batch.attributes.shape}"
-        )
-    beta = _mix_coefficients(mix, len(batch))[:, None]
-    mixed = beta * batch.attributes + (1.0 - beta) * recon_attrs
     return _critic_loss_and_grads(
-        model.d_s, real_in=batch.attributes, fake_in=recon_attrs, mixed_in=mixed,
-        n_grad=mixed.shape[1], lam=weights.lambda4, work=work,
+        model.d_s, real_in=batch.attributes, fake_in=recon_attrs,
+        mixed_in=_interpolate(batch.attributes, recon_attrs, mix),
+        n_grad=recon_attrs.shape[1], lam=weights.lambda4, work=work,
     )
 
 
 # ---------------------------------------------------------------------------
 # generator objectives
+
+
+def _critic_pull(critic: MLPParams, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """A generator's adversarial term ``-mean(critic(u))`` and its gradient
+    w.r.t. ``u``, which reuses the forward's hidden preactivation."""
+    cache = mlp_forward_cached(critic, u)
+    grad = critic_input_grads(critic, u, cache.h_pre)
+    return -float(cache.out[:, 0].mean()), (-1.0 / u.shape[0]) * grad
 
 
 def _generator_chain(
@@ -422,12 +421,9 @@ def gen_sv_loss(
     weights: LossWeights,
     noise2: np.ndarray,
     label_cols: np.ndarray | None = None,
-    pair_mode: str = "real",
-    include_pair_term: bool = True,
+    pair_mode: str | None = "real",
 ) -> float:
-    value, _, _ = gen_sv_loss_and_grads(
-        model, batch, weights, noise2, label_cols, pair_mode, include_pair_term
-    )
+    value, _, _ = gen_sv_loss_and_grads(model, batch, weights, noise2, label_cols, pair_mode)
     return value
 
 
@@ -437,8 +433,7 @@ def gen_sv_loss_and_grads(
     weights: LossWeights,
     noise2: np.ndarray,
     label_cols: np.ndarray | None = None,
-    pair_mode: str = "real",
-    include_pair_term: bool = True,
+    pair_mode: str | None = "real",
     *,
     work: np.ndarray | None = None,
 ) -> tuple[float, dict[str, float], MLPParams]:
@@ -448,13 +443,11 @@ def gen_sv_loss_and_grads(
     through both applications of the visual generator. ``pair_mode``
     selects what the critic pairs with the reconstructed attributes in the
     second adversarial term: the batch's real features ("real", the default
-    literal reading) or the cycled features ("cycle").
-    ``include_pair_term=False`` drops that term entirely (single-pair
-    baseline, which has no attribute reconstruction to pair).
+    literal reading) or the cycled features ("cycle"); ``None`` drops that
+    term (the single-GAN baseline has no reconstruction to pair).
     """
-    if pair_mode not in PAIR_MODES:
+    if pair_mode is not None and pair_mode not in PAIR_MODES:
         raise ContractViolation(f"unknown pair_mode {pair_mode!r}")
-    b = len(batch)
     k = batch.visual.shape[1]
     cache1, cache2, cache3 = _generator_chain(model, batch, noise2)
     x_synth, a_recon, x_cycle = cache1.out, cache2.out, cache3.out
@@ -463,26 +456,19 @@ def gen_sv_loss_and_grads(
     d_synth = np.zeros_like(x_synth)
     d_recon = np.zeros_like(a_recon)
     d_cycle = np.zeros_like(x_cycle)
-    terms: dict[str, float] = {}
+    terms = dict.fromkeys(("w_synth", "w_pair", "cls", "vc"), 0.0)
 
     # adversarial pull on the synthesized pair
-    fake_in = np.hstack([x_synth, batch.attributes])
-    fake_cache = mlp_forward_cached(model.d_v, fake_in)
-    terms["w_synth"] = -float(fake_cache.out[:, 0].mean())
-    d_synth += (-1.0 / b) * critic_input_grads(model.d_v, fake_in, fake_cache.h_pre)[:, :k]
+    terms["w_synth"], pull = _critic_pull(model.d_v, np.hstack([x_synth, batch.attributes]))
+    d_synth += pull[:, :k]
 
     # adversarial pull on the reconstructed-attribute pair
-    if include_pair_term:
+    if pair_mode is not None:
         paired = batch.visual if pair_mode == "real" else x_cycle
-        pair_in = np.hstack([paired, a_recon])
-        pair_cache = mlp_forward_cached(model.d_v, pair_in)
-        terms["w_pair"] = -float(pair_cache.out[:, 0].mean())
-        pair_grads = (-1.0 / b) * critic_input_grads(model.d_v, pair_in, pair_cache.h_pre)
-        d_recon += pair_grads[:, k:]
+        terms["w_pair"], pull = _critic_pull(model.d_v, np.hstack([paired, a_recon]))
+        d_recon += pull[:, k:]
         if pair_mode == "cycle":
-            d_cycle += pair_grads[:, :k]
-    else:
-        terms["w_pair"] = 0.0
+            d_cycle += pull[:, :k]
 
     # inter-class discrimination under the frozen classifier
     if weights.lambda2 > 0:
@@ -490,8 +476,6 @@ def gen_sv_loss_and_grads(
             model.cls_seen, x_synth, cols, param_grads=False)
         terms["cls"] = weights.lambda2 * cls_value
         d_synth += weights.lambda2 * d_x_cls
-    else:
-        terms["cls"] = 0.0
 
     # visual consistency between cycled and real centroids
     if weights.lambda3 > 0:
@@ -500,8 +484,6 @@ def gen_sv_loss_and_grads(
         )
         terms["vc"] = weights.lambda3 * vc_value
         d_cycle += weights.lambda3 * d_vc
-    else:
-        terms["vc"] = 0.0
 
     # backprop: second generator application, semantic generator, first application
     grads, d_u3 = mlp_backward(model.g_sv, cache3, d_cycle, out=model.g_sv.grads_in(work))
@@ -538,23 +520,19 @@ def gen_vs_loss_and_grads(
     (fixed) visual generator; gradient reaches the semantic generator both
     directly and through the cycle features in the consistency term.
     """
-    b = len(batch)
     _, cache2, cache3 = _generator_chain(model, batch, noise2)
     a_recon, x_cycle = cache2.out, cache3.out
 
     d_recon = np.zeros_like(a_recon)
-    terms: dict[str, float] = {}
+    terms = dict.fromkeys(("w_recon", "sc", "vc"), 0.0)
 
-    critic_cache = mlp_forward_cached(model.d_s, a_recon)
-    terms["w_recon"] = -float(critic_cache.out[:, 0].mean())
-    d_recon += (-1.0 / b) * critic_input_grads(model.d_s, a_recon, critic_cache.h_pre)
+    terms["w_recon"], pull = _critic_pull(model.d_s, a_recon)
+    d_recon += pull
 
     if weights.lambda5 > 0:
         sc_value, d_sc = semantic_centroid_grads(a_recon, batch.labels, _attr_targets(batch))
         terms["sc"] = weights.lambda5 * sc_value
         d_recon += weights.lambda5 * d_sc
-    else:
-        terms["sc"] = 0.0
 
     if weights.lambda6 > 0:
         vc_value, d_vc = _centroid_match_grads(
@@ -563,8 +541,6 @@ def gen_vs_loss_and_grads(
         terms["vc"] = weights.lambda6 * vc_value
         _, d_u3 = mlp_backward(model.g_sv, cache3, weights.lambda6 * d_vc, param_grads=False)
         d_recon += d_u3[:, : a_recon.shape[1]]
-    else:
-        terms["vc"] = 0.0
 
     grads, _ = mlp_backward(
         model.g_vs, cache2, d_recon, input_grad=False, out=model.g_vs.grads_in(work)

@@ -27,7 +27,8 @@ preactivation ``h_pre`` of a forward pass that has already run.
 
 ``mlp_backward(..., out=grads)`` writes the parameter gradients into a
 caller's buffer, and ``add=True`` adds them into it through ``add_matmul``, a
-block of rows at a time, so no parameter-sized temporary is made.
+block of ``row_blocks`` rows at a time, so no parameter-sized temporary is
+made; ``synthesis`` splits its generator forwards by the same rule.
 """
 
 from __future__ import annotations
@@ -212,23 +213,33 @@ def mlp_forward_cached(params: MLPParams, u: np.ndarray) -> MLPCache:
 _ADD_BLOCK = 1 << 19
 
 
+def row_blocks(n: int, most: int) -> list[tuple[int, int]]:
+    """Rows ``0:n`` as the fewest equal ``(lo, hi)`` blocks (sizes differ by at
+    most one) of at most ``most`` rows; ``n = 0`` gives one empty block.
+
+    With ``most >= 3`` every block holds two rows or more when ``n`` does,
+    which keeps each product off numpy's one-row vector (gemv) path: gemv
+    rounds differently from the GEMM that computes the same row among
+    others. With OpenBLAS a product taken a block at a time then has the bits
+    of the whole one at the shapes ``scripts/param_digest.py`` covers; the
+    row split of a GEMM is not guaranteed to keep every bit at every shape.
+    """
+    count = max(1, -(-n // most))
+    edges = [n * i // count for i in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def add_matmul(dst: np.ndarray, a: np.ndarray, b: np.ndarray, scale: float | None = None) -> None:
     """``dst += a @ b`` (the product times ``scale`` first, if given), in place.
 
-    The product is formed a block of rows at a time in one scratch of at
-    most ``_ADD_BLOCK`` doubles, so no temporary the size of ``dst`` is made.
-    The rows are split into equal blocks (sizes differ by at most one) of at
-    least two rows: numpy sends a one-row product down its vector path,
-    which rounds differently. With OpenBLAS every entry is then bit-identical
-    to ``dst += (a @ b) * scale`` at the shapes ``scripts/param_digest.py``
-    covers; the row split of a GEMM is not guaranteed to keep every bit at
-    every shape.
+    The product is formed a block of ``row_blocks`` rows at a time in one
+    scratch of at most ``_ADD_BLOCK`` doubles, so no temporary the size of
+    ``dst`` is made, and every entry equals ``dst += (a @ b) * scale``.
     """
     n_rows, n_cols = dst.shape
-    n_blocks = -(-n_rows // max(4, _ADD_BLOCK // n_cols))
-    edges = [n_rows * i // n_blocks for i in range(n_blocks + 1)]
-    scratch = np.empty((-(-n_rows // n_blocks), n_cols))
-    for lo, hi in zip(edges, edges[1:]):
+    blocks = row_blocks(n_rows, max(4, _ADD_BLOCK // n_cols))
+    scratch = np.empty((max(hi - lo for lo, hi in blocks), n_cols))
+    for lo, hi in blocks:
         block = scratch[: hi - lo]
         np.matmul(a[lo:hi], b, out=block)
         if scale is not None:

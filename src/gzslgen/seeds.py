@@ -1,8 +1,9 @@
 """Deterministic seed derivation.
 
-All randomness in a run flows from one root seed, split into named
-sub-streams (init / shuffle / noise / classifier / synthesis) so that
-changing one consumer never perturbs the others.
+All randomness of training flows from one root seed, split into named
+sub-streams (``init``, ``shuffle-<epoch>`` and ``noise``) so that changing
+one consumer never perturbs the others. Both softmax fits start from zero
+and draw nothing; synthesis is seeded by ``eval.seed`` directly.
 """
 
 import zlib

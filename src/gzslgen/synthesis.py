@@ -9,16 +9,15 @@ seen-class classifier.
 
 ``synthesize_features`` draws the noise of every requested row at once (the
 same stream as one draw per class, in class order) and runs the generator
-over the stacked rows in equal chunks of at most ``_SYNTH_ROWS`` rows, so a
-large request keeps its hidden layers small. On the OpenBLAS build this was
-checked on (scipy-openblas 0.3.31, bundled with numpy's wheels) the bytes
-match one forward per class; another BLAS build may round stacked and
-per-class products differently. The tests check this at small shape, the
-``synth`` line of ``scripts/param_digest.py`` at paper shape. There is one
-exception: at one row per class each such forward was a one-row product,
-which numpy sends down its vector (gemv) path, and gemv rounds differently
-from the GEMM that now computes those rows. Chunks therefore hold at least
-two rows whenever the request has two.
+over the stacked rows in ``networks.row_blocks`` chunks of at most
+``_SYNTH_ROWS`` rows, so a large request keeps its hidden layers small. On
+the OpenBLAS build this was checked on (scipy-openblas 0.3.31, bundled with
+numpy's wheels) the bytes match one forward per class; another BLAS build
+may round stacked and per-class products differently. The tests check this
+at small shape, the ``synth`` line of ``scripts/param_digest.py`` at paper
+shape. There is one exception: at one row per class each such forward was a
+one-row product, which rounds differently from the GEMM that now computes
+those rows (see ``row_blocks``).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import numpy as np
 from .data import DatasetBundle
 from .errors import ValidationError
 from .losses import softmax_ce_grads
-from .networks import LinearParams, ModelParams, classifier_forward, gen_sv_forward
+from .networks import LinearParams, ModelParams, classifier_forward, gen_sv_forward, row_blocks
 
 
 @dataclass
@@ -77,11 +76,7 @@ def synthesize_features(
     noise = rng.standard_normal((m, bundle.attribute_dim))
     attrs = bundle.attributes[labels]
     features = np.empty((m, model.g_sv.shape.output_dim))
-    # equal chunks (sizes differ by at most one); as _SYNTH_ROWS >= 3, each
-    # holds at least two rows when the request does
-    n_chunks = max(1, -(-m // _SYNTH_ROWS))
-    edges = [m * i // n_chunks for i in range(n_chunks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
+    for lo, hi in row_blocks(m, _SYNTH_ROWS):
         features[lo:hi] = gen_sv_forward(model, attrs[lo:hi], noise[lo:hi])
     return features, labels
 

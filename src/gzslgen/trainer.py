@@ -2,10 +2,11 @@
 
 Per iteration: the visual critic takes n1 steps, the semantic critic n2
 steps, then each generator takes one step, all on the same mini-batch;
-every critic step draws fresh generator noise. The two critics run from
-one table of (kind, steps, fake-maker, loss) entries, and every step of
-all four kinds goes through one commit: finiteness check, Adam step on
-the network's flat buffer, parameter scan, log record and callback. Every
+every step draws fresh generator noise. One table of (kind, steps, step)
+entries holds that schedule, and the single-GAN baseline keeps only its
+visual critic and generator rows. Every step goes through one commit:
+finiteness check, Adam step on the network's flat buffer, parameter scan,
+log record and callback. Every
 step's parameter gradient lives in one buffer that ``train`` allocates once,
 sized to the largest network, so a step makes no parameter-sized array. The
 seen-class classifier is fit once up front with ``synthesis.fit_softmax``
@@ -37,7 +38,15 @@ from .networks import (
 from .seeds import child_rng, child_seed
 from .synthesis import fit_softmax
 
-VARIANTS = ("full", "no_SC", "no_VC", "dual_only", "baseline_single_gan")
+# each ablation variant and the loss weights it switches off; the single-GAN
+# baseline also drops the semantic critic and generator (see ``train``)
+VARIANTS = {
+    "full": (),
+    "no_SC": ("lambda5",),
+    "no_VC": ("lambda3", "lambda6"),
+    "dual_only": ("lambda3", "lambda5", "lambda6"),
+    "baseline_single_gan": ("lambda3", "lambda5", "lambda6"),
+}
 
 
 @dataclass
@@ -75,7 +84,8 @@ class TrainConfig:
             if not 0 <= getattr(self.optimizer, name) < 1:
                 raise ValidationError(f"train.{name} must lie in [0, 1)")
         if self.variant not in VARIANTS:
-            raise ValidationError(f"unknown variant {self.variant!r}; pick one of {VARIANTS}")
+            raise ValidationError(
+                f"unknown variant {self.variant!r}; pick one of {tuple(VARIANTS)}")
         if self.pair_mode not in losses.PAIR_MODES:
             raise ValidationError(f"unknown pair_mode {self.pair_mode!r}")
 
@@ -95,13 +105,7 @@ class TrainLog:
 
 def effective_weights(config: TrainConfig) -> LossWeights:
     """Apply the ablation variant's term masking to the configured weights."""
-    w = replace(config.weights)
-    if config.variant in ("no_SC", "dual_only", "baseline_single_gan"):
-        w.lambda5 = 0.0
-    if config.variant in ("no_VC", "dual_only", "baseline_single_gan"):
-        w.lambda3 = 0.0
-        w.lambda6 = 0.0
-    return w
+    return replace(config.weights, **dict.fromkeys(VARIANTS[config.variant], 0.0))
 
 
 # Adam streams each parameter through the cache in blocks of this many
@@ -227,7 +231,6 @@ def train(
     config.validate()
     k, l = bundle.feature_dim, bundle.attribute_dim
     weights = effective_weights(config)
-    baseline = config.variant == "baseline_single_gan"
     lookup, col_of = seen_class_columns(bundle)
 
     cls = pretrain_classifier(bundle, config)
@@ -268,41 +271,39 @@ def train(
         if step_callback is not None:
             step_callback(kind, iteration, params)
 
-    def synth_visual(batch: FeatureBatch) -> np.ndarray:
-        z = rng.standard_normal(batch.noise.shape)  # fresh noise per critic step
-        return mlp_forward(params.g_sv, np.hstack([batch.attributes, z]))
+    def noise(batch: FeatureBatch) -> np.ndarray:
+        return rng.standard_normal(batch.noise.shape)
 
-    # (kind, n_steps, fake-maker, loss): the fake-maker turns the batch into
-    # the critic's fake input
-    critics = [("d_v", config.n1, synth_visual, losses.disc_v_loss_and_grads)]
-    if not baseline:
-        critics.append((
-            "d_s", config.n2, lambda b: mlp_forward(params.g_vs, synth_visual(b)),
-            losses.disc_s_loss_and_grads,
-        ))
+    def synth_visual(batch: FeatureBatch) -> np.ndarray:
+        return mlp_forward(params.g_sv, np.hstack([batch.attributes, noise(batch)]))
+
+    baseline = config.variant == "baseline_single_gan"  # no semantic half to pair with
+    pair_mode = None if baseline else config.pair_mode
+    # (kind, steps per iteration, step): a step maps the batch to the
+    # (value, terms, grads) of its loss, drawing its noise, then the critic's
+    # interpolation coefficients, from rng
+    schedule = [
+        ("d_v", config.n1, lambda batch: losses.disc_v_loss_and_grads(
+            params, batch, synth_visual(batch), weights, rng, work=work)),
+        ("d_s", config.n2, lambda batch: losses.disc_s_loss_and_grads(
+            params, batch, mlp_forward(params.g_vs, synth_visual(batch)), weights, rng,
+            work=work)),
+        ("g_sv", 1, lambda batch: losses.gen_sv_loss_and_grads(
+            params, batch, weights, noise(batch), lookup[batch.labels], pair_mode, work=work)),
+        ("g_vs", 1, lambda batch: losses.gen_vs_loss_and_grads(
+            params, batch, weights, noise(batch), work=work)),
+    ]
+    if baseline:
+        schedule = [entry for entry in schedule if entry[0] in ("d_v", "g_sv")]
 
     iteration = 0
     for epoch in range(config.epochs):
         epoch_seed = child_seed(config.seed, f"shuffle-{epoch}")
         for batch in batch_iterator(bundle, config.batch_size, epoch_seed):
             iteration += 1
-            for kind, n_steps, make_fake, loss in critics:
+            for kind, n_steps, step in schedule:
                 for _ in range(n_steps):
-                    commit(kind, *loss(params, batch, make_fake(batch), weights, rng, work=work))
-
-            noise2 = rng.standard_normal(batch.noise.shape)
-            commit("g_sv", *losses.gen_sv_loss_and_grads(
-                params, batch, weights, noise2,
-                label_cols=lookup[batch.labels],
-                pair_mode=config.pair_mode,
-                include_pair_term=not baseline,
-                work=work,
-            ))
-            if not baseline:
-                noise2 = rng.standard_normal(batch.noise.shape)
-                commit("g_vs", *losses.gen_vs_loss_and_grads(
-                    params, batch, weights, noise2, work=work
-                ))
+                    commit(kind, *step(batch))
 
     assert np.array_equal(params.cls_seen.w, theta_snapshot[0])
     assert np.array_equal(params.cls_seen.b, theta_snapshot[1])

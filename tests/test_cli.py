@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gzslgen.cli import main
-from gzslgen.data import load_dataset
+from gzslgen.data import load_dataset, save_dataset
 from gzslgen.matio import dumps_json
 
 
@@ -243,6 +243,23 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert str(ckpt) in err and quantity in err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("field", ["feature_dim", "attribute_dim"])
+    def test_zero_width_dataset_exits_two_naming_the_field(self, tmp_path, capsys, field):
+        ds = tmp_path / "ds"
+        assert main(["synth-data", "--spec", str(write_spec(tmp_path)), "--out", str(ds)]) == 0
+        bundle = load_dataset(str(ds))
+        arrays = ("attributes",) if field == "attribute_dim" else (
+            "visual_train", "visual_test_seen", "visual_test_unseen")
+        for name in arrays:  # a self-consistent directory of zero-width rows
+            setattr(bundle, name, getattr(bundle, name)[:, :0])
+        save_dataset(bundle, str(ds))
+        assert json.loads((ds / "meta.json").read_text())[field] == 0
+        cfg = write_dataset_config(tmp_path / "cfg.json", tmp_path / "run", ds)
+        assert main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(ds / "meta.json") in err and field in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_config_follows_a_moved_dataset(self, tmp_path, capsys):
         ds = tmp_path / "ds"

@@ -275,6 +275,21 @@ class TestGradientPenalty:
         assert gradient_penalty(grad_fn, real, fake, mix=5) == gradient_penalty(
             grad_fn, real, fake, mix=5)
 
+    def test_mismatched_real_and_fake_rejected(self):
+        # one interpolation checks the shapes for the penalty and both critics
+        model = small_model()
+        batch = random_batch()
+        w = LossWeights()
+        grad_fn = lambda u: np.zeros_like(u)
+        calls = [
+            lambda: disc_v_loss(model, batch, batch.visual[:-1], w, 0),
+            lambda: disc_s_loss(model, batch, batch.attributes[:, :-1], w, 0),
+            lambda: gradient_penalty(grad_fn, batch.attributes, batch.attributes[:-1], 0),
+        ]
+        for call in calls:
+            with pytest.raises(ContractViolation, match="must match"):
+                call()
+
 
 class TestCriticObjectives:
     def test_identical_inputs_unit_critic_total_zero(self):
@@ -384,6 +399,20 @@ class TestGeneratorObjectives:
         assert total == pytest.approx(expected, abs=1e-10)
         assert total == pytest.approx(sum(terms.values()), abs=1e-12)
 
+    def test_gsv_without_pair_term(self):
+        model = small_model(seed=24)
+        batch = random_batch(seed=25)
+        w = LossWeights()
+        real_total, real_terms, _ = losses.gen_sv_loss_and_grads(model, batch, w, self.noise2)
+        total, terms, _ = losses.gen_sv_loss_and_grads(
+            model, batch, w, self.noise2, pair_mode=None)
+        assert terms["w_pair"] == 0.0
+        assert list(terms) == list(real_terms)
+        assert {k: v for k, v in terms.items() if k != "w_pair"} == {
+            k: v for k, v in real_terms.items() if k != "w_pair"}
+        assert total == pytest.approx(real_total - real_terms["w_pair"], abs=1e-12)
+        assert gen_sv_loss(model, batch, w, self.noise2, pair_mode=None) == total
+
     def test_gsv_cycle_pairing_oracle(self):
         model = small_model(seed=26)
         batch = random_batch(seed=27)
@@ -484,7 +513,7 @@ class TestLossGradients:
         errors = check_param_grads(fn, model.d_s, grads)
         assert max(errors.values()) < self.TOL, errors
 
-    @pytest.mark.parametrize("pair_mode", ["real", "cycle"])
+    @pytest.mark.parametrize("pair_mode", ["real", "cycle", None])
     def test_gen_sv_grads(self, pair_mode):
         model = small_model(seed=46)
         batch = random_batch(seed=47)

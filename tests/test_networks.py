@@ -173,6 +173,20 @@ class TestGradients:
         assert rel_error(g, numeric_grad(score_sum, u)) < self.TOL
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("most", [3, 4, 7, 512])
+    def test_equal_blocks_of_two_rows_or_more(self, most):
+        for n in (0, 1, 2, most, most + 1, 10 * most):
+            blocks = networks.row_blocks(n, most)
+            sizes = [hi - lo for lo, hi in blocks]
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+            assert len(blocks) == max(1, -(-n // most))  # the fewest that fit
+            if n >= 2:
+                assert min(sizes) >= 2, (n, sizes)
+
+
 class TestBufferedBackward:
     """Gradients written or added into a caller's buffer round exactly as
     fresh arrays and full-size temporaries do."""

@@ -85,6 +85,13 @@ class TestVariantMasking:
         assert w.lambda3 == w.lambda5 == w.lambda6 == 0.0
         assert w.lambda2 == 0.01
 
+    def test_baseline_zeroes_all_consistency_terms(self):
+        cfg = desk_config(variant="baseline_single_gan")
+        w = effective_weights(cfg)
+        assert w.lambda3 == w.lambda5 == w.lambda6 == 0.0
+        assert (w.lambda1, w.lambda2, w.lambda4) == (
+            cfg.weights.lambda1, cfg.weights.lambda2, cfg.weights.lambda4)
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValidationError):
             desk_config(variant="nonsense").validate()
