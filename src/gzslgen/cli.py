@@ -2,7 +2,7 @@
 
 Subcommands: train, evaluate, ablate, sweep, synth-data, export-viz.
 Exit codes: 0 success, 2 validation/format problems, 3 runtime failures
-(including training divergence).
+(including training divergence and running out of memory).
 """
 
 from __future__ import annotations
@@ -258,6 +258,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 
 

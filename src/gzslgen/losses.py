@@ -18,14 +18,13 @@ classification value and the generator's classification term take no
 classifier gradient. The test suite pins the values against independent term-by-term recomputation from the public term
 operations, and pins every gradient against central finite differences.
 
-Each ``*_and_grads`` takes a keyword-only ``work``: a 1-D float64 buffer at
-least as large as the updated network, which the trainer allocates once. The
-returned gradient is a view into it, and the step allocates no other
-parameter-sized array: the first backward writes into it, and the second
-backward and the penalty block add into it a block of rows at a time. With
-``work=None`` the gradient is a fresh array. The critic objective scores its
-fake, real and interpolated rows in one forward over the stacked rows, and
-the penalty reuses that forward's hidden preactivations.
+Each ``*_and_grads`` returns its gradient as ``networks.MLPGrads``: the
+weight gradients stay batch products, the second backward's terms follow the
+first's (``MLPGrads.add``), and the penalty appends its ``w1`` term and its
+``w2`` column, so a step forms no parameter-sized array; the optimizer forms
+the gradient a block of rows at a time as it updates. The critic objective
+scores its fake, real and interpolated rows in one forward over the stacked
+rows, and the penalty reuses that forward's hidden preactivations.
 
 Conventions:
   * expectations are uniform batch means;
@@ -47,10 +46,10 @@ from .errors import ContractViolation, ValidationError
 from .networks import (
     LinearParams,
     MLPCache,
+    MLPGrads,
     MLPParams,
     ModelParams,
     _leaky_deriv,
-    add_matmul,
     classifier_logits,
     critic_input_grads,
     mlp_backward,
@@ -272,9 +271,10 @@ def gradient_penalty(
 
 
 def _add_gp_grads(
-    critic: MLPParams, h_pre: np.ndarray, n_grad: int, lam: float, grads: MLPParams
+    critic: MLPParams, h_pre: np.ndarray, n_grad: int, lam: float, grads: MLPGrads
 ) -> float:
-    """Penalty value; adds ``lam`` times its critic-parameter gradient to ``grads``.
+    """Penalty value; adds ``lam`` times its critic-parameter gradient to ``grads``:
+    a term on the first ``n_grad`` rows of w1 and a column of w2.
 
     ``h_pre`` is the critic's hidden preactivation at the interpolated rows.
     The input gradient of a one-hidden-layer critic is piecewise constant
@@ -294,9 +294,9 @@ def _add_gp_grads(
     coef[nonzero] = 2.0 * (norms[nonzero] - 1.0) / (norms[nonzero] * b)
     v = coef[:, None] * g                                       # [B, n_grad]
 
-    add_matmul(grads.w1[:n_grad, :], v.T, s, lam)
+    grads.w1.append((v.T, s, lam))
     p = v @ critic.w1[:n_grad, :]                               # [B, H]
-    grads.w2[:, 0] += lam * (d * p).sum(axis=0)
+    grads.w2_col = lam * (d * p).sum(axis=0)
     return value
 
 
@@ -311,17 +311,15 @@ def _critic_loss_and_grads(
     mixed_in: np.ndarray,
     n_grad: int,
     lam: float,
-    work: np.ndarray | None,
-) -> tuple[float, dict[str, float], MLPParams]:
+) -> tuple[float, dict[str, float], MLPGrads]:
     """WGAN-GP critic objective: mean fake minus mean real score plus ``lam``
     times the penalty on the first ``n_grad`` input columns at ``mixed_in``."""
     b = real_in.shape[0]
     cache = mlp_forward_cached(critic, np.vstack([fake_in, real_in, mixed_in]))
     fake_cache, real_cache = cache.rows(0, b), cache.rows(b, 2 * b)
     ones = np.full((b, 1), 1.0 / b)
-    grads = critic.grads_in(work)
-    mlp_backward(critic, fake_cache, ones, input_grad=False, out=grads)
-    mlp_backward(critic, real_cache, -ones, input_grad=False, out=grads, add=True)
+    grads, _ = mlp_backward(critic, fake_cache, ones, input_grad=False)
+    grads.add(mlp_backward(critic, real_cache, -ones, input_grad=False)[0])
     gp = _add_gp_grads(critic, cache.h_pre[2 * b :], n_grad, lam, grads)
 
     w_fake = float(fake_cache.out.mean())
@@ -348,9 +346,7 @@ def disc_v_loss_and_grads(
     synth_visual: np.ndarray,
     weights: LossWeights,
     mix,
-    *,
-    work: np.ndarray | None = None,
-) -> tuple[float, dict[str, float], MLPParams]:
+) -> tuple[float, dict[str, float], MLPGrads]:
     mixed = _interpolate(batch.visual, synth_visual, mix)
     return _critic_loss_and_grads(
         model.d_v,
@@ -359,7 +355,6 @@ def disc_v_loss_and_grads(
         mixed_in=np.hstack([mixed, batch.attributes]),
         n_grad=batch.visual.shape[1],
         lam=weights.lambda1,
-        work=work,
     )
 
 
@@ -381,13 +376,11 @@ def disc_s_loss_and_grads(
     recon_attrs: np.ndarray,
     weights: LossWeights,
     mix,
-    *,
-    work: np.ndarray | None = None,
-) -> tuple[float, dict[str, float], MLPParams]:
+) -> tuple[float, dict[str, float], MLPGrads]:
     return _critic_loss_and_grads(
         model.d_s, real_in=batch.attributes, fake_in=recon_attrs,
         mixed_in=_interpolate(batch.attributes, recon_attrs, mix),
-        n_grad=recon_attrs.shape[1], lam=weights.lambda4, work=work,
+        n_grad=recon_attrs.shape[1], lam=weights.lambda4,
     )
 
 
@@ -434,9 +427,7 @@ def gen_sv_loss_and_grads(
     noise2: np.ndarray,
     label_cols: np.ndarray | None = None,
     pair_mode: str | None = "real",
-    *,
-    work: np.ndarray | None = None,
-) -> tuple[float, dict[str, float], MLPParams]:
+) -> tuple[float, dict[str, float], MLPGrads]:
     """Visual-generator objective and its gradient w.r.t. that generator.
 
     Internally runs the full chain x' -> a' -> x''; the gradient flows
@@ -486,11 +477,11 @@ def gen_sv_loss_and_grads(
         d_cycle += weights.lambda3 * d_vc
 
     # backprop: second generator application, semantic generator, first application
-    grads, d_u3 = mlp_backward(model.g_sv, cache3, d_cycle, out=model.g_sv.grads_in(work))
+    grads, d_u3 = mlp_backward(model.g_sv, cache3, d_cycle)
     d_recon += d_u3[:, : a_recon.shape[1]]
     _, d_x_from_recon = mlp_backward(model.g_vs, cache2, d_recon, param_grads=False)
     d_synth += d_x_from_recon
-    mlp_backward(model.g_sv, cache1, d_synth, input_grad=False, out=grads, add=True)
+    grads.add(mlp_backward(model.g_sv, cache1, d_synth, input_grad=False)[0])
 
     total = terms["w_synth"] + terms["w_pair"] + terms["cls"] + terms["vc"]
     return total, terms, grads
@@ -511,9 +502,7 @@ def gen_vs_loss_and_grads(
     batch: FeatureBatch,
     weights: LossWeights,
     noise2: np.ndarray,
-    *,
-    work: np.ndarray | None = None,
-) -> tuple[float, dict[str, float], MLPParams]:
+) -> tuple[float, dict[str, float], MLPGrads]:
     """Semantic-generator objective and its gradient w.r.t. that generator.
 
     The synthesized features feeding the reconstruction are produced by the
@@ -542,9 +531,7 @@ def gen_vs_loss_and_grads(
         _, d_u3 = mlp_backward(model.g_sv, cache3, weights.lambda6 * d_vc, param_grads=False)
         d_recon += d_u3[:, : a_recon.shape[1]]
 
-    grads, _ = mlp_backward(
-        model.g_vs, cache2, d_recon, input_grad=False, out=model.g_vs.grads_in(work)
-    )
+    grads, _ = mlp_backward(model.g_vs, cache2, d_recon, input_grad=False)
     total = terms["w_recon"] + terms["sc"] + terms["vc"]
     return total, terms, grads
 

@@ -15,9 +15,7 @@ Shapes (K = visual dim, L = attribute dim, H = hidden width):
 
 Flat layout: each MLPParams owns one contiguous 1-D float64 buffer ``flat``
 holding w1 | b1 | w2 | b2, each row-major, and ``w1/b1/w2/b2`` are views into
-it. Gradients use the same type and layout, so taking their norm and one
-fused optimizer update per network each make a single pass over one buffer,
-and ``mlp_backward`` writes straight into the views.
+it, so one fused optimizer update per network walks one buffer.
 
 Backward passes compute only what their caller reads: ``mlp_backward`` skips
 the parameter gradients (``param_grads=False``) of a network the step does
@@ -25,16 +23,19 @@ not update, or the input gradient (``input_grad=False``) of a network
 nothing lies upstream of, and ``critic_input_grads`` takes the hidden
 preactivation ``h_pre`` of a forward pass that has already run.
 
-``mlp_backward(..., out=grads)`` writes the parameter gradients into a
-caller's buffer, and ``add=True`` adds them into it through ``add_matmul``, a
-block of ``row_blocks`` rows at a time, so no parameter-sized temporary is
-made; ``synthesis`` splits its generator forwards by the same rule.
+Parameter gradients come back as ``MLPGrads``: the bias gradients as arrays
+and each weight gradient as its batch products ``input.T @ delta``, unformed.
+``MLPGrads.segments`` forms the weight gradients a block of ``row_blocks``
+rows at a time in one small scratch, so the optimizer consumes each block
+while it is in cache and no parameter-sized gradient is ever made;
+``MLPGrads.dense`` writes the same blocks into fresh parameters.
+``synthesis`` splits its generator forwards by the same row rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -85,19 +86,6 @@ class MLPParams:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def grads_in(self, work: np.ndarray | None = None) -> "MLPParams":
-        """Uninitialised parameters of this shape: a view of the leading
-        entries of the 1-D float64 buffer ``work`` if given, else fresh."""
-        n = self.flat.size
-        if work is None:
-            work = np.empty(n)
-        elif work.ndim != 1 or work.size < n:
-            raise ContractViolation(f"work buffer must be 1-D with >= {n} entries")
-        return MLPParams(work[:n], self.shape)
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.flat @ self.flat))
 
 
 def _flat_size(shape: NetworkShape) -> int:
@@ -208,8 +196,8 @@ def mlp_forward_cached(params: MLPParams, u: np.ndarray) -> MLPCache:
     return MLPCache(u=u, h_pre=h_pre, h=h, o_pre=o_pre, out=out)
 
 
-# add_matmul's scratch holds at most this many doubles (4 MB): 128 rows at
-# H=4096.
+# A weight-gradient block holds at most this many doubles (4 MB): 128 rows
+# at H=4096.
 _ADD_BLOCK = 1 << 19
 
 
@@ -229,22 +217,81 @@ def row_blocks(n: int, most: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def add_matmul(dst: np.ndarray, a: np.ndarray, b: np.ndarray, scale: float | None = None) -> None:
-    """``dst += a @ b`` (the product times ``scale`` first, if given), in place.
+# (a, b, scale): adds a @ b, times scale if given, to the first a.shape[0] rows
+Term = tuple[np.ndarray, np.ndarray, float | None]
 
-    The product is formed a block of ``row_blocks`` rows at a time in one
-    scratch of at most ``_ADD_BLOCK`` doubles, so no temporary the size of
-    ``dst`` is made, and every entry equals ``dst += (a @ b) * scale``.
+
+@dataclass
+class MLPGrads:
+    """Parameter gradients of one MLP, each weight gradient kept as factors.
+
+    ``w1`` and ``w2`` list the terms of their weight's gradient in the order
+    they are summed. The first comes from ``mlp_backward``: unscaled, over
+    every row. ``w2_col``, if set, is added to column 0 of the w2 gradient
+    after its terms. ``b1`` and ``b2`` are the bias gradients themselves.
     """
-    n_rows, n_cols = dst.shape
+
+    shape: NetworkShape
+    w1: list[Term]
+    b1: np.ndarray
+    w2: list[Term]
+    b2: np.ndarray
+    w2_col: np.ndarray | None = None
+
+    def add(self, other: "MLPGrads") -> None:
+        """Add ``other``'s gradient: its terms follow this one's."""
+        self.w1 += other.w1
+        self.b1 += other.b1
+        self.w2 += other.w2
+        self.b2 += other.b2
+
+    def segments(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The gradient as ``(offset, values)`` pairs of 1-D arrays that tile
+        the ``MLPParams.flat`` layout in order. A weight's values are one block
+        of ``row_blocks`` rows, which the next block overwrites."""
+        i, h, o = self.shape.input_dim, self.shape.hidden_dim, self.shape.output_dim
+        yield from _weight_blocks(self.w1, i, h, 0)
+        yield i * h, self.b1
+        yield from _weight_blocks(self.w2, h, o, i * h + h, self.w2_col)
+        yield i * h + h + h * o, self.b2
+
+    def dense(self) -> MLPParams:
+        """The gradient written into fresh parameters, block by block."""
+        grads = MLPParams(np.empty(_flat_size(self.shape)), self.shape)
+        for lo, values in self.segments():
+            grads.flat[lo : lo + values.size] = values
+        return grads
+
+
+def _weight_blocks(
+    terms: list[Term], n_rows: int, n_cols: int, offset: int, col: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """One weight gradient, ``offset`` into the flat layout, a block of rows
+    at a time in a scratch of at most ``_ADD_BLOCK`` doubles.
+
+    Each block is formed in the order of a sum into one full-size gradient:
+    the first term written by ``np.matmul``, each later one formed in a
+    second scratch, scaled if weighted, then added; ``col`` last. A later
+    term's one-row piece is taken from a two-row product (see ``row_blocks``).
+    """
     blocks = row_blocks(n_rows, max(4, _ADD_BLOCK // n_cols))
-    scratch = np.empty((max(hi - lo for lo, hi in blocks), n_cols))
+    rows = max(hi - lo for lo, hi in blocks)
+    block_buf, part_buf = np.empty((rows, n_cols)), np.empty((rows, n_cols))
+    (first_a, first_b, _), *later = terms
     for lo, hi in blocks:
-        block = scratch[: hi - lo]
-        np.matmul(a[lo:hi], b, out=block)
-        if scale is not None:
-            block *= scale
-        dst[lo:hi] += block
+        block = np.matmul(first_a[lo:hi], first_b, out=block_buf[: hi - lo])
+        for a, b, scale in later:
+            top = min(hi, a.shape[0])
+            if top <= lo:
+                continue
+            start = min(lo, max(0, top - 2))
+            part = np.matmul(a[start:top], b, out=part_buf[: top - start])[lo - start :]
+            if scale is not None:
+                part *= scale
+            block[: top - lo] += part
+        if col is not None:
+            block[:, 0] += col[lo:hi]
+        yield offset + lo * n_cols, block.reshape(-1)
 
 
 def mlp_backward(
@@ -254,16 +301,12 @@ def mlp_backward(
     *,
     param_grads: bool = True,
     input_grad: bool = True,
-    out: MLPParams | None = None,
-    add: bool = False,
-) -> tuple[MLPParams | None, np.ndarray | None]:
+) -> tuple[MLPGrads | None, np.ndarray | None]:
     """Backprop an upstream gradient; returns (parameter grads, input grad).
 
     A part switched off with ``param_grads=False`` or ``input_grad=False``
     is not computed and comes back as ``None``; the other part is
-    bit-identical to the full call's. The parameter gradients are written
-    into ``out`` when it is given (a fresh buffer otherwise), or, with
-    ``add=True``, added into ``out`` with no parameter-sized temporary.
+    bit-identical to the full call's.
     """
     if params.shape.output_activation == "relu":
         d_opre = d_out * (cache.o_pre > 0)
@@ -271,19 +314,15 @@ def mlp_backward(
         d_opre = d_out
     d_h = d_opre @ params.w2.T
     d_hpre = d_h * _leaky_deriv(cache.h_pre, params.shape.negative_slope)
-    if param_grads and add:
-        add_matmul(out.w2, cache.h.T, d_opre)
-        out.b2 += np.sum(d_opre, axis=0)
-        add_matmul(out.w1, cache.u.T, d_hpre)
-        out.b1 += np.sum(d_hpre, axis=0)
-    elif param_grads:
-        out = params.grads_in() if out is None else out
-        np.matmul(cache.h.T, d_opre, out=out.w2)
-        np.sum(d_opre, axis=0, out=out.b2)
-        np.matmul(cache.u.T, d_hpre, out=out.w1)
-        np.sum(d_hpre, axis=0, out=out.b1)
+    grads = None
+    if param_grads:
+        grads = MLPGrads(
+            params.shape,
+            w1=[(cache.u.T, d_hpre, None)], b1=np.sum(d_hpre, axis=0),
+            w2=[(cache.h.T, d_opre, None)], b2=np.sum(d_opre, axis=0),
+        )
     d_u = d_hpre @ params.w1.T if input_grad else None
-    return (out if param_grads else None), d_u
+    return grads, d_u
 
 
 def critic_input_grads(

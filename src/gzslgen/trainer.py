@@ -6,17 +6,18 @@ every step draws fresh generator noise. One table of (kind, steps, step)
 entries holds that schedule, and the single-GAN baseline keeps only its
 visual critic and generator rows. Every step goes through one commit:
 finiteness check, Adam step on the network's flat buffer, parameter scan,
-log record and callback. Every
-step's parameter gradient lives in one buffer that ``train`` allocates once,
-sized to the largest network, so a step makes no parameter-sized array. The
-seen-class classifier is fit once up front with ``synthesis.fit_softmax``
-and stays frozen. The loop is single-threaded over parameter state; inner
-linear algebra parallelizes freely.
+log record and callback. A step's gradient reaches Adam as factors
+(``networks.MLPGrads``), which Adam forms a block of rows at a time and
+applies while the block is in cache, so a step makes no parameter-sized
+array. The seen-class classifier is fit once up front with
+``synthesis.fit_softmax`` and stays frozen. The loop is single-threaded over
+parameter state; inner linear algebra parallelizes freely.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
@@ -29,7 +30,7 @@ from .errors import ContractViolation, TrainingDiverged, ValidationError
 from .losses import LossWeights
 from .networks import (
     LinearParams,
-    MLPParams,
+    MLPGrads,
     ModelParams,
     classifier_forward,
     init_params,
@@ -117,10 +118,12 @@ _ADAM_EPS = 1e-8  # the standard epsilon of Kingma & Ba 2015
 class Adam:
     """Adaptive-moment optimizer over one C-contiguous parameter array.
 
-    The parameter is updated in place, block by block, with no full-size
-    temporaries. Once a bias correction rounds to exactly 1.0 (t >= 54 at
-    beta1 0.5, t >= 356 at beta2 0.9), dividing by it is an exact identity,
-    so that pass is skipped.
+    ``step`` takes the gradient as ``(offset, values)`` segments of the
+    flattened parameter (``MLPGrads.segments``) and updates each segment's
+    entries in place as it arrives, in blocks of ``_ADAM_BLOCK``, with no
+    full-size temporaries. Once a bias correction rounds to exactly 1.0
+    (t >= 54 at beta1 0.5, t >= 356 at beta2 0.9), dividing by it is an exact
+    identity, so that pass is skipped.
     """
 
     def __init__(self, param: np.ndarray, cfg: OptimizerConfig):
@@ -135,39 +138,45 @@ class Adam:
         self._num = np.empty(n)
         self._den = np.empty(n)
 
-    def step(self, grad: np.ndarray) -> None:
+    def step(self, segments: Iterable[tuple[int, np.ndarray]]) -> float:
+        """Apply one update; returns the gradient's L2 norm, its squares
+        summed a block at a time as the update passes."""
         self.t += 1
         c = self.cfg
         bias1 = 1.0 - c.beta1**self.t
         bias2 = 1.0 - c.beta2**self.t
-        p, g, m, v = self.param.reshape(-1), grad.reshape(-1), self.m, self.v
-        for lo in range(0, p.size, _ADAM_BLOCK):
-            hi = min(lo + _ADAM_BLOCK, p.size)
-            num, den = self._num[: hi - lo], self._den[: hi - lo]
-            gb, mb, vb = g[lo:hi], m[lo:hi], v[lo:hi]
-            # m = b1*m + (1-b1)*g
-            np.multiply(mb, c.beta1, out=mb)
-            np.multiply(gb, 1.0 - c.beta1, out=num)
-            np.add(mb, num, out=mb)
-            # v = b2*v + ((1-b2)*g)*g
-            np.multiply(vb, c.beta2, out=vb)
-            np.multiply(gb, 1.0 - c.beta2, out=den)
-            np.multiply(den, gb, out=den)
-            np.add(vb, den, out=vb)
-            # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
-            if bias1 == 1.0:
-                np.multiply(mb, c.learning_rate, out=num)
-            else:
-                np.divide(mb, bias1, out=num)
-                np.multiply(num, c.learning_rate, out=num)
-            if bias2 == 1.0:
-                np.sqrt(vb, out=den)
-            else:
-                np.divide(vb, bias2, out=den)
-                np.sqrt(den, out=den)
-            np.add(den, _ADAM_EPS, out=den)
-            np.divide(num, den, out=num)
-            np.subtract(p[lo:hi], num, out=p[lo:hi])
+        p, squares = self.param.reshape(-1), 0.0
+        for start, g in segments:
+            for lo in range(0, g.size, _ADAM_BLOCK):
+                hi = min(lo + _ADAM_BLOCK, g.size)
+                num, den = self._num[: hi - lo], self._den[: hi - lo]
+                gb = g[lo:hi]
+                pb, mb, vb = (a[start + lo : start + hi] for a in (p, self.m, self.v))
+                squares += float(gb @ gb)
+                # m = b1*m + (1-b1)*g
+                np.multiply(mb, c.beta1, out=mb)
+                np.multiply(gb, 1.0 - c.beta1, out=num)
+                np.add(mb, num, out=mb)
+                # v = b2*v + ((1-b2)*g)*g
+                np.multiply(vb, c.beta2, out=vb)
+                np.multiply(gb, 1.0 - c.beta2, out=den)
+                np.multiply(den, gb, out=den)
+                np.add(vb, den, out=vb)
+                # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
+                if bias1 == 1.0:
+                    np.multiply(mb, c.learning_rate, out=num)
+                else:
+                    np.divide(mb, bias1, out=num)
+                    np.multiply(num, c.learning_rate, out=num)
+                if bias2 == 1.0:
+                    np.sqrt(vb, out=den)
+                else:
+                    np.divide(vb, bias2, out=den)
+                    np.sqrt(den, out=den)
+                np.add(den, _ADAM_EPS, out=den)
+                np.divide(num, den, out=num)
+                np.subtract(pb, num, out=pb)
+        return math.sqrt(squares)
 
 
 def seen_class_columns(bundle: DatasetBundle) -> tuple[np.ndarray, dict[int, int]]:
@@ -251,13 +260,12 @@ def train(
     _check_params_finite((net.flat for net in nets.values()), "at initialisation")
 
     opts = {name: Adam(net.flat, config.optimizer) for name, net in nets.items()}
-    work = np.empty(max(net.flat.size for net in nets.values()))  # every step's gradient
     rng = child_rng(config.seed, "noise")
 
-    def commit(kind: str, value: float, terms: dict[str, float], grads: MLPParams) -> None:
+    def commit(kind: str, value: float, terms: dict[str, float], grads: MLPGrads) -> None:
         """Check, apply and record one step of the current iteration."""
         _check_finite(value, terms, kind, iteration)
-        opts[kind].step(grads.flat)
+        grad_norm = opts[kind].step(grads.segments())
         _check_params_finite([nets[kind].flat], f"after {kind} update at iteration {iteration}")
         log.records.append({
             "iteration": iteration,
@@ -265,8 +273,8 @@ def train(
             "step": kind,
             "loss": value,
             "terms": dict(terms),
-            "grad_norm": grads.norm(),
-            "wall_time": time.time(),
+            "grad_norm": grad_norm,
+            "timing": {"wall_time": time.time()},
         })
         if step_callback is not None:
             step_callback(kind, iteration, params)
@@ -284,14 +292,13 @@ def train(
     # interpolation coefficients, from rng
     schedule = [
         ("d_v", config.n1, lambda batch: losses.disc_v_loss_and_grads(
-            params, batch, synth_visual(batch), weights, rng, work=work)),
+            params, batch, synth_visual(batch), weights, rng)),
         ("d_s", config.n2, lambda batch: losses.disc_s_loss_and_grads(
-            params, batch, mlp_forward(params.g_vs, synth_visual(batch)), weights, rng,
-            work=work)),
+            params, batch, mlp_forward(params.g_vs, synth_visual(batch)), weights, rng)),
         ("g_sv", 1, lambda batch: losses.gen_sv_loss_and_grads(
-            params, batch, weights, noise(batch), lookup[batch.labels], pair_mode, work=work)),
+            params, batch, weights, noise(batch), lookup[batch.labels], pair_mode)),
         ("g_vs", 1, lambda batch: losses.gen_vs_loss_and_grads(
-            params, batch, weights, noise(batch), work=work)),
+            params, batch, weights, noise(batch))),
     ]
     if baseline:
         schedule = [entry for entry in schedule if entry[0] in ("d_v", "g_sv")]

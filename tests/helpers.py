@@ -8,7 +8,7 @@ import zipfile
 import numpy as np
 
 from gzslgen.data import FeatureBatch
-from gzslgen.networks import MLPParams, ModelParams, NetworkShape, init_params
+from gzslgen.networks import MLPGrads, MLPParams, ModelParams, NetworkShape, init_params
 
 
 def numeric_grad(fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -35,12 +35,13 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - numeric)) / denom
 
 
-def check_param_grads(fn, params: MLPParams, analytic, step=1e-5) -> dict[str, float]:
-    """Relative FD error per parameter array of an MLP."""
+def check_param_grads(fn, params: MLPParams, analytic: MLPGrads, step=1e-5) -> dict[str, float]:
+    """Relative FD error per parameter array of an MLP, against ``analytic.dense()``."""
+    dense = analytic.dense()
     errors = {}
     for name, arr in params.arrays().items():
         num = numeric_grad(fn, arr, step)
-        errors[name] = rel_error(getattr(analytic, name), num)
+        errors[name] = rel_error(getattr(dense, name), num)
     return errors
 
 

@@ -384,6 +384,19 @@ class TestDeterminism:
         assert main(["train", "--config", str(cfg)]) == 0
         assert ckpt.read_bytes() == first
 
+    def test_train_log_steps_are_byte_identical_without_timing(self, tmp_path):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
+        logs = []
+        for _ in range(2):
+            assert main(["train", "--config", str(cfg)]) == 0
+            lines = (tmp_path / "run" / "train_log.jsonl").read_text().splitlines()
+            steps = [json.loads(line) for line in lines[1:]]
+            assert all(set(rec["timing"]) == {"wall_time"} for rec in steps)
+            assert not any("wall_time" in rec for rec in steps)
+            logs.append([json.dumps({k: v for k, v in rec.items() if k != "timing"},
+                                    sort_keys=True) for rec in steps])
+        assert len(logs[0]) > 0 and logs[0] == logs[1]
+
     def test_evaluate_is_idempotent(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
         assert main(["train", "--config", str(cfg)]) == 0
@@ -421,3 +434,14 @@ class TestRuntimeFailures:
             code = main(["train", "--config", str(cfg)])
         assert code == 3
         assert "diverged" in capsys.readouterr().err
+
+    def test_out_of_memory_exits_three(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", train={"epochs": 1})
+        assert main(["train", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        # 10**13 rows per class ask for hundreds of TiB, which no host grants
+        code = main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint.zip"),
+                     "--n-per-class", str(10**13), "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("out of memory: ") and err.count("\n") == 1

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gzslgen import losses, networks
+from gzslgen import losses, networks, trainer
 from gzslgen.errors import ContractViolation
 from gzslgen.losses import (
     LossWeights,
@@ -17,8 +17,10 @@ from gzslgen.losses import (
     semantic_centroid_loss,
     visual_consistency_loss,
 )
+from gzslgen.trainer import Adam, OptimizerConfig
 from gzslgen.networks import (
     LinearParams,
+    MLPGrads,
     disc_s_forward,
     disc_v_forward,
     gen_sv_forward,
@@ -37,6 +39,8 @@ from helpers import (
 )
 
 K, L, B = 12, 3, 6
+LOSS_NAMES = ("disc_v_loss_and_grads", "disc_s_loss_and_grads",
+              "gen_sv_loss_and_grads", "gen_vs_loss_and_grads")
 
 
 def alpha_for(batch, seed=99):
@@ -573,48 +577,48 @@ class TestLossGradients:
 
 
 class TestWorkBuffer:
-    """A loss computed in the trainer's reused buffer equals a fresh one bit for bit."""
+    """A loss's gradient formed a block of rows at a time equals the one formed
+    from whole products, bit for bit, and a critic step with its update makes
+    no parameter-sized gradient."""
 
     @staticmethod
-    def call(name, model, batch, rng, **kw):
+    def call(name, model, batch, rng):
         w = LossWeights()
         if name == "disc_v_loss_and_grads":
             synth = np.abs(rng.standard_normal(batch.visual.shape))
-            return losses.disc_v_loss_and_grads(model, batch, synth, w, alpha_for(batch), **kw)
+            return losses.disc_v_loss_and_grads(model, batch, synth, w, alpha_for(batch))
         if name == "disc_s_loss_and_grads":
             recon = np.abs(rng.standard_normal(batch.attributes.shape))
-            return losses.disc_s_loss_and_grads(model, batch, recon, w, alpha_for(batch), **kw)
+            return losses.disc_s_loss_and_grads(model, batch, recon, w, alpha_for(batch))
         noise2 = rng.standard_normal(batch.noise.shape)
-        return getattr(losses, name)(model, batch, w, noise2, **kw)
+        return getattr(losses, name)(model, batch, w, noise2)
 
-    @pytest.mark.parametrize("name", [
-        "disc_v_loss_and_grads", "disc_s_loss_and_grads",
-        "gen_sv_loss_and_grads", "gen_vs_loss_and_grads",
-    ])
+    @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_same_value_terms_and_grads_with_and_without_work(self, monkeypatch, name):
-        # a 40-double scratch splits most added weight gradients into several blocks
-        monkeypatch.setattr(networks, "_ADD_BLOCK", 40)
         model = small_model(seed=60)
         batch = random_batch(seed=61)
+        # at this size every weight gradient is one block: whole products
         value, terms, grads = self.call(name, model, batch, np.random.default_rng(62))
-        work = np.full(model.g_sv.flat.size + model.d_v.flat.size, np.nan)
-        value_w, terms_w, grads_w = self.call(
-            name, model, batch, np.random.default_rng(62), work=work
-        )
-        assert value_w == value
-        assert terms_w == terms
-        assert np.shares_memory(grads_w.flat, work)
-        assert np.array_equal(grads_w.flat, grads.flat)
+        whole = grads.dense().flat
+        # a 40-double scratch splits most weight gradients into several blocks
+        monkeypatch.setattr(networks, "_ADD_BLOCK", 40)
+        value_b, terms_b, grads_b = self.call(name, model, batch, np.random.default_rng(62))
+        assert value_b == value
+        assert terms_b == terms
+        assert np.array_equal(grads_b.dense().flat, whole)
 
     def test_critic_step_with_work_peaks_below_one_parameter_buffer(self):
         k, l, b = 1024, 32, 16
         model = init_params(k, l, 3, seed=0, hidden_dim=2048)
         batch = random_batch(seed=63, b=b, k=k, l=l)
         synth = np.abs(np.random.default_rng(64).standard_normal((b, k)))
-        work = np.empty(model.d_v.flat.size)
-        step = lambda: losses.disc_v_loss_and_grads(
-            model, batch, synth, LossWeights(), alpha_for(batch), work=work
-        )
+        opt = Adam(model.d_v.flat, OptimizerConfig())
+
+        def step():
+            _, _, grads = losses.disc_v_loss_and_grads(
+                model, batch, synth, LossWeights(), alpha_for(batch))
+            opt.step(grads.segments())
+
         step()
         tracemalloc.start()
         try:
@@ -622,6 +626,55 @@ class TestWorkBuffer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the parent's critic step held two fresh gradients and the penalty's
-        # [K, H] block at once
+        # the gradient reaches Adam a block of rows at a time
         assert peak < model.d_v.flat.nbytes, (peak, model.d_v.flat.nbytes)
+
+
+def _dense_reference(grads: MLPGrads) -> np.ndarray:
+    """The flat gradient from whole products, summed in the order of the terms."""
+    def weight(terms, col=None):
+        (a, b, _), *later = terms
+        total = a @ b
+        for a, b, scale in later:
+            product = a @ b
+            if scale is not None:
+                product *= scale
+            total[: a.shape[0]] += product
+        if col is not None:
+            total[:, 0] += col
+        return total.reshape(-1)
+
+    return np.concatenate([weight(grads.w1), grads.b1, weight(grads.w2, grads.w2_col), grads.b2])
+
+
+class TestStreamedStep:
+    """An Adam step fed the gradient a block of rows at a time leaves the
+    parameters and both moments exactly as one fed the whole gradient does."""
+
+    @pytest.mark.parametrize("name,net", zip(LOSS_NAMES, ("d_v", "d_s", "g_sv", "g_vs")))
+    def test_matches_dense_gradient_and_unfused_adam(self, monkeypatch, name, net):
+        # blocks of at most 4 rows split every weight gradient; the visual
+        # critic's block of rows 6:9 straddles the penalty's last row, 6
+        # (n_grad = K = 7), which the penalty term then gives alone
+        monkeypatch.setattr(networks, "_ADD_BLOCK", 8)
+        k, l = 7, 6
+        model = small_model(seed=70, k=k, l=l)
+        params = getattr(model, net)
+        for n_rows, n_cols in ((params.w1.shape), (params.w2.shape)):
+            assert len(networks.row_blocks(n_rows, max(4, 8 // n_cols))) > 1
+        assert (6, 9) in networks.row_blocks(k + l, 4)
+        cfg = OptimizerConfig(learning_rate=0.01, beta1=0.5, beta2=0.9)
+        b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, trainer._ADAM_EPS
+        opt = Adam(params.flat, cfg)
+        p, m, v = params.flat.copy(), np.zeros(params.flat.size), np.zeros(params.flat.size)
+        for t in (1, 2):
+            batch = random_batch(seed=70 + t, k=k, l=l)
+            _, _, grads = TestWorkBuffer.call(name, model, batch, np.random.default_rng(t))
+            g = _dense_reference(grads)
+            norm = opt.step(grads.segments())
+            m = m * b1 + g * (1.0 - b1)
+            v = v * b2 + (g * (1.0 - b2)) * g
+            p = p - ((m / (1.0 - b1**t)) * lr) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            assert np.array_equal(params.flat, p)
+            assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+            assert norm == pytest.approx(float(np.sqrt(g @ g)), rel=1e-12)

@@ -8,7 +8,6 @@ from gzslgen.networks import (
     LinearParams,
     MLPParams,
     NetworkShape,
-    add_matmul,
     classifier_forward,
     critic_input_grads,
     disc_s_forward,
@@ -188,51 +187,43 @@ class TestRowBlocks:
 
 
 class TestBufferedBackward:
-    """Gradients written or added into a caller's buffer round exactly as
-    fresh arrays and full-size temporaries do."""
+    """Gradients formed a block of rows at a time, and sums of backwards,
+    round exactly as whole products and full-size temporaries do."""
 
     @pytest.mark.parametrize("scale", [None, 10.0 / 3.0])
-    def test_add_matmul_matches_full_temporary(self, monkeypatch, scale):
+    def test_later_term_matches_full_temporary(self, monkeypatch, scale):
         monkeypatch.setattr(networks, "_ADD_BLOCK", 128 * 64)  # 128-row blocks
         rng = np.random.default_rng(20)
-        a = rng.standard_normal((64, 301)).T  # a transposed view, as u.T is
+        first_a = rng.standard_normal((64, 301)).T  # transposed views, as u.T is
+        first_b = rng.standard_normal((64, 64))
+        a = rng.standard_normal((64, 301)).T
         b = rng.standard_normal((64, 64))
-        dst = rng.standard_normal((301, 64))  # 3 blocks of 100 or 101 rows
         product = a @ b
         if scale is not None:
             product *= scale
-        expected = dst + product
-        add_matmul(dst, a, b, scale)
-        assert np.array_equal(dst, expected)
+        expected = first_a @ first_b + product
+        blocks = networks._weight_blocks([(first_a, first_b, None), (a, b, scale)], 301, 64, 0)
+        got = np.concatenate([values.copy() for _, values in blocks])  # 3 blocks of 100 or 101 rows
+        assert np.array_equal(got, expected.reshape(-1))
 
     @pytest.mark.parametrize("net,builder", NET_INPUTS)
     def test_backward_into_and_adding_into_a_buffer(self, monkeypatch, net, builder):
-        # a 40-double scratch splits most weight gradients into several blocks
-        monkeypatch.setattr(networks, "_ADD_BLOCK", 40)
         model = small_model(seed=21)
         params = getattr(model, net)
         caches = [mlp_forward_cached(params, builder(model, random_batch(seed=s))) for s in (22, 23)]
         rng = np.random.default_rng(24)
         d_outs = [rng.standard_normal(c.out.shape) for c in caches]
+        # at this size each weight gradient is one block: whole products
         first, d_u = mlp_backward(params, caches[0], d_outs[0])
         second, _ = mlp_backward(params, caches[1], d_outs[1])
-        expected = first.flat + second.flat
+        expected = first.dense().flat + second.dense().flat
 
-        work = np.full(params.flat.size + 5, np.nan)  # stale contents must not leak
-        grads, d_u_work = mlp_backward(params, caches[0], d_outs[0], out=params.grads_in(work))
-        assert np.shares_memory(grads.flat, work)
-        assert np.array_equal(grads.flat, first.flat)
-        assert np.array_equal(d_u_work, d_u)
-        added, _ = mlp_backward(
-            params, caches[1], d_outs[1], input_grad=False, out=grads, add=True
-        )
-        assert added is grads
-        assert np.array_equal(grads.flat, expected)
-
-    def test_too_small_work_buffer_is_contract_violation(self):
-        params = small_model().d_v
-        with pytest.raises(ContractViolation, match="work buffer"):
-            params.grads_in(np.empty(params.flat.size - 1))
+        # a 40-double scratch splits most weight gradients into several blocks
+        monkeypatch.setattr(networks, "_ADD_BLOCK", 40)
+        grads, d_u_again = mlp_backward(params, caches[0], d_outs[0])
+        assert np.array_equal(d_u_again, d_u)
+        grads.add(mlp_backward(params, caches[1], d_outs[1], input_grad=False)[0])
+        assert np.array_equal(grads.dense().flat, expected)
 
 
 class TestSelectiveBackward:
@@ -258,7 +249,7 @@ class TestSelectiveBackward:
         params, cache, d_out, (grads, _) = self.full_backward(net, builder)
         grads_only, d_u = mlp_backward(params, cache, d_out, input_grad=False)
         assert d_u is None
-        assert np.array_equal(grads_only.flat, grads.flat)
+        assert np.array_equal(grads_only.dense().flat, grads.dense().flat)
 
     @pytest.mark.parametrize("net,builder", NET_INPUTS[2:])
     def test_critic_input_grads_reuses_h_pre(self, net, builder):
@@ -357,5 +348,6 @@ class TestFlatLayout:
         u = np.hstack([batch.visual, batch.attributes])
         cache = mlp_forward_cached(model.d_v, u)
         grads, _ = mlp_backward(model.d_v, cache, np.ones((u.shape[0], 1)))
-        assert grads.flat.size == model.d_v.flat.size
-        self.assert_flat_layout(grads)
+        dense = grads.dense()
+        assert dense.flat.size == model.d_v.flat.size
+        self.assert_flat_layout(dense)

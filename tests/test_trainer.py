@@ -1,9 +1,10 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from gzslgen import losses, trainer
+from gzslgen import losses, networks, trainer
 from gzslgen.data import SyntheticSpec, make_synthetic_dataset
 from gzslgen.errors import TrainingDiverged, ValidationError
 from gzslgen.trainer import (
@@ -192,12 +193,32 @@ class TestTrainLoop:
 
         def poisoned(*args, **kwargs):
             value, terms, grads = original(*args, **kwargs)
-            grads.flat[0] = np.nan  # the loss stays finite
+            grads.b1[0] = np.nan  # the loss stays finite
             return value, terms, grads
 
         monkeypatch.setattr(losses, loss_fn, poisoned)
         with pytest.raises(TrainingDiverged, match=rf"after {kind} update at iteration 1$"):
             train(desk_bundle(samples=20), desk_config())
+
+    def test_peak_memory_holds_no_parameter_sized_gradient(self, monkeypatch):
+        # 4096-double blocks, far below the largest network (about 1.06M doubles)
+        monkeypatch.setattr(networks, "_ADD_BLOCK", 1 << 12)
+        spec = SyntheticSpec(3, 2, 1024, 8, 8, 0.05, projection_seed=2, noise_seed=3)
+        bundle = make_synthetic_dataset(spec)
+        cfg = desk_config(batch_size=4, n1=1, n2=1, hidden_dim=1024)
+        tracemalloc.start()
+        try:
+            model, log = train(bundle, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert {r["step"] for r in log.records} == {"d_v", "d_s", "g_sv", "g_vs"}
+        nets = [model.g_sv, model.g_vs, model.d_v, model.d_s]
+        params = sum(a.nbytes for a in model.all_arrays())
+        moments = 2 * sum(net.flat.nbytes for net in nets)
+        largest = max(net.flat.nbytes for net in nets)
+        # a full-size gradient buffer alone would take the whole largest network
+        assert peak < params + moments + largest // 2, (peak, params + moments, largest)
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -245,7 +266,7 @@ class TestAdam:
         expected = theta.copy()
         for t in range(1, 4):
             g = rng.standard_normal(5)
-            opt.step(g.copy())
+            opt.step([(0, g.copy())])
             m = 0.5 * m + 0.5 * g
             v = 0.9 * v + 0.1 * g * g
             m_hat = m / (1 - 0.5**t)
@@ -267,7 +288,7 @@ class TestAdamBiasCorrection:
         p, m, v = param.copy(), np.zeros(1000), np.zeros(1000)
         for t in range(1, 401):
             g = rng.standard_normal(1000)
-            opt.step(g)
+            opt.step([(0, g)])
             # the unskipped update, in the optimizer's operation order
             m = m * b1 + g * (1.0 - b1)
             v = v * b2 + (g * (1.0 - b2)) * g
@@ -309,7 +330,7 @@ class TestBlockedAdam:
         expected = param.copy()
         for t in range(1, 4):
             g = rng.standard_normal(param.shape)
-            opt.step(g)
+            opt.step([(0, g.reshape(-1))])
             m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
             v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
             m_hat = m / (1.0 - cfg.beta1**t)
