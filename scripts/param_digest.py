@@ -1,6 +1,6 @@
 """Train the acceptance oracle once per variant and print the SHA-256 of its parameters.
 
-    python3 scripts/param_digest.py --epochs 600 [--seed 0]
+    python3 scripts/param_digest.py --epochs 600 [--seed 0] [--check FILE]
 
 It prints one ``<variant> <sha256>`` line for each of the five variants of
 ``trainer.VARIANTS``, so the baseline and ablation training paths are
@@ -44,6 +44,13 @@ script. The oracle is the one of tests/test_acceptance.py (criteria 6 and 7):
 learning rate 1e-4, beta2 0.999. The digest covers the bytes of every array
 of ``ModelParams.all_arrays()`` in order, so two commits that print the same
 digest trained bit-identical parameters.
+
+``--check FILE`` compares the printed lines with the ``<label> <sha256>``
+lines of ``FILE``, skipping ``#`` comment lines, and exits 1 after naming on
+stderr each line that differs. ``scripts/param_digest.expected`` holds the
+lines of ``--epochs 600`` at seed 0, with the numpy and BLAS versions they
+were taken with in its comment line; a change that alters trained bits
+updates it in the same commit, so the new digests show in its diff.
 
 Run it alone on a small host, not beside the tests, ``bench/run.py`` or
 ``scripts/bench_ab.py``: nothing caps the BLAS thread count, and
@@ -112,11 +119,30 @@ def checkpoint_digest(params, config: TrainConfig) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
-def main() -> None:
+def read_digests(path: str) -> dict[str, str]:
+    """The ``<label> <sha256>`` lines of ``path``, skipping blank and ``#`` lines."""
+    with open(path, encoding="utf-8") as fh:
+        return dict(line.split() for line in fh if line.strip() and not line.startswith("#"))
+
+
+def differing_lines(want: dict[str, str], got: dict[str, str]) -> list[str]:
+    """One message per label whose digest differs between ``want`` and ``got``."""
+    return [f"{label}: expected {want.get(label, 'no line')}, got {got.get(label, 'no line')}"
+            for label in {**want, **got} if want.get(label) != got.get(label)]
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--epochs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--check", metavar="FILE", help="expected lines; exit 1 if any differs")
     args = parser.parse_args()
+    want = read_digests(args.check) if args.check else None
+    got = {}
+
+    def emit(label: str, digest: str) -> None:
+        got[label] = digest
+        print(label, digest, flush=True)
 
     bundle = make_synthetic_dataset(ORACLE)
     runs = [(variant, variant, "real") for variant in VARIANTS]
@@ -128,15 +154,22 @@ def main() -> None:
             seed=args.seed, variant=variant, pair_mode=pair_mode,
         )
         params, _ = train(bundle, config)
-        print(label, _sha256(params.all_arrays()), flush=True)
+        emit(label, _sha256(params.all_arrays()))
         if label == "full":
             full = params, config
     fit, synth = paper_fit_digests()
-    print("paper_fit", fit, flush=True)
-    print("paper_train", paper_train_digest(), flush=True)
-    print("checkpoint", checkpoint_digest(*full), flush=True)
-    print("synth", synth, flush=True)
+    emit("paper_fit", fit)
+    emit("paper_train", paper_train_digest())
+    emit("checkpoint", checkpoint_digest(*full))
+    emit("synth", synth)
+
+    if want is None:
+        return 0
+    differing = differing_lines(want, got)
+    for message in differing:
+        print(f"differs from {args.check}: {message}", file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,7 +2,8 @@
 
 Subcommands: train, evaluate, ablate, sweep, synth-data, export-viz.
 Exit codes: 0 success, 2 validation/format problems, 3 runtime failures
-(including training divergence and running out of memory).
+(including training divergence, running out of memory and asking for an
+array larger than numpy can size).
 """
 
 from __future__ import annotations
@@ -56,6 +57,29 @@ def _configure(args, embedded: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
+def _prepare_run(args, test_rows: bool) -> tuple[RunConfig, DatasetBundle]:
+    """The run config and dataset of a command that trains, once the dataset has
+    the rows it needs, and its output directory holding ``config_effective.json``.
+
+    Every seen class needs training rows, and with ``test_rows`` every class
+    needs test rows, so a dataset without them is rejected before anything is
+    written or trained.
+    """
+    cfg = _configure(args)
+    bundle = cfg.resolve_bundle()
+    needs = [("training", bundle.seen_classes, bundle.labels_train)]
+    if test_rows:
+        needs.append(("test", bundle.all_classes,
+                      np.concatenate([bundle.labels_test_seen, bundle.labels_test_unseen])))
+    for kind, classes, labels in needs:
+        missing = np.setdiff1d(classes, labels)
+        if missing.size:
+            raise ValidationError(f"classes without {kind} rows: {missing.tolist()}")
+    os.makedirs(cfg.out, exist_ok=True)
+    write_effective_config(cfg, os.path.join(cfg.out, "config_effective.json"))
+    return cfg, bundle
+
+
 def _load_model(args) -> tuple[ModelParams, RunConfig, DatasetBundle]:
     """The ``--checkpoint`` parameters, the run config and a dataset of their shapes."""
     params, embedded = load_checkpoint(args.checkpoint)
@@ -82,10 +106,7 @@ def _write_report(out_dir: str, rows: list[tuple[str, EvalReport]]) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = _configure(args)
-    bundle = cfg.resolve_bundle()
-    os.makedirs(cfg.out, exist_ok=True)
-    write_effective_config(cfg, os.path.join(cfg.out, "config_effective.json"))
+    cfg, bundle = _prepare_run(args, test_rows=False)
     params, log = train(bundle, cfg.train)
     ckpt = os.path.join(cfg.out, CHECKPOINT_NAME)
     save_checkpoint(ckpt, params, cfg)
@@ -105,14 +126,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg = _configure(args)
     variants = args.variants.split(",") if args.variants else list(VARIANTS)
     for v in variants:
         if v not in VARIANTS:
             raise ValidationError(f"unknown variant {v!r}; pick from {tuple(VARIANTS)}")
-    bundle = cfg.resolve_bundle()
-    os.makedirs(cfg.out, exist_ok=True)
-    write_effective_config(cfg, os.path.join(cfg.out, "config_effective.json"))
+    cfg, bundle = _prepare_run(args, test_rows=True)
     rows = run_ablation(bundle, cfg.train, variants, cfg.eval)
     _write_report(cfg.out, rows)
     print(format_report_table(rows), end="")
@@ -120,10 +138,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _configure(args)
-    bundle = cfg.resolve_bundle()
-    os.makedirs(cfg.out, exist_ok=True)
-    write_effective_config(cfg, os.path.join(cfg.out, "config_effective.json"))
+    cfg, bundle = _prepare_run(args, test_rows=True)
     curve = sweep_samples(bundle, cfg.train, cfg.counts, cfg.eval)
     doc = {"curve": [{"n_per_class": n, "H": h} for n, h in curve]}
     with open(os.path.join(cfg.out, "curve.json"), "w", encoding="utf-8") as fh:
@@ -245,6 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# numpy's ValueError messages for an array size that no array can have
+_UNALLOCATABLE = ("array is too big", "Maximum allowed dimension exceeded")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -259,7 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError as exc:
+    except (MemoryError, OverflowError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_UNALLOCATABLE):
+            raise
         print(f"out of memory: {exc}", file=sys.stderr)
         return 3
 

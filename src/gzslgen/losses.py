@@ -10,12 +10,10 @@ preactivation; both generators share one cached forward of the cycle
 x' -> a' -> x''; the semantic and visual centroid terms share one
 centroid-matching gradient. A generator's terms start at 0.0, and a term
 of weight 0, or the pair term at ``pair_mode=None``, is skipped. Every
-backward asks only for the gradients its caller reads: the critic objective
-takes no input gradients; a generator step takes no parameter gradients of
-the other generator and no input gradient where the chain starts; the
-classification value and the softmax fit take no input gradient, and the
-classification value and the generator's classification term take no
-classifier gradient. The test suite pins the values against independent term-by-term recomputation from the public term
+backward skips the input gradient where nothing lies upstream of it: in the
+critic objective, where a generator's chain starts, and in the
+classification value and the softmax fit. The test suite pins the values
+against independent term-by-term recomputation from the public term
 operations, and pins every gradient against central finite differences.
 
 Each ``*_and_grads`` returns its gradient as ``networks.MLPGrads``: the
@@ -91,8 +89,7 @@ def classification_loss(cls: LinearParams, synth_visual: np.ndarray, labels: np.
 
     ``labels`` index classifier columns (seen classes in ascending order).
     """
-    value, _, _, _ = softmax_ce_grads(
-        cls, synth_visual, labels, input_grad=False, param_grads=False)
+    value, _, _, _ = softmax_ce_grads(cls, synth_visual, labels, input_grad=False)
     return value
 
 
@@ -107,25 +104,16 @@ def softmax_ce_grads(
     labels: np.ndarray,
     *,
     input_grad: bool = True,
-    param_grads: bool = True,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
     """Cross-entropy with gradients w.r.t. (w, b, x). Returns (loss, dw, db, dx);
-    ``dx`` is None, and its GEMM skipped, when ``input_grad`` is False, and
-    ``dw`` and ``db`` are None, their GEMM and column sum skipped, when
-    ``param_grads`` is False.
+    ``dx`` is None, and its GEMM skipped, when ``input_grad`` is False.
 
-    ``out`` is an optional workspace ``(logits [n, C], dw_t [C, K], db [C])``
-    for a caller that takes many steps at one shape: the step then allocates
-    neither its logits nor its parameter gradients, and the returned ``dw``
-    is the view ``dw_t.T`` and ``db`` is ``out[2]``, both overwritten by the
-    next call. Without it the step allocates the same three arrays and takes
-    the same path. The weight gradient is formed as ``d_logits.T @ x`` into
-    the ``[C, K]`` buffer, which OpenBLAS computes in about two thirds of the
-    time of ``x.T @ d_logits`` at paper shape. On the OpenBLAS build the
-    tests were checked on (scipy-openblas 0.3.31, bundled with numpy's
-    wheels) the two products have the same bits at every shape the tests
-    cover; another BLAS build may round them differently.
+    The weight gradient is formed as ``d_logits.T @ x``, a ``[C, K]`` array
+    returned as its transposed view ``dw``, which OpenBLAS computes in about
+    two thirds of the time of ``x.T @ d_logits`` at paper shape. On the
+    OpenBLAS build the tests were checked on (scipy-openblas 0.3.31, bundled
+    with numpy's wheels) the two products have the same bits at every shape
+    the tests cover; another BLAS build may round them differently.
 
     Entries of the logit gradient below the smallest normal double are set
     to 0.0 before the GEMMs: an off-class probability of ~1e-310 would
@@ -149,8 +137,7 @@ def softmax_ce_grads(
         )
     b = x.shape[0]
     rows = np.arange(b)
-    logits, dw_t, db = (None, None, None) if out is None else out
-    d_logits = classifier_logits(cls, x, out=logits)
+    d_logits = classifier_logits(cls, x)
     # stable log-sum-exp route for the true-class log probability, in place:
     # the buffer holds the logits, then their shifted values, then exp, then
     # probabilities, then the logit gradient
@@ -166,11 +153,7 @@ def softmax_ce_grads(
     d_logits /= b
     d_logits[np.abs(d_logits) < _TINY] = 0.0
     dx = d_logits @ cls.w.T if input_grad else None
-    if not param_grads:
-        return loss, None, None, dx
-    dw_t = np.matmul(d_logits.T, x, out=dw_t)
-    db = np.sum(d_logits, axis=0, out=db)
-    return loss, dw_t.T, db, dx
+    return loss, (d_logits.T @ x).T, d_logits.sum(axis=0), dx
 
 
 def class_centroid(features_of_class: np.ndarray) -> np.ndarray:
@@ -463,8 +446,7 @@ def gen_sv_loss_and_grads(
 
     # inter-class discrimination under the frozen classifier
     if weights.lambda2 > 0:
-        cls_value, _, _, d_x_cls = softmax_ce_grads(
-            model.cls_seen, x_synth, cols, param_grads=False)
+        cls_value, _, _, d_x_cls = softmax_ce_grads(model.cls_seen, x_synth, cols)
         terms["cls"] = weights.lambda2 * cls_value
         d_synth += weights.lambda2 * d_x_cls
 
@@ -479,7 +461,7 @@ def gen_sv_loss_and_grads(
     # backprop: second generator application, semantic generator, first application
     grads, d_u3 = mlp_backward(model.g_sv, cache3, d_cycle)
     d_recon += d_u3[:, : a_recon.shape[1]]
-    _, d_x_from_recon = mlp_backward(model.g_vs, cache2, d_recon, param_grads=False)
+    _, d_x_from_recon = mlp_backward(model.g_vs, cache2, d_recon)
     d_synth += d_x_from_recon
     grads.add(mlp_backward(model.g_sv, cache1, d_synth, input_grad=False)[0])
 
@@ -528,7 +510,7 @@ def gen_vs_loss_and_grads(
             x_cycle, batch.labels, _batch_centroid_targets(batch)
         )
         terms["vc"] = weights.lambda6 * vc_value
-        _, d_u3 = mlp_backward(model.g_sv, cache3, weights.lambda6 * d_vc, param_grads=False)
+        _, d_u3 = mlp_backward(model.g_sv, cache3, weights.lambda6 * d_vc)
         d_recon += d_u3[:, : a_recon.shape[1]]
 
     grads, _ = mlp_backward(model.g_vs, cache2, d_recon, input_grad=False)

@@ -17,11 +17,11 @@ Flat layout: each MLPParams owns one contiguous 1-D float64 buffer ``flat``
 holding w1 | b1 | w2 | b2, each row-major, and ``w1/b1/w2/b2`` are views into
 it, so one fused optimizer update per network walks one buffer.
 
-Backward passes compute only what their caller reads: ``mlp_backward`` skips
-the parameter gradients (``param_grads=False``) of a network the step does
-not update, or the input gradient (``input_grad=False``) of a network
-nothing lies upstream of, and ``critic_input_grads`` takes the hidden
-preactivation ``h_pre`` of a forward pass that has already run.
+``mlp_backward`` always returns the parameter gradients, which cost only
+two bias sums because the weight gradients stay factors (below), and skips
+the input gradient (``input_grad=False``) of a network nothing lies
+upstream of. ``critic_input_grads`` takes the hidden preactivation ``h_pre``
+of a forward pass that has already run.
 
 Parameter gradients come back as ``MLPGrads``: the bias gradients as arrays
 and each weight gradient as its batch products ``input.T @ delta``, unformed.
@@ -299,14 +299,13 @@ def mlp_backward(
     cache: MLPCache,
     d_out: np.ndarray,
     *,
-    param_grads: bool = True,
     input_grad: bool = True,
-) -> tuple[MLPGrads | None, np.ndarray | None]:
+) -> tuple[MLPGrads, np.ndarray | None]:
     """Backprop an upstream gradient; returns (parameter grads, input grad).
 
-    A part switched off with ``param_grads=False`` or ``input_grad=False``
-    is not computed and comes back as ``None``; the other part is
-    bit-identical to the full call's.
+    With ``input_grad=False`` the input gradient is not computed and comes
+    back as ``None``; the parameter gradients are bit-identical to the full
+    call's.
     """
     if params.shape.output_activation == "relu":
         d_opre = d_out * (cache.o_pre > 0)
@@ -314,13 +313,11 @@ def mlp_backward(
         d_opre = d_out
     d_h = d_opre @ params.w2.T
     d_hpre = d_h * _leaky_deriv(cache.h_pre, params.shape.negative_slope)
-    grads = None
-    if param_grads:
-        grads = MLPGrads(
-            params.shape,
-            w1=[(cache.u.T, d_hpre, None)], b1=np.sum(d_hpre, axis=0),
-            w2=[(cache.h.T, d_opre, None)], b2=np.sum(d_opre, axis=0),
-        )
+    grads = MLPGrads(
+        params.shape,
+        w1=[(cache.u.T, d_hpre, None)], b1=np.sum(d_hpre, axis=0),
+        w2=[(cache.h.T, d_opre, None)], b2=np.sum(d_opre, axis=0),
+    )
     d_u = d_hpre @ params.w1.T if input_grad else None
     return grads, d_u
 
@@ -379,15 +376,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def classifier_logits(
-    cls: LinearParams, visual: np.ndarray, *, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``visual @ w + b``, written into ``out`` ([B, C]) when one is given."""
+def classifier_logits(cls: LinearParams, visual: np.ndarray) -> np.ndarray:
+    """``visual @ w + b``."""
     if visual.ndim != 2 or visual.shape[1] != cls.w.shape[0]:
         raise ContractViolation(
             f"expected visual [B, {cls.w.shape[0]}], got {visual.shape}"
         )
-    logits = np.matmul(visual, cls.w, out=out)
+    logits = visual @ cls.w
     logits += cls.b
     return logits
 

@@ -93,16 +93,15 @@ def fit_softmax(
     convex, deterministic, and invariant to row order. With the subnormal
     logit gradients flushed and their ``np.exp`` skipped in
     ``softmax_ce_grads``, a step's cost is mostly its two GEMMs, ``x @ w``
-    and ``d_logits.T @ x``. The fit allocates the step's workspace once: a
-    logit buffer, the weight gradient laid out ``[C, K]`` and the bias
-    gradient. ``w`` stays C-contiguous ``[K, C]``, because with OpenBLAS
-    ``x @ w`` over the transposed view of a ``[C, K]`` buffer rounds
+    and ``d_logits.T @ x``. The second gives the weight gradient laid out
+    ``[C, K]``. ``w`` stays C-contiguous ``[K, C]``, because with OpenBLAS
+    ``x @ w`` over the transposed view of a ``[C, K]`` array rounds
     differently at small shapes; the update reads the gradient through its
     transpose.
 
     The stopping test sums the squared gradient in ``w``'s ``[K, C]`` order,
     as it always has, but only once a BLAS dot product over the ``[C, K]``
-    buffer puts it within 1e-6 (relative) of ``grad_tol`` squared. Any two
+    array puts it within 1e-6 (relative) of ``grad_tol`` squared. Any two
     orders of summing n nonnegative terms agree to about n ulps, far inside
     that margin for any n below 1e9, so every step takes the same decision.
     The old order needs a strided copy of the gradient into ``[K, C]``, which
@@ -117,14 +116,11 @@ def fit_softmax(
     if extra.size:
         raise ValidationError(f"labels outside the declared class set: {extra.tolist()}")
     cols = np.searchsorted(ids, labels)
-    n, k = x.shape
-    cls = LinearParams(w=np.zeros((k, ids.size)), b=np.zeros(ids.size))
-    dw_t = np.empty((ids.size, k))
-    work = np.empty((n, ids.size)), dw_t, np.empty(ids.size)
+    cls = LinearParams(w=np.zeros((x.shape[1], ids.size)), b=np.zeros(ids.size))
     near_tol = grad_tol * grad_tol * (1 + 1e-6)
     for _ in range(max_steps):
-        _, dw, db, _ = softmax_ce_grads(cls, x, cols, input_grad=False, out=work)
-        if np.vdot(dw_t, dw_t) + np.vdot(db, db) <= near_tol:
+        _, dw, db, _ = softmax_ce_grads(cls, x, cols, input_grad=False)
+        if np.vdot(dw.T, dw.T) + np.vdot(db, db) <= near_tol:
             grad = np.ascontiguousarray(dw)
             if np.sqrt(np.sum(grad * grad) + np.sum(db * db)) < grad_tol:
                 break

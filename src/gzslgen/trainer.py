@@ -1,10 +1,12 @@
 """Alternating adversarial training.
 
 Per iteration: the visual critic takes n1 steps, the semantic critic n2
-steps, then each generator takes one step, all on the same mini-batch;
-every step draws fresh generator noise. One table of (kind, steps, step)
-entries holds that schedule, and the single-GAN baseline keeps only its
-visual critic and generator rows. Every step goes through one commit:
+steps, then each generator takes one step, all on the same mini-batch.
+Each critic step draws fresh generator noise. Each generator step applies
+the visual generator to the batch's own noise (``FeatureBatch.noise``) and
+draws fresh noise only for the cycle's second application. One table of
+(kind, steps, step) entries holds that schedule, and the single-GAN
+baseline keeps only its visual critic and generator rows. Every step goes through one commit:
 finiteness check, Adam step on the network's flat buffer, parameter scan,
 log record and callback. A step's gradient reaches Adam as factors
 (``networks.MLPGrads``), which Adam forms a block of rows at a time and

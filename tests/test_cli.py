@@ -304,6 +304,35 @@ class TestAblateAndSweep:
         assert not (tmp_path / "run").exists()
 
 
+def dataset_without_rows(tmp_path, split, cls):
+    """The oracle dataset directory without class ``cls``'s rows of ``split``."""
+    ds = tmp_path / "ds"
+    assert main(["synth-data", "--spec", str(write_spec(tmp_path)), "--out", str(ds)]) == 0
+    bundle = load_dataset(str(ds))
+    keep = getattr(bundle, f"labels_{split}") != cls
+    for name in (f"visual_{split}", f"labels_{split}"):
+        setattr(bundle, name, getattr(bundle, name)[keep])
+    save_dataset(bundle, str(ds))
+    return ds
+
+
+class TestMissingRows:
+    """A dataset without the rows a command needs exits 2, naming the classes,
+    before the command writes anything or trains."""
+
+    @pytest.mark.parametrize("command,split,cls,kind", [
+        ("train", "train", 1, "training"),
+        ("sweep", "test_seen", 2, "test"),
+        ("ablate", "test_unseen", 4, "test"),
+    ])
+    def test_exits_two_before_any_output(self, tmp_path, capsys, command, split, cls, kind):
+        ds = dataset_without_rows(tmp_path, split, cls)
+        cfg = write_dataset_config(tmp_path / "cfg.json", tmp_path / "run", ds)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"classes without {kind} rows: [{cls}]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
 class TestExportViz:
     def test_export_counts(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
@@ -425,6 +454,25 @@ class TestSeedOverride:
         assert not (tmp_path / "run").exists()
 
 
+def evaluate_argv(tmp_path, n_per_class):
+    cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", train={"epochs": 1})
+    assert main(["train", "--config", str(cfg)]) == 0
+    return ["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint.zip"),
+            "--n-per-class", str(n_per_class), "--out", str(tmp_path / "eval")]
+
+
+def synth_data_argv(tmp_path, feature_dim):
+    spec = tmp_path / "spec.json"
+    spec.write_text(dumps_json({**ORACLE_SPEC, "feature_dim": feature_dim}))
+    return ["synth-data", "--spec", str(spec), "--out", str(tmp_path / "ds")]
+
+
+def train_argv(tmp_path, hidden_dim):
+    cfg = write_config(tmp_path / "cfg.json", tmp_path / "run",
+                       train={"epochs": 1, "hidden_dim": hidden_dim})
+    return ["train", "--config", str(cfg)]
+
+
 class TestRuntimeFailures:
     def test_divergence_exits_three(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "run",
@@ -435,13 +483,20 @@ class TestRuntimeFailures:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
-    def test_out_of_memory_exits_three(self, tmp_path, capsys):
-        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", train={"epochs": 1})
-        assert main(["train", "--config", str(cfg)]) == 0
+    # sizes no host grants, none of them allocated: 10**13 rows per class ask
+    # for hundreds of TiB (MemoryError); the others are refused by numpy as
+    # too big for any array (ValueError) or for a C long (OverflowError)
+    @pytest.mark.parametrize("argv,size", [
+        (evaluate_argv, 10**13),
+        (evaluate_argv, 10**20),
+        (synth_data_argv, 2**62),
+        (train_argv, 2**62),
+    ], ids=["evaluate-rows", "evaluate-overflow", "synth-data-feature-dim",
+            "train-hidden-dim"])
+    def test_out_of_memory_exits_three(self, tmp_path, capsys, argv, size):
+        args = argv(tmp_path, size)
         capsys.readouterr()
-        # 10**13 rows per class ask for hundreds of TiB, which no host grants
-        code = main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint.zip"),
-                     "--n-per-class", str(10**13), "--out", str(tmp_path / "eval")])
+        code = main(args)
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("out of memory: ") and err.count("\n") == 1

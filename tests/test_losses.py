@@ -121,23 +121,6 @@ class TestClassificationLoss:
         x = rng.uniform(-1.0, 1.0, (B, K))
         return cls, x, np.arange(B) % 3
 
-    def test_workspace_gives_the_same_bytes(self):
-        cls, x, labels = self.large_logit_case()
-        fresh = losses.softmax_ce_grads(cls, x, labels)
-        out = np.full((B, 3), np.nan), np.full((3, K), np.nan), np.full(3, np.nan)
-        loss, dw, db, dx = losses.softmax_ce_grads(cls, x, labels, out=out)
-        assert loss == fresh[0]
-        for got, want in zip((dw, db, dx), fresh[1:]):
-            assert got.tobytes() == want.tobytes()
-        assert np.shares_memory(dw, out[1]) and db is out[2]
-
-    def test_without_param_grads_loss_and_input_grad_are_unchanged(self):
-        cls, x, labels = self.large_logit_case()
-        full = losses.softmax_ce_grads(cls, x, labels)
-        loss, dw, db, dx = losses.softmax_ce_grads(cls, x, labels, param_grads=False)
-        assert dw is None and db is None
-        assert loss == full[0] and dx.tobytes() == full[3].tobytes()
-
     def test_matches_the_unmasked_formula(self):
         # dw against x.T @ d_logits: equal bytes on the OpenBLAS build this was
         # checked on (scipy-openblas 0.3.31, bundled with numpy's wheels), not

@@ -238,13 +238,6 @@ class TestSelectiveBackward:
         return params, cache, d_out, mlp_backward(params, cache, d_out)
 
     @pytest.mark.parametrize("net,builder", NET_INPUTS)
-    def test_input_grad_only(self, net, builder):
-        params, cache, d_out, (_, d_u) = self.full_backward(net, builder)
-        grads, d_u_only = mlp_backward(params, cache, d_out, param_grads=False)
-        assert grads is None
-        assert np.array_equal(d_u_only, d_u)
-
-    @pytest.mark.parametrize("net,builder", NET_INPUTS)
     def test_param_grads_only(self, net, builder):
         params, cache, d_out, (grads, _) = self.full_backward(net, builder)
         grads_only, d_u = mlp_backward(params, cache, d_out, input_grad=False)

@@ -109,8 +109,9 @@ class TestSynthesize:
 
 
 def reference_fit(x, labels, class_ids, max_steps, grad_tol, log=None):
-    """The softmax fit as written before its step workspace: out-of-place
-    arrays, ``np.exp`` of every shifted logit, and ``x.T @ d_logits``.
+    """The softmax fit in its plainest form: separate arrays for every
+    intermediate, ``np.exp`` of every shifted logit, ``x.T @ d_logits`` and
+    the exact norm test at every step.
     ``log``, if given, collects every step's shifted logits and gradient norm.
 
     ``fit_softmax`` forms ``d_logits.T @ x`` instead; its byte equality with
