@@ -57,6 +57,19 @@ def _configure(args, embedded: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
+def _check_rows(bundle: DatasetBundle, training_rows: bool, test_rows: bool) -> None:
+    """Reject a dataset, naming the classes, where a seen class lacks training
+    rows (with ``training_rows``) or any class lacks test rows (with ``test_rows``)."""
+    needs = [("training", bundle.seen_classes, bundle.labels_train)] if training_rows else []
+    if test_rows:
+        needs.append(("test", bundle.all_classes,
+                      np.concatenate([bundle.labels_test_seen, bundle.labels_test_unseen])))
+    for kind, classes, labels in needs:
+        missing = np.setdiff1d(classes, labels)
+        if missing.size:
+            raise ValidationError(f"classes without {kind} rows: {missing.tolist()}")
+
+
 def _prepare_run(args, test_rows: bool) -> tuple[RunConfig, DatasetBundle]:
     """The run config and dataset of a command that trains, once the dataset has
     the rows it needs, and its output directory holding ``config_effective.json``.
@@ -67,14 +80,7 @@ def _prepare_run(args, test_rows: bool) -> tuple[RunConfig, DatasetBundle]:
     """
     cfg = _configure(args)
     bundle = cfg.resolve_bundle()
-    needs = [("training", bundle.seen_classes, bundle.labels_train)]
-    if test_rows:
-        needs.append(("test", bundle.all_classes,
-                      np.concatenate([bundle.labels_test_seen, bundle.labels_test_unseen])))
-    for kind, classes, labels in needs:
-        missing = np.setdiff1d(classes, labels)
-        if missing.size:
-            raise ValidationError(f"classes without {kind} rows: {missing.tolist()}")
+    _check_rows(bundle, training_rows=True, test_rows=test_rows)
     os.makedirs(cfg.out, exist_ok=True)
     write_effective_config(cfg, os.path.join(cfg.out, "config_effective.json"))
     return cfg, bundle
@@ -118,6 +124,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     params, cfg, bundle = _load_model(args)
+    _check_rows(bundle, training_rows=False, test_rows=True)
     report = evaluate_gzsl(params, bundle, cfg.eval)
     os.makedirs(cfg.out, exist_ok=True)
     _write_report(cfg.out, [("gzsl", report)])

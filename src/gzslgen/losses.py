@@ -3,8 +3,8 @@
 The ``*_and_grads`` variants return analytic parameter gradients for the
 training loop; the value-only functions are thin wrappers over them. Each
 job has one body: one interpolation gives every penalized row; both critics
-call one WGAN-GP objective, whose gradient penalty adds its two nonzero
-blocks straight into the step's gradient; one critic pull gives all three
+call one WGAN-GP objective, whose gradient penalty appends one term to
+each weight's gradient; one critic pull gives all three
 adversarial terms of the generators, reusing its forward's hidden
 preactivation; both generators share one cached forward of the cycle
 x' -> a' -> x''; the semantic and visual centroid terms share one
@@ -17,10 +17,11 @@ against independent term-by-term recomputation from the public term
 operations, and pins every gradient against central finite differences.
 
 Each ``*_and_grads`` returns its gradient as ``networks.MLPGrads``: the
-weight gradients stay batch products, the second backward's terms follow the
-first's (``MLPGrads.add``), and the penalty appends its ``w1`` term and its
-``w2`` column, so a step forms no parameter-sized array; the optimizer forms
-the gradient a block of rows at a time as it updates. The critic objective
+weight gradients stay products that each span their whole weight, the second
+backward's terms follow the first's (``MLPGrads.add``), and the penalty
+appends one scaled term to each weight, so a step forms no parameter-sized
+array; the optimizer forms the gradient a block of rows at a time as it
+updates. The critic objective
 scores its fake, real and interpolated rows in one forward over the stacked
 rows, and the penalty reuses that forward's hidden preactivations.
 
@@ -256,14 +257,16 @@ def gradient_penalty(
 def _add_gp_grads(
     critic: MLPParams, h_pre: np.ndarray, n_grad: int, lam: float, grads: MLPGrads
 ) -> float:
-    """Penalty value; adds ``lam`` times its critic-parameter gradient to ``grads``:
-    a term on the first ``n_grad`` rows of w1 and a column of w2.
+    """Penalty value; appends ``lam`` times its critic-parameter gradient to
+    ``grads`` as one whole-weight term each for w1 and w2.
 
     ``h_pre`` is the critic's hidden preactivation at the interpolated rows.
     The input gradient of a one-hidden-layer critic is piecewise constant
     in the hidden preactivations, so the derivative of the penalty through
-    the activation pattern vanishes almost everywhere; only w1 rows in the
-    penalized block and w2 receive gradient, so only those are touched.
+    the activation pattern vanishes almost everywhere; only the w1 rows of
+    the first ``n_grad`` (penalized) inputs and w2 receive gradient. The w1
+    term's left factor is zero below those rows; the w2 term is its column
+    times ``[[1.0]]``, a product that holds the column's own bits.
     """
     b = h_pre.shape[0]
     d = _leaky_deriv(h_pre, critic.shape.negative_slope)        # [B, H]
@@ -275,11 +278,12 @@ def _add_gp_grads(
     coef = np.zeros(b)
     nonzero = norms > 0
     coef[nonzero] = 2.0 * (norms[nonzero] - 1.0) / (norms[nonzero] * b)
-    v = coef[:, None] * g                                       # [B, n_grad]
+    v_t = np.zeros((critic.shape.input_dim, b))                 # [n_in, B]
+    np.multiply(coef, g.T, out=v_t[:n_grad])
 
-    grads.w1.append((v.T, s, lam))
-    p = v @ critic.w1[:n_grad, :]                               # [B, H]
-    grads.w2_col = lam * (d * p).sum(axis=0)
+    grads.w1.append((v_t, s, lam))
+    p = v_t[:n_grad].T @ critic.w1[:n_grad, :]                  # [B, H]
+    grads.w2.append(((d * p).sum(axis=0)[:, None], np.ones((1, 1)), lam))
     return value
 
 

@@ -24,11 +24,13 @@ upstream of. ``critic_input_grads`` takes the hidden preactivation ``h_pre``
 of a forward pass that has already run.
 
 Parameter gradients come back as ``MLPGrads``: the bias gradients as arrays
-and each weight gradient as its batch products ``input.T @ delta``, unformed.
-``MLPGrads.segments`` forms the weight gradients a block of ``row_blocks``
-rows at a time in one small scratch, so the optimizer consumes each block
-while it is in cache and no parameter-sized gradient is ever made;
-``MLPGrads.dense`` writes the same blocks into fresh parameters.
+and each weight gradient as the ordered sum of its terms, products ``a @ b``
+that each span the whole weight (a backward's ``input.T @ delta``, a penalty's
+zero-padded term), left unformed. ``MLPGrads.segments`` forms the weight
+gradients a block of ``row_blocks`` rows at a time in one small scratch, so
+the optimizer consumes each block while it is in cache and no
+parameter-sized gradient is ever made; ``MLPGrads.dense`` writes the same
+blocks into fresh parameters.
 ``synthesis`` splits its generator forwards by the same row rule.
 """
 
@@ -217,7 +219,7 @@ def row_blocks(n: int, most: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-# (a, b, scale): adds a @ b, times scale if given, to the first a.shape[0] rows
+# (a, b, scale): adds a @ b, times scale if given, to the whole weight
 Term = tuple[np.ndarray, np.ndarray, float | None]
 
 
@@ -226,9 +228,9 @@ class MLPGrads:
     """Parameter gradients of one MLP, each weight gradient kept as factors.
 
     ``w1`` and ``w2`` list the terms of their weight's gradient in the order
-    they are summed. The first comes from ``mlp_backward``: unscaled, over
-    every row. ``w2_col``, if set, is added to column 0 of the w2 gradient
-    after its terms. ``b1`` and ``b2`` are the bias gradients themselves.
+    they are summed; every term spans the whole weight. The first comes from
+    ``mlp_backward`` and is unscaled. ``b1`` and ``b2`` are the bias
+    gradients themselves.
     """
 
     shape: NetworkShape
@@ -236,7 +238,6 @@ class MLPGrads:
     b1: np.ndarray
     w2: list[Term]
     b2: np.ndarray
-    w2_col: np.ndarray | None = None
 
     def add(self, other: "MLPGrads") -> None:
         """Add ``other``'s gradient: its terms follow this one's."""
@@ -252,7 +253,7 @@ class MLPGrads:
         i, h, o = self.shape.input_dim, self.shape.hidden_dim, self.shape.output_dim
         yield from _weight_blocks(self.w1, i, h, 0)
         yield i * h, self.b1
-        yield from _weight_blocks(self.w2, h, o, i * h + h, self.w2_col)
+        yield from _weight_blocks(self.w2, h, o, i * h + h)
         yield i * h + h + h * o, self.b2
 
     def dense(self) -> MLPParams:
@@ -264,15 +265,15 @@ class MLPGrads:
 
 
 def _weight_blocks(
-    terms: list[Term], n_rows: int, n_cols: int, offset: int, col: np.ndarray | None = None
+    terms: list[Term], n_rows: int, n_cols: int, offset: int
 ) -> Iterator[tuple[int, np.ndarray]]:
     """One weight gradient, ``offset`` into the flat layout, a block of rows
     at a time in a scratch of at most ``_ADD_BLOCK`` doubles.
 
     Each block is formed in the order of a sum into one full-size gradient:
     the first term written by ``np.matmul``, each later one formed in a
-    second scratch, scaled if weighted, then added; ``col`` last. A later
-    term's one-row piece is taken from a two-row product (see ``row_blocks``).
+    second scratch, scaled if weighted, then added. Every term spans the
+    whole weight, so each block takes the same rows ``lo:hi`` of every term.
     """
     blocks = row_blocks(n_rows, max(4, _ADD_BLOCK // n_cols))
     rows = max(hi - lo for lo, hi in blocks)
@@ -281,16 +282,10 @@ def _weight_blocks(
     for lo, hi in blocks:
         block = np.matmul(first_a[lo:hi], first_b, out=block_buf[: hi - lo])
         for a, b, scale in later:
-            top = min(hi, a.shape[0])
-            if top <= lo:
-                continue
-            start = min(lo, max(0, top - 2))
-            part = np.matmul(a[start:top], b, out=part_buf[: top - start])[lo - start :]
+            part = np.matmul(a[lo:hi], b, out=part_buf[: hi - lo])
             if scale is not None:
                 part *= scale
-            block[: top - lo] += part
-        if col is not None:
-            block[:, 0] += col[lo:hi]
+            block += part
         yield offset + lo * n_cols, block.reshape(-1)
 
 

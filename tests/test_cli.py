@@ -7,6 +7,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from gzslgen import evaluation
 from gzslgen.cli import main
 from gzslgen.data import load_dataset, save_dataset
 from gzslgen.matio import dumps_json
@@ -304,14 +305,16 @@ class TestAblateAndSweep:
         assert not (tmp_path / "run").exists()
 
 
-def dataset_without_rows(tmp_path, split, cls):
-    """The oracle dataset directory without class ``cls``'s rows of ``split``."""
+def dataset_without_rows(tmp_path, *drops):
+    """The oracle dataset directory without, for each ``(split, cls)`` of
+    ``drops``, class ``cls``'s rows of ``split``."""
     ds = tmp_path / "ds"
     assert main(["synth-data", "--spec", str(write_spec(tmp_path)), "--out", str(ds)]) == 0
     bundle = load_dataset(str(ds))
-    keep = getattr(bundle, f"labels_{split}") != cls
-    for name in (f"visual_{split}", f"labels_{split}"):
-        setattr(bundle, name, getattr(bundle, name)[keep])
+    for split, cls in drops:
+        keep = getattr(bundle, f"labels_{split}") != cls
+        for name in (f"visual_{split}", f"labels_{split}"):
+            setattr(bundle, name, getattr(bundle, name)[keep])
     save_dataset(bundle, str(ds))
     return ds
 
@@ -326,11 +329,26 @@ class TestMissingRows:
         ("ablate", "test_unseen", 4, "test"),
     ])
     def test_exits_two_before_any_output(self, tmp_path, capsys, command, split, cls, kind):
-        ds = dataset_without_rows(tmp_path, split, cls)
+        ds = dataset_without_rows(tmp_path, (split, cls))
         cfg = write_dataset_config(tmp_path / "cfg.json", tmp_path / "run", ds)
         assert main([command, "--config", str(cfg)]) == 2
         assert f"classes without {kind} rows: [{cls}]" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_evaluate_exits_two_before_the_fit(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
+        assert main(["train", "--config", str(cfg)]) == 0
+        ds = dataset_without_rows(tmp_path, ("test_seen", 2), ("test_unseen", 4))
+        eval_cfg = write_dataset_config(tmp_path / "eval.json", tmp_path / "eval", ds)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the final classifier was fitted")
+
+        monkeypatch.setattr(evaluation, "fit_gzsl_classifier", no_fit)
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "run" / "checkpoint.zip"),
+                     "--config", str(eval_cfg)]) == 2
+        assert "classes without test rows: [2, 4]" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
 
 class TestExportViz:

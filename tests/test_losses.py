@@ -615,19 +615,17 @@ class TestWorkBuffer:
 
 def _dense_reference(grads: MLPGrads) -> np.ndarray:
     """The flat gradient from whole products, summed in the order of the terms."""
-    def weight(terms, col=None):
+    def weight(terms):
         (a, b, _), *later = terms
         total = a @ b
         for a, b, scale in later:
             product = a @ b
             if scale is not None:
                 product *= scale
-            total[: a.shape[0]] += product
-        if col is not None:
-            total[:, 0] += col
+            total += product
         return total.reshape(-1)
 
-    return np.concatenate([weight(grads.w1), grads.b1, weight(grads.w2, grads.w2_col), grads.b2])
+    return np.concatenate([weight(grads.w1), grads.b1, weight(grads.w2), grads.b2])
 
 
 class TestStreamedStep:
@@ -637,8 +635,9 @@ class TestStreamedStep:
     @pytest.mark.parametrize("name,net", zip(LOSS_NAMES, ("d_v", "d_s", "g_sv", "g_vs")))
     def test_matches_dense_gradient_and_unfused_adam(self, monkeypatch, name, net):
         # blocks of at most 4 rows split every weight gradient; the visual
-        # critic's block of rows 6:9 straddles the penalty's last row, 6
-        # (n_grad = K = 7), which the penalty term then gives alone
+        # critic's block of rows 6:9 straddles the penalty's last input row,
+        # 6 (n_grad = K = 7): its term spans all K + L rows, zero below row 6,
+        # so that block takes rows 6:9 of every term alike
         monkeypatch.setattr(networks, "_ADD_BLOCK", 8)
         k, l = 7, 6
         model = small_model(seed=70, k=k, l=l)
@@ -653,6 +652,9 @@ class TestStreamedStep:
         for t in (1, 2):
             batch = random_batch(seed=70 + t, k=k, l=l)
             _, _, grads = TestWorkBuffer.call(name, model, batch, np.random.default_rng(t))
+            # every term spans its whole weight, so each block slices all alike
+            for terms, weight in ((grads.w1, params.w1), (grads.w2, params.w2)):
+                assert all((a.shape[0], b.shape[1]) == weight.shape for a, b, _ in terms)
             g = _dense_reference(grads)
             norm = opt.step(grads.segments())
             m = m * b1 + g * (1.0 - b1)
