@@ -3,9 +3,12 @@ oracle, and deterministic mini-batch iteration.
 
 A dataset directory is self-describing: ``meta.json`` plus flat binary
 matrices (see ``save_dataset``). Class ids must be the integers
-``0 .. C_total-1`` so that labels index the attribute matrix directly.
-``load_dataset`` types ``meta.json`` as a ``DatasetMeta`` through
-``matio.read_fields``.
+``0 .. C_total-1`` so that labels index the attribute matrix directly, and
+neither the seen nor the unseen class list may be empty. ``SPLITS`` is the
+one table of the three splits (train, test_seen, test_unseen) and the class
+list each split's labels must lie in; saving, loading, validation and the
+optional rescale all walk it. ``load_dataset`` types ``meta.json`` as a
+``DatasetMeta`` through ``matio.read_fields``.
 
 Loading and synthetic generation are pure functions; a batch iterator is
 single-consumer (create one per worker).
@@ -23,15 +26,13 @@ import numpy as np
 from .errors import ContractViolation, ValidationError
 from .matio import dumps_json, load_json, read_fields, read_matrix, write_matrix
 
-# key -> (file name, on-disk kind, DatasetBundle field)
-DATASET_FILES = {
-    "train_X": ("train_X.f32", "f32", "visual_train"),
-    "train_y": ("train_y.i32", "i32", "labels_train"),
-    "test_seen_X": ("test_seen_X.f32", "f32", "visual_test_seen"),
-    "test_seen_y": ("test_seen_y.i32", "i32", "labels_test_seen"),
-    "test_unseen_X": ("test_unseen_X.f32", "f32", "visual_test_unseen"),
-    "test_unseen_y": ("test_unseen_y.i32", "i32", "labels_test_unseen"),
-    "attributes": ("attributes.f32", "f32", "attributes"),
+# split -> the class-list field its labels must lie in. Split s has the
+# DatasetBundle fields visual_s and labels_s, the meta.json count n_s and the
+# files s_X.f32 and s_y.i32.
+SPLITS = {
+    "train": "seen_classes",
+    "test_seen": "seen_classes",
+    "test_unseen": "unseen_classes",
 }
 
 
@@ -134,29 +135,19 @@ def validate_bundle(bundle: DatasetBundle) -> DatasetBundle:
             "class ids must be exactly 0..C_total-1 so labels index the "
             f"attribute matrix; got {sorted(seen | unseen)} for {c_total} attribute rows"
         )
-    checks = [
-        ("labels_train", bundle.labels_train, seen),
-        ("labels_test_seen", bundle.labels_test_seen, seen),
-        ("labels_test_unseen", bundle.labels_test_unseen, unseen),
-    ]
-    for name, labels, allowed in checks:
-        bad = set(np.unique(labels).tolist()) - allowed
+    for split, partition in SPLITS.items():
+        mat, labels = getattr(bundle, f"visual_{split}"), getattr(bundle, f"labels_{split}")
+        bad = set(np.unique(labels).tolist()).difference(getattr(bundle, partition))
         if bad:
-            raise ValidationError(f"{name} contains classes outside its partition: {sorted(bad)}")
-    pairs = [
-        ("visual_train", bundle.visual_train, bundle.labels_train),
-        ("visual_test_seen", bundle.visual_test_seen, bundle.labels_test_seen),
-        ("visual_test_unseen", bundle.visual_test_unseen, bundle.labels_test_unseen),
-    ]
-    k = bundle.attributes.shape[1]  # only needs to be consistent
-    for name, mat, labels in pairs:
+            raise ValidationError(
+                f"labels_{split} contains classes outside its partition: {sorted(bad)}")
         if mat.ndim != 2 or labels.ndim != 1 or mat.shape[0] != labels.shape[0]:
-            raise ValidationError(f"{name}: rows and labels disagree")
+            raise ValidationError(f"visual_{split}: rows and labels disagree")
         if mat.shape[1] != bundle.visual_train.shape[1]:
-            raise ValidationError(f"{name}: feature width differs from the train split")
+            raise ValidationError(f"visual_{split}: feature width differs from the train split")
         if not np.all(np.isfinite(mat)):
-            raise ValidationError(f"{name} contains non-finite values")
-    if bundle.attributes.ndim != 2 or k < 1:
+            raise ValidationError(f"visual_{split} contains non-finite values")
+    if bundle.attributes.ndim != 2 or bundle.attributes.shape[1] < 1:
         raise ValidationError("attributes must be a [C_total, L] matrix")
     if not np.all(np.isfinite(bundle.attributes)):
         raise ValidationError("attributes contain non-finite values")
@@ -225,14 +216,15 @@ def save_dataset(bundle: DatasetBundle, root: str) -> None:
         attribute_dim=int(bundle.attribute_dim),
         seen_classes=[int(c) for c in bundle.seen_classes],
         unseen_classes=[int(c) for c in bundle.unseen_classes],
-        n_train=int(bundle.visual_train.shape[0]),
-        n_test_seen=int(bundle.visual_test_seen.shape[0]),
-        n_test_unseen=int(bundle.visual_test_unseen.shape[0]),
+        **{f"n_{split}": int(getattr(bundle, f"visual_{split}").shape[0]) for split in SPLITS},
     )
     with open(os.path.join(root, "meta.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps_json({"format": "gzslgen-dataset", "version": 1, **asdict(meta)}))
-    for fname, kind, attr in DATASET_FILES.values():
-        write_matrix(os.path.join(root, fname), getattr(bundle, attr), kind)
+    for split in SPLITS:
+        x, y = getattr(bundle, f"visual_{split}"), getattr(bundle, f"labels_{split}")
+        write_matrix(os.path.join(root, f"{split}_X.f32"), x, "f32")
+        write_matrix(os.path.join(root, f"{split}_y.i32"), y, "i32")
+    write_matrix(os.path.join(root, "attributes.f32"), bundle.attributes, "f32")
 
 
 def load_dataset(root: str, normalize: bool = False) -> DatasetBundle:
@@ -246,33 +238,30 @@ def load_dataset(root: str, normalize: bool = False) -> DatasetBundle:
     for name in ("feature_dim", "attribute_dim"):
         if getattr(meta, name) < 1:
             raise ValidationError(f"{path}: {name} must be >= 1, got {getattr(meta, name)}")
-    k = meta.feature_dim
-    shapes = {
-        "train_X": (meta.n_train, k),
-        "train_y": (meta.n_train,),
-        "test_seen_X": (meta.n_test_seen, k),
-        "test_seen_y": (meta.n_test_seen,),
-        "test_unseen_X": (meta.n_test_unseen, k),
-        "test_unseen_y": (meta.n_test_unseen,),
-        "attributes": (len(meta.seen_classes) + len(meta.unseen_classes), meta.attribute_dim),
-    }
-    loaded = {
-        attr: read_matrix(os.path.join(root, fname), shapes[key], kind)
-        for key, (fname, kind, attr) in DATASET_FILES.items()
-    }
+    for name in ("seen_classes", "unseen_classes"):
+        if not getattr(meta, name):
+            raise ValidationError(f"{path}: {name} must list at least one class")
+    loaded = {}
+    for split in SPLITS:
+        n = getattr(meta, f"n_{split}")
+        loaded[f"visual_{split}"] = read_matrix(
+            os.path.join(root, f"{split}_X.f32"), (n, meta.feature_dim), "f32")
+        loaded[f"labels_{split}"] = read_matrix(os.path.join(root, f"{split}_y.i32"), (n,), "i32")
+    c_total = len(meta.seen_classes) + len(meta.unseen_classes)
     bundle = validate_bundle(
         DatasetBundle(
             **loaded,
+            attributes=read_matrix(
+                os.path.join(root, "attributes.f32"), (c_total, meta.attribute_dim), "f32"),
             seen_classes=tuple(meta.seen_classes),
             unseen_classes=tuple(meta.unseen_classes),
         )
     )
     if normalize:
-        scale = np.abs(bundle.visual_train).max(axis=0)
+        scale = np.abs(bundle.visual_train).max(axis=0, initial=0.0)
         scale[scale == 0] = 1.0
-        bundle.visual_train = bundle.visual_train / scale
-        bundle.visual_test_seen = bundle.visual_test_seen / scale
-        bundle.visual_test_unseen = bundle.visual_test_unseen / scale
+        for split in SPLITS:
+            setattr(bundle, f"visual_{split}", getattr(bundle, f"visual_{split}") / scale)
     return bundle
 
 

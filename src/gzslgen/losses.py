@@ -1,19 +1,20 @@
 """Every loss term of the two adversarial objectives, as pure functions.
 
-The ``*_and_grads`` variants return analytic parameter gradients for the
-training loop; the value-only functions are thin wrappers over them. Each
-job has one body: one interpolation gives every penalized row; both critics
-call one WGAN-GP objective, whose gradient penalty appends one term to
-each weight's gradient; one critic pull gives all three
-adversarial terms of the generators, reusing its forward's hidden
-preactivation; both generators share one cached forward of the cycle
-x' -> a' -> x''; the semantic and visual centroid terms share one
-centroid-matching gradient. A generator's terms start at 0.0, and a term
-of weight 0, or the pair term at ``pair_mode=None``, is skipped. Every
-backward skips the input gradient where nothing lies upstream of it: in the
-critic objective, where a generator's chain starts, and in the
-classification value and the softmax fit. The test suite pins the values
-against independent term-by-term recomputation from the public term
+Each objective has one entry point: a ``*_and_grads`` function returns the
+value, its named terms and the analytic parameter gradients, and a caller
+that needs only the value takes element 0. Each job has one body: one
+interpolation gives every penalized row; both critics call one WGAN-GP
+objective, whose gradient penalty appends one term to each weight's
+gradient; one critic pull gives all three adversarial terms of the
+generators, reusing its forward's hidden preactivation; both generators
+share one cached forward of the cycle x' -> a' -> x''; the semantic and
+visual centroid terms share one centroid-matching gradient. A generator's
+terms start at 0.0, and a term of weight 0, or the pair term at
+``pair_mode=None``, is skipped. Every backward skips the input gradient
+where nothing lies upstream of it: in the critic objective, where a
+generator's chain starts, and in the softmax fit
+(``softmax_ce_grads(..., input_grad=False)``). The test suite pins the
+values against independent term-by-term recomputation from the public term
 operations, and pins every gradient against central finite differences.
 
 Each ``*_and_grads`` returns its gradient as ``networks.MLPGrads``: the
@@ -85,15 +86,6 @@ class LossWeights:
 # term operations
 
 
-def classification_loss(cls: LinearParams, synth_visual: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-probability of the true class under the frozen classifier.
-
-    ``labels`` index classifier columns (seen classes in ascending order).
-    """
-    value, _, _, _ = softmax_ce_grads(cls, synth_visual, labels, input_grad=False)
-    return value
-
-
 _TINY = np.finfo(np.float64).tiny
 # np.exp of a shifted logit below this is subnormal or 0.0
 _EXP_FLOOR = np.log(_TINY)
@@ -108,6 +100,10 @@ def softmax_ce_grads(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray | None]:
     """Cross-entropy with gradients w.r.t. (w, b, x). Returns (loss, dw, db, dx);
     ``dx`` is None, and its GEMM skipped, when ``input_grad`` is False.
+
+    The loss is the mean negative log-probability of the true class; as the
+    generator's classification term, ``labels`` index classifier columns
+    (seen classes in ascending order).
 
     The weight gradient is formed as ``d_logits.T @ x``, a ``[C, K]`` array
     returned as its transposed view ``dw``, which OpenBLAS computes in about
@@ -169,16 +165,6 @@ def _group_indices(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return [(int(c), np.flatnonzero(labels == c)) for c in np.unique(labels)]
 
 
-def semantic_centroid_loss(
-    recon_attrs: np.ndarray,
-    labels: np.ndarray,
-    attributes: np.ndarray,
-) -> float:
-    """Mean over batch-present classes of ||centroid(a'_c) - a_c||_2."""
-    value, _ = semantic_centroid_grads(recon_attrs, labels, attributes)
-    return value
-
-
 def visual_consistency_loss(
     cycle_visual: np.ndarray,
     labels: np.ndarray,
@@ -198,7 +184,10 @@ def _centroid_match_grads(
     rows: np.ndarray, labels: np.ndarray, targets: Mapping[int, np.ndarray] | np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Mean over batch-present classes c of ||centroid(rows_c) - targets[c]||_2,
-    with its gradient w.r.t. ``rows``. ``targets`` maps or indexes class ids."""
+    with its gradient w.r.t. ``rows``. ``targets`` maps or indexes class ids.
+
+    With reconstructed attributes as ``rows`` and class attributes as
+    ``targets`` this is the semantic centroid term."""
     groups = _group_indices(labels)
     d_rows = np.zeros_like(rows)
     total = 0.0
@@ -209,9 +198,6 @@ def _centroid_match_grads(
         if norm > 0:
             d_rows[idx] += diff / (norm * len(groups) * idx.size)
     return total / len(groups), d_rows
-
-
-semantic_centroid_grads = _centroid_match_grads
 
 
 def _batch_centroid_targets(batch: FeatureBatch) -> dict[int, np.ndarray]:
@@ -315,18 +301,6 @@ def _critic_loss_and_grads(
     return w_fake - w_real + lam * gp, terms, grads
 
 
-def disc_v_loss(
-    model: ModelParams,
-    batch: FeatureBatch,
-    synth_visual: np.ndarray,
-    weights: LossWeights,
-    mix,
-) -> float:
-    """Conditional visual-critic objective: fake minus real score plus penalty."""
-    value, _, _ = disc_v_loss_and_grads(model, batch, synth_visual, weights, mix)
-    return value
-
-
 def disc_v_loss_and_grads(
     model: ModelParams,
     batch: FeatureBatch,
@@ -334,6 +308,7 @@ def disc_v_loss_and_grads(
     weights: LossWeights,
     mix,
 ) -> tuple[float, dict[str, float], MLPGrads]:
+    """Conditional visual-critic objective: fake minus real score plus penalty."""
     mixed = _interpolate(batch.visual, synth_visual, mix)
     return _critic_loss_and_grads(
         model.d_v,
@@ -345,18 +320,6 @@ def disc_v_loss_and_grads(
     )
 
 
-def disc_s_loss(
-    model: ModelParams,
-    batch: FeatureBatch,
-    recon_attrs: np.ndarray,
-    weights: LossWeights,
-    mix,
-) -> float:
-    """Semantic-critic objective over real vs reconstructed attributes."""
-    value, _, _ = disc_s_loss_and_grads(model, batch, recon_attrs, weights, mix)
-    return value
-
-
 def disc_s_loss_and_grads(
     model: ModelParams,
     batch: FeatureBatch,
@@ -364,6 +327,7 @@ def disc_s_loss_and_grads(
     weights: LossWeights,
     mix,
 ) -> tuple[float, dict[str, float], MLPGrads]:
+    """Semantic-critic objective over real vs reconstructed attributes."""
     return _critic_loss_and_grads(
         model.d_s, real_in=batch.attributes, fake_in=recon_attrs,
         mixed_in=_interpolate(batch.attributes, recon_attrs, mix),
@@ -393,18 +357,6 @@ def _generator_chain(
     recon = mlp_forward_cached(model.g_vs, synth.out)
     cycle = mlp_forward_cached(model.g_sv, np.hstack([recon.out, noise2]))
     return synth, recon, cycle
-
-
-def gen_sv_loss(
-    model: ModelParams,
-    batch: FeatureBatch,
-    weights: LossWeights,
-    noise2: np.ndarray,
-    label_cols: np.ndarray | None = None,
-    pair_mode: str | None = "real",
-) -> float:
-    value, _, _ = gen_sv_loss_and_grads(model, batch, weights, noise2, label_cols, pair_mode)
-    return value
 
 
 def gen_sv_loss_and_grads(
@@ -473,16 +425,6 @@ def gen_sv_loss_and_grads(
     return total, terms, grads
 
 
-def gen_vs_loss(
-    model: ModelParams,
-    batch: FeatureBatch,
-    weights: LossWeights,
-    noise2: np.ndarray,
-) -> float:
-    value, _, _ = gen_vs_loss_and_grads(model, batch, weights, noise2)
-    return value
-
-
 def gen_vs_loss_and_grads(
     model: ModelParams,
     batch: FeatureBatch,
@@ -505,7 +447,7 @@ def gen_vs_loss_and_grads(
     d_recon += pull
 
     if weights.lambda5 > 0:
-        sc_value, d_sc = semantic_centroid_grads(a_recon, batch.labels, _attr_targets(batch))
+        sc_value, d_sc = _centroid_match_grads(a_recon, batch.labels, _attr_targets(batch))
         terms["sc"] = weights.lambda5 * sc_value
         d_recon += weights.lambda5 * d_sc
 

@@ -123,9 +123,7 @@ class Adam:
     ``step`` takes the gradient as ``(offset, values)`` segments of the
     flattened parameter (``MLPGrads.segments``) and updates each segment's
     entries in place as it arrives, in blocks of ``_ADAM_BLOCK``, with no
-    full-size temporaries. Once a bias correction rounds to exactly 1.0
-    (t >= 54 at beta1 0.5, t >= 356 at beta2 0.9), dividing by it is an exact
-    identity, so that pass is skipped.
+    full-size temporaries.
     """
 
     def __init__(self, param: np.ndarray, cfg: OptimizerConfig):
@@ -165,16 +163,10 @@ class Adam:
                 np.multiply(den, gb, out=den)
                 np.add(vb, den, out=vb)
                 # p -= (lr*(m/bias1)) / (sqrt(v/bias2) + eps)
-                if bias1 == 1.0:
-                    np.multiply(mb, c.learning_rate, out=num)
-                else:
-                    np.divide(mb, bias1, out=num)
-                    np.multiply(num, c.learning_rate, out=num)
-                if bias2 == 1.0:
-                    np.sqrt(vb, out=den)
-                else:
-                    np.divide(vb, bias2, out=den)
-                    np.sqrt(den, out=den)
+                np.divide(mb, bias1, out=num)
+                np.multiply(num, c.learning_rate, out=num)
+                np.divide(vb, bias2, out=den)
+                np.sqrt(den, out=den)
                 np.add(den, _ADAM_EPS, out=den)
                 np.divide(num, den, out=num)
                 np.subtract(pb, num, out=pb)

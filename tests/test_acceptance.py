@@ -26,13 +26,7 @@ from gzslgen.evaluation import EvalConfig, evaluate_gzsl, harmonic_mean, sweep_s
 from gzslgen.losses import (
     LossWeights,
     class_centroid,
-    classification_loss,
-    disc_s_loss,
-    disc_v_loss,
-    gen_sv_loss,
-    gen_vs_loss,
     gradient_penalty,
-    semantic_centroid_loss,
     visual_consistency_loss,
 )
 from gzslgen.matio import dumps_json
@@ -142,14 +136,15 @@ def test_criterion_02_loss_unit_suite():
 
     # trivial fixtures, asserted exactly
     cls0 = LinearParams(w=np.zeros((k, 4)), b=np.zeros(4))
-    assert classification_loss(cls0, batch.visual, np.zeros(b, dtype=int)) == np.log(4.0)
+    assert losses.softmax_ce_grads(
+        cls0, batch.visual, np.zeros(b, dtype=int), input_grad=False)[0] == np.log(4.0)
     row = np.array([[1.0, 2.0]])
     assert np.array_equal(class_centroid(row), row[0])
     np.testing.assert_array_equal(
         class_centroid(np.array([[0.0, 0.0], [2.0, 4.0]])), [1.0, 2.0])
-    assert semantic_centroid_loss(
+    assert losses._centroid_match_grads(
         np.array([[0.0, 0.0], [2.0, 0.0]]), np.array([0, 0]), np.array([[0.0, 0.0]])
-    ) == 1.0
+    )[0] == 1.0
     assert visual_consistency_loss(
         np.array([[3.0, 0.0]]), np.array([0]),
         {0: np.array([[0.0, 0.0], [2.0, 0.0]])}) == 2.0
@@ -158,26 +153,28 @@ def test_criterion_02_loss_unit_suite():
     zero_critic.d_v = zero_mlp(k + l, 16, 1)
     zero_critic.d_s = zero_mlp(l, 16, 1)
     w = LossWeights(lambda1=10.0, lambda4=10.0)
-    assert disc_v_loss(zero_critic, batch, np.abs(batch.visual), w, alpha) == 10.0
+    assert losses.disc_v_loss_and_grads(
+        zero_critic, batch, np.abs(batch.visual), w, alpha)[0] == 10.0
     recon = np.abs(np.random.default_rng(1).standard_normal(batch.attributes.shape))
-    assert disc_s_loss(zero_critic, batch, recon, w, alpha) == 10.0
-    assert gen_sv_loss(
-        zero_critic, batch, LossWeights(lambda2=0.0, lambda3=0.0), noise2) == 0.0
-    assert gen_vs_loss(
-        zero_critic, batch, LossWeights(lambda5=0.0, lambda6=0.0), noise2) == 0.0
+    assert losses.disc_s_loss_and_grads(zero_critic, batch, recon, w, alpha)[0] == 10.0
+    assert losses.gen_sv_loss_and_grads(
+        zero_critic, batch, LossWeights(lambda2=0.0, lambda3=0.0), noise2)[0] == 0.0
+    assert losses.gen_vs_loss_and_grads(
+        zero_critic, batch, LossWeights(lambda5=0.0, lambda6=0.0), noise2)[0] == 0.0
 
     direction = np.zeros(k + l)
     direction[1] = 1.0
     unit_model = small_model()
     unit_model.d_v = linear_critic(k + l, direction)
-    assert disc_v_loss(unit_model, batch, batch.visual.copy(), LossWeights(), alpha) == \
+    assert losses.disc_v_loss_and_grads(
+        unit_model, batch, batch.visual.copy(), LossWeights(), alpha)[0] == \
         pytest.approx(0.0, abs=1e-10)
 
     # compositional oracles, 1e-10 in double precision
     model = small_model(seed=20)
     batch = random_batch(seed=21)
     synth = gen_sv_forward(model, batch.attributes, batch.noise)
-    total = disc_v_loss(model, batch, synth, LossWeights(), alpha)
+    total = losses.disc_v_loss_and_grads(model, batch, synth, LossWeights(), alpha)[0]
     from gzslgen.networks import critic_input_grads
     grad_fn = lambda u: critic_input_grads(model.d_v, np.hstack([u, batch.attributes]))[:, :k]
     expected = (
@@ -188,28 +185,30 @@ def test_criterion_02_loss_unit_suite():
     assert total == pytest.approx(expected, abs=1e-10)
 
     w = LossWeights()
-    total = gen_sv_loss(model, batch, w, noise2)
+    total = losses.gen_sv_loss_and_grads(model, batch, w, noise2)[0]
     recon = gen_vs_forward(model, synth)
     cycle = gen_sv_forward(model, recon, noise2)
     real_groups = {c: batch.visual[batch.labels == c] for c in np.unique(batch.labels)}
     expected = (
         -disc_v_forward(model, synth, batch.attributes).mean()
         - disc_v_forward(model, batch.visual, recon).mean()
-        + w.lambda2 * classification_loss(model.cls_seen, synth, batch.labels)
+        + w.lambda2 * losses.softmax_ce_grads(
+            model.cls_seen, synth, batch.labels, input_grad=False)[0]
         + w.lambda3 * visual_consistency_loss(cycle, batch.labels, real_groups)
     )
     assert total == pytest.approx(expected, abs=1e-10)
 
-    total = gen_vs_loss(model, batch, w, noise2)
+    total = losses.gen_vs_loss_and_grads(model, batch, w, noise2)[0]
     expected = (
         -disc_s_forward(model, recon).mean()
-        + w.lambda5 * semantic_centroid_loss(recon, batch.labels, losses._attr_targets(batch))
+        + w.lambda5 * losses._centroid_match_grads(
+            recon, batch.labels, losses._attr_targets(batch))[0]
         + w.lambda6 * visual_consistency_loss(cycle, batch.labels, real_groups)
     )
     assert total == pytest.approx(expected, abs=1e-10)
 
     beta = alpha
-    total = disc_s_loss(model, batch, recon, w, beta)
+    total = losses.disc_s_loss_and_grads(model, batch, recon, w, beta)[0]
     grad_fn = lambda u: critic_input_grads(model.d_s, u)
     expected = (
         disc_s_forward(model, recon).mean()
@@ -237,7 +236,8 @@ def test_criterion_03_gradient_correctness():
 
     # classification term: gradients w.r.t. classifier parameters and inputs
     _, dw, db, dx = losses.softmax_ce_grads(model.cls_seen, batch.visual, batch.labels)
-    fn = lambda: classification_loss(model.cls_seen, batch.visual, batch.labels)
+    fn = lambda: losses.softmax_ce_grads(
+        model.cls_seen, batch.visual, batch.labels, input_grad=False)[0]
     assert rel_error(dw, numeric_grad(fn, model.cls_seen.w)) < tol
     assert rel_error(db, numeric_grad(fn, model.cls_seen.b)) < tol
     assert rel_error(dx, numeric_grad(fn, batch.visual)) < tol
@@ -245,8 +245,8 @@ def test_criterion_03_gradient_correctness():
     # semantic-centroid term w.r.t. reconstructed attributes
     recon = np.random.default_rng(64).uniform(0.1, 1.0, (b, l))
     attrs = losses._attr_targets(batch)
-    _, d_recon = losses.semantic_centroid_grads(recon, batch.labels, attrs)
-    fn = lambda: semantic_centroid_loss(recon, batch.labels, attrs)
+    _, d_recon = losses._centroid_match_grads(recon, batch.labels, attrs)
+    fn = lambda: losses._centroid_match_grads(recon, batch.labels, attrs)[0]
     assert rel_error(d_recon, numeric_grad(fn, recon)) < tol
 
     # visual-consistency term w.r.t. cycle features
@@ -260,7 +260,7 @@ def test_criterion_03_gradient_correctness():
     # visual-critic objective w.r.t. critic parameters (incl. penalty path)
     synth = np.abs(np.random.default_rng(66).standard_normal((b, k))) + 0.05
     _, _, grads = losses.disc_v_loss_and_grads(model, batch, synth, w, alpha)
-    fn = lambda: disc_v_loss(model, batch, synth, w, alpha)
+    fn = lambda: losses.disc_v_loss_and_grads(model, batch, synth, w, alpha)[0]
     errors = check_param_grads(fn, model.d_v, grads)
     assert max(errors.values()) < tol, errors
 
@@ -268,20 +268,20 @@ def test_criterion_03_gradient_correctness():
     for pair_mode in ("real", "cycle"):
         _, _, grads = losses.gen_sv_loss_and_grads(model, batch, w, noise2,
                                                    pair_mode=pair_mode)
-        fn = lambda: gen_sv_loss(model, batch, w, noise2, pair_mode=pair_mode)
+        fn = lambda: losses.gen_sv_loss_and_grads(model, batch, w, noise2, pair_mode=pair_mode)[0]
         errors = check_param_grads(fn, model.g_sv, grads)
         assert max(errors.values()) < tol, (pair_mode, errors)
 
     # semantic-critic objective w.r.t. critic parameters
     recon_pos = np.abs(np.random.default_rng(67).standard_normal((b, l)))
     _, _, grads = losses.disc_s_loss_and_grads(model, batch, recon_pos, w, alpha)
-    fn = lambda: disc_s_loss(model, batch, recon_pos, w, alpha)
+    fn = lambda: losses.disc_s_loss_and_grads(model, batch, recon_pos, w, alpha)[0]
     errors = check_param_grads(fn, model.d_s, grads)
     assert max(errors.values()) < tol, errors
 
     # semantic-generator objective w.r.t. that generator
     _, _, grads = losses.gen_vs_loss_and_grads(model, batch, w, noise2)
-    fn = lambda: gen_vs_loss(model, batch, w, noise2)
+    fn = lambda: losses.gen_vs_loss_and_grads(model, batch, w, noise2)[0]
     errors = check_param_grads(fn, model.g_vs, grads)
     assert max(errors.values()) < tol, errors
 

@@ -350,6 +350,49 @@ class TestMissingRows:
         assert "classes without test rows: [2, 4]" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
+    def test_normalize_without_training_rows(self, tmp_path, capsys):
+        # the train-split rescale must not reduce over zero rows
+        ds = dataset_without_rows(tmp_path, *(("train", c) for c in range(3)))
+        cfg = write_dataset_config(tmp_path / "cfg.json", tmp_path / "run", ds)
+        cfg.write_text(dumps_json({**json.loads(cfg.read_text()), "normalize": True}))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "classes without training rows: [0, 1, 2]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+
+def dataset_on_one_side(tmp_path, empty):
+    """The oracle dataset directory with every class moved off the side whose
+    class list ``empty`` names, each row kept in a split that side allows."""
+    ds = tmp_path / "ds"
+    assert main(["synth-data", "--spec", str(write_spec(tmp_path)), "--out", str(ds)]) == 0
+    b = load_dataset(str(ds))
+    everything = b.all_classes
+    test_x = np.vstack([b.visual_test_seen, b.visual_test_unseen])
+    test_y = np.concatenate([b.labels_test_seen, b.labels_test_unseen])
+    none_x, none_y = test_x[:0], test_y[:0]
+    if empty == "seen_classes":
+        b.seen_classes, b.unseen_classes = (), everything
+        b.visual_train, b.labels_train = none_x, none_y
+        b.visual_test_seen, b.labels_test_seen = none_x, none_y
+        b.visual_test_unseen, b.labels_test_unseen = test_x, test_y
+    else:
+        b.seen_classes, b.unseen_classes = everything, ()
+        b.visual_train = np.vstack([b.visual_train, b.visual_test_unseen])
+        b.labels_train = np.concatenate([b.labels_train, b.labels_test_unseen])
+        b.visual_test_seen, b.labels_test_seen = test_x, test_y
+        b.visual_test_unseen, b.labels_test_unseen = none_x, none_y
+    save_dataset(b, str(ds))
+    return ds
+
+
+@pytest.mark.parametrize("field", ["seen_classes", "unseen_classes"])
+def test_empty_class_list_is_named(tmp_path, capsys, field):
+    ds = dataset_on_one_side(tmp_path, field)
+    cfg = write_dataset_config(tmp_path / "cfg.json", tmp_path / "run", ds)
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert f"{field} must list at least one class" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
 
 class TestExportViz:
     def test_export_counts(self, tmp_path):

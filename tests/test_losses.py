@@ -8,13 +8,7 @@ from gzslgen.errors import ContractViolation
 from gzslgen.losses import (
     LossWeights,
     class_centroid,
-    classification_loss,
-    disc_s_loss,
-    disc_v_loss,
-    gen_sv_loss,
-    gen_vs_loss,
     gradient_penalty,
-    semantic_centroid_loss,
     visual_consistency_loss,
 )
 from gzslgen.trainer import Adam, OptimizerConfig
@@ -52,13 +46,14 @@ class TestClassificationLoss:
         # huge margins drive the true-class probability to 1
         x = np.eye(4) * 100.0
         cls = LinearParams(w=np.eye(4), b=np.zeros(4))
-        assert classification_loss(cls, x, np.arange(4)) < 1e-12
+        assert losses.softmax_ce_grads(cls, x, np.arange(4), input_grad=False)[0] < 1e-12
 
     def test_zero_params_give_log_n(self):
         cls = LinearParams(w=np.zeros((K, 4)), b=np.zeros(4))
         x = np.random.default_rng(0).standard_normal((B, K))
         labels = np.random.default_rng(1).integers(0, 4, B)
-        assert classification_loss(cls, x, labels) == pytest.approx(np.log(4), abs=1e-12)
+        loss = losses.softmax_ce_grads(cls, x, labels, input_grad=False)[0]
+        assert loss == pytest.approx(np.log(4), abs=1e-12)
 
     def test_matches_per_sample_oracle(self):
         rng = np.random.default_rng(2)
@@ -72,12 +67,13 @@ class TestClassificationLoss:
             p = np.exp(logits[i]) / np.exp(logits[i]).sum()
             expected -= np.log(p[labels[i]])
         expected /= B
-        assert classification_loss(cls, x, labels) == pytest.approx(expected, rel=1e-12)
+        loss = losses.softmax_ce_grads(cls, x, labels, input_grad=False)[0]
+        assert loss == pytest.approx(expected, rel=1e-12)
 
     def test_label_out_of_range(self):
         cls = LinearParams(w=np.zeros((K, 3)), b=np.zeros(3))
         with pytest.raises(ContractViolation):
-            classification_loss(cls, np.zeros((2, K)), np.array([0, 3]))
+            losses.softmax_ce_grads(cls, np.zeros((2, K)), np.array([0, 3]), input_grad=False)
 
     def test_subnormal_logit_gradients_are_flushed(self):
         # rows of two classes; a third, unlabelled column sits ~720 below
@@ -165,13 +161,13 @@ class TestSemanticCentroidLoss:
     def test_exact_reconstruction_gives_zero(self):
         batch = random_batch()
         attrs = losses._attr_targets(batch)
-        assert semantic_centroid_loss(batch.attributes, batch.labels, attrs) == 0.0
+        assert losses._centroid_match_grads(batch.attributes, batch.labels, attrs)[0] == 0.0
 
     def test_hand_case(self):
         recon = np.array([[0.0, 0.0], [2.0, 0.0]])
         labels = np.array([0, 0])
         attrs = np.array([[0.0, 0.0]])
-        assert semantic_centroid_loss(recon, labels, attrs) == pytest.approx(1.0)
+        assert losses._centroid_match_grads(recon, labels, attrs)[0] == pytest.approx(1.0)
 
     def test_matches_grouping_oracle(self):
         rng = np.random.default_rng(4)
@@ -183,7 +179,7 @@ class TestSemanticCentroidLoss:
             np.linalg.norm(recon[labels == c].mean(axis=0) - attrs[c])
             for c in np.unique(labels)
         ])
-        got = semantic_centroid_loss(recon, labels, attrs)
+        got = losses._centroid_match_grads(recon, labels, attrs)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_permutation_invariant_within_class(self):
@@ -191,9 +187,9 @@ class TestSemanticCentroidLoss:
         labels = np.repeat([0, 1], 5)
         recon = rng.standard_normal((10, L))
         attrs = rng.uniform(0, 1, (2, L))
-        base = semantic_centroid_loss(recon, labels, attrs)
+        base = losses._centroid_match_grads(recon, labels, attrs)[0]
         perm = np.concatenate([rng.permutation(5), 5 + rng.permutation(5)])
-        assert semantic_centroid_loss(recon[perm], labels[perm], attrs) == pytest.approx(
+        assert losses._centroid_match_grads(recon[perm], labels[perm], attrs)[0] == pytest.approx(
             base, abs=1e-12)
 
 
@@ -269,8 +265,8 @@ class TestGradientPenalty:
         w = LossWeights()
         grad_fn = lambda u: np.zeros_like(u)
         calls = [
-            lambda: disc_v_loss(model, batch, batch.visual[:-1], w, 0),
-            lambda: disc_s_loss(model, batch, batch.attributes[:, :-1], w, 0),
+            lambda: losses.disc_v_loss_and_grads(model, batch, batch.visual[:-1], w, 0)[0],
+            lambda: losses.disc_s_loss_and_grads(model, batch, batch.attributes[:, :-1], w, 0)[0],
             lambda: gradient_penalty(grad_fn, batch.attributes, batch.attributes[:-1], 0),
         ]
         for call in calls:
@@ -285,7 +281,8 @@ class TestCriticObjectives:
         direction[1] = 1.0  # unit norm within the visual block
         model.d_v = linear_critic(K + L, direction)
         batch = random_batch()
-        total = disc_v_loss(model, batch, batch.visual.copy(), LossWeights(), alpha_for(batch))
+        total = losses.disc_v_loss_and_grads(
+            model, batch, batch.visual.copy(), LossWeights(), alpha_for(batch))[0]
         assert total == pytest.approx(0.0, abs=1e-10)
 
     def test_zero_critic_total_is_lambda1(self):
@@ -293,7 +290,8 @@ class TestCriticObjectives:
         model.d_v = zero_mlp(K + L, 16, 1)
         batch = random_batch()
         w = LossWeights(lambda1=7.5)
-        total = disc_v_loss(model, batch, np.abs(batch.visual) + 0.1, w, alpha_for(batch))
+        total = losses.disc_v_loss_and_grads(
+            model, batch, np.abs(batch.visual) + 0.1, w, alpha_for(batch))[0]
         assert total == pytest.approx(7.5, abs=1e-12)
 
     def test_disc_v_compositional_oracle(self):
@@ -302,7 +300,7 @@ class TestCriticObjectives:
         synth = gen_sv_forward(model, batch.attributes, batch.noise)
         w = LossWeights()
         alpha = alpha_for(batch)
-        total = disc_v_loss(model, batch, synth, w, alpha)
+        total = losses.disc_v_loss_and_grads(model, batch, synth, w, alpha)[0]
 
         from gzslgen.networks import critic_input_grads
         fake = disc_v_forward(model, synth, batch.attributes).mean()
@@ -318,7 +316,8 @@ class TestCriticObjectives:
         batch = random_batch()
         w = LossWeights(lambda4=3.0)
         recon = np.abs(np.random.default_rng(1).standard_normal(batch.attributes.shape))
-        assert disc_s_loss(model, batch, recon, w, alpha_for(batch)) == pytest.approx(3.0)
+        total = losses.disc_s_loss_and_grads(model, batch, recon, w, alpha_for(batch))[0]
+        assert total == pytest.approx(3.0)
 
     def test_disc_s_identical_inputs_unit_critic_zero(self):
         model = small_model()
@@ -326,8 +325,8 @@ class TestCriticObjectives:
         direction[0] = 1.0
         model.d_s = linear_critic(L, direction)
         batch = random_batch()
-        total = disc_s_loss(model, batch, batch.attributes.copy(), LossWeights(),
-                            alpha_for(batch))
+        total = losses.disc_s_loss_and_grads(model, batch, batch.attributes.copy(), LossWeights(),
+                            alpha_for(batch))[0]
         assert total == pytest.approx(0.0, abs=1e-10)
 
     def test_disc_s_compositional_oracle(self):
@@ -336,7 +335,7 @@ class TestCriticObjectives:
         recon = gen_vs_forward(model, batch.visual)
         w = LossWeights()
         alpha = alpha_for(batch)
-        total = disc_s_loss(model, batch, recon, w, alpha)
+        total = losses.disc_s_loss_and_grads(model, batch, recon, w, alpha)[0]
 
         from gzslgen.networks import critic_input_grads
         fake = disc_s_forward(model, recon).mean()
@@ -355,7 +354,7 @@ class TestGeneratorObjectives:
         model.d_v = zero_mlp(K + L, 16, 1)
         batch = random_batch()
         w = LossWeights(lambda2=0.0, lambda3=0.0)
-        assert gen_sv_loss(model, batch, w, self.noise2) == 0.0
+        assert losses.gen_sv_loss_and_grads(model, batch, w, self.noise2)[0] == 0.0
 
     def test_gsv_isolates_classification_term(self):
         model = small_model()
@@ -363,8 +362,10 @@ class TestGeneratorObjectives:
         batch = random_batch()
         w = LossWeights(lambda2=0.25, lambda3=0.0)
         synth = gen_sv_forward(model, batch.attributes, batch.noise)
-        expected = 0.25 * classification_loss(model.cls_seen, synth, batch.labels)
-        assert gen_sv_loss(model, batch, w, self.noise2) == pytest.approx(expected, rel=1e-12)
+        expected = 0.25 * losses.softmax_ce_grads(
+            model.cls_seen, synth, batch.labels, input_grad=False)[0]
+        total = losses.gen_sv_loss_and_grads(model, batch, w, self.noise2)[0]
+        assert total == pytest.approx(expected, rel=1e-12)
 
     def test_gsv_compositional_oracle(self):
         model = small_model(seed=24)
@@ -378,7 +379,8 @@ class TestGeneratorObjectives:
         expected = (
             -disc_v_forward(model, synth, batch.attributes).mean()
             - disc_v_forward(model, batch.visual, recon).mean()
-            + w.lambda2 * classification_loss(model.cls_seen, synth, batch.labels)
+            + w.lambda2 * losses.softmax_ce_grads(
+                model.cls_seen, synth, batch.labels, input_grad=False)[0]
             + w.lambda3 * visual_consistency_loss(
                 cycle, batch.labels,
                 {c: batch.visual[batch.labels == c] for c in np.unique(batch.labels)})
@@ -398,20 +400,22 @@ class TestGeneratorObjectives:
         assert {k: v for k, v in terms.items() if k != "w_pair"} == {
             k: v for k, v in real_terms.items() if k != "w_pair"}
         assert total == pytest.approx(real_total - real_terms["w_pair"], abs=1e-12)
-        assert gen_sv_loss(model, batch, w, self.noise2, pair_mode=None) == total
+        assert losses.gen_sv_loss_and_grads(
+            model, batch, w, self.noise2, pair_mode=None)[0] == total
 
     def test_gsv_cycle_pairing_oracle(self):
         model = small_model(seed=26)
         batch = random_batch(seed=27)
         w = LossWeights()
-        total = gen_sv_loss(model, batch, w, self.noise2, pair_mode="cycle")
+        total = losses.gen_sv_loss_and_grads(model, batch, w, self.noise2, pair_mode="cycle")[0]
         synth = gen_sv_forward(model, batch.attributes, batch.noise)
         recon = gen_vs_forward(model, synth)
         cycle = gen_sv_forward(model, recon, self.noise2)
         expected = (
             -disc_v_forward(model, synth, batch.attributes).mean()
             - disc_v_forward(model, cycle, recon).mean()
-            + w.lambda2 * classification_loss(model.cls_seen, synth, batch.labels)
+            + w.lambda2 * losses.softmax_ce_grads(
+                model.cls_seen, synth, batch.labels, input_grad=False)[0]
             + w.lambda3 * visual_consistency_loss(
                 cycle, batch.labels,
                 {c: batch.visual[batch.labels == c] for c in np.unique(batch.labels)})
@@ -423,7 +427,7 @@ class TestGeneratorObjectives:
         model.d_s = zero_mlp(L, 16, 1)
         batch = random_batch()
         w = LossWeights(lambda5=0.0, lambda6=0.0)
-        assert gen_vs_loss(model, batch, w, self.noise2) == 0.0
+        assert losses.gen_vs_loss_and_grads(model, batch, w, self.noise2)[0] == 0.0
 
     def test_gvs_isolates_centroid_term(self):
         model = small_model()
@@ -432,9 +436,10 @@ class TestGeneratorObjectives:
         w = LossWeights(lambda5=0.4, lambda6=0.0)
         synth = gen_sv_forward(model, batch.attributes, batch.noise)
         recon = gen_vs_forward(model, synth)
-        expected = 0.4 * semantic_centroid_loss(
-            recon, batch.labels, losses._attr_targets(batch))
-        assert gen_vs_loss(model, batch, w, self.noise2) == pytest.approx(expected, rel=1e-12)
+        expected = 0.4 * losses._centroid_match_grads(
+            recon, batch.labels, losses._attr_targets(batch))[0]
+        total = losses.gen_vs_loss_and_grads(model, batch, w, self.noise2)[0]
+        assert total == pytest.approx(expected, rel=1e-12)
 
     def test_gvs_compositional_oracle(self):
         model = small_model(seed=28)
@@ -446,7 +451,8 @@ class TestGeneratorObjectives:
         cycle = gen_sv_forward(model, recon, self.noise2)
         expected = (
             -disc_s_forward(model, recon).mean()
-            + w.lambda5 * semantic_centroid_loss(recon, batch.labels, losses._attr_targets(batch))
+            + w.lambda5 * losses._centroid_match_grads(
+                recon, batch.labels, losses._attr_targets(batch))[0]
             + w.lambda6 * visual_consistency_loss(
                 cycle, batch.labels,
                 {c: batch.visual[batch.labels == c] for c in np.unique(batch.labels)})
@@ -463,8 +469,10 @@ class TestRegularizersNonnegative:
             batch = random_batch(seed=100 + trial)
             synth = gen_sv_forward(model, batch.attributes, batch.noise)
             recon = gen_vs_forward(model, synth)
-            assert classification_loss(model.cls_seen, synth, batch.labels) >= 0
-            assert semantic_centroid_loss(recon, batch.labels, losses._attr_targets(batch)) >= 0
+            assert losses.softmax_ce_grads(
+                model.cls_seen, synth, batch.labels, input_grad=False)[0] >= 0
+            assert losses._centroid_match_grads(
+                recon, batch.labels, losses._attr_targets(batch))[0] >= 0
             assert visual_consistency_loss(
                 synth, batch.labels,
                 {c: batch.visual[batch.labels == c] for c in np.unique(batch.labels)}) >= 0
@@ -485,7 +493,7 @@ class TestLossGradients:
         alpha = alpha_for(batch)
         w = LossWeights()
         _, _, grads = losses.disc_v_loss_and_grads(model, batch, synth, w, alpha)
-        fn = lambda: disc_v_loss(model, batch, synth, w, alpha)
+        fn = lambda: losses.disc_v_loss_and_grads(model, batch, synth, w, alpha)[0]
         errors = check_param_grads(fn, model.d_v, grads)
         assert max(errors.values()) < self.TOL, errors
 
@@ -496,7 +504,7 @@ class TestLossGradients:
         alpha = alpha_for(batch)
         w = LossWeights()
         _, _, grads = losses.disc_s_loss_and_grads(model, batch, recon, w, alpha)
-        fn = lambda: disc_s_loss(model, batch, recon, w, alpha)
+        fn = lambda: losses.disc_s_loss_and_grads(model, batch, recon, w, alpha)[0]
         errors = check_param_grads(fn, model.d_s, grads)
         assert max(errors.values()) < self.TOL, errors
 
@@ -508,7 +516,7 @@ class TestLossGradients:
         w = LossWeights()
         _, _, grads = losses.gen_sv_loss_and_grads(
             model, batch, w, noise2, pair_mode=pair_mode)
-        fn = lambda: gen_sv_loss(model, batch, w, noise2, pair_mode=pair_mode)
+        fn = lambda: losses.gen_sv_loss_and_grads(model, batch, w, noise2, pair_mode=pair_mode)[0]
         errors = check_param_grads(fn, model.g_sv, grads)
         assert max(errors.values()) < self.TOL, errors
 
@@ -518,7 +526,7 @@ class TestLossGradients:
         noise2 = np.random.default_rng(51).standard_normal((B, L))
         w = LossWeights()
         _, _, grads = losses.gen_vs_loss_and_grads(model, batch, w, noise2)
-        fn = lambda: gen_vs_loss(model, batch, w, noise2)
+        fn = lambda: losses.gen_vs_loss_and_grads(model, batch, w, noise2)[0]
         errors = check_param_grads(fn, model.g_vs, grads)
         assert max(errors.values()) < self.TOL, errors
 
@@ -526,7 +534,8 @@ class TestLossGradients:
         model = small_model(seed=52)
         batch = random_batch(seed=53)
         _, dw, db, dx = losses.softmax_ce_grads(model.cls_seen, batch.visual, batch.labels)
-        fn = lambda: classification_loss(model.cls_seen, batch.visual, batch.labels)
+        fn = lambda: losses.softmax_ce_grads(
+            model.cls_seen, batch.visual, batch.labels, input_grad=False)[0]
         assert rel_error(dw, numeric_grad(fn, model.cls_seen.w)) < self.TOL
         assert rel_error(db, numeric_grad(fn, model.cls_seen.b)) < self.TOL
         assert rel_error(dx, numeric_grad(fn, batch.visual)) < self.TOL
@@ -545,8 +554,8 @@ class TestLossGradients:
         batch = random_batch(seed=54)
         recon = np.random.default_rng(55).uniform(0.1, 1.0, batch.attributes.shape)
         attrs = losses._attr_targets(batch)
-        _, d = losses.semantic_centroid_grads(recon, batch.labels, attrs)
-        fn = lambda: semantic_centroid_loss(recon, batch.labels, attrs)
+        _, d = losses._centroid_match_grads(recon, batch.labels, attrs)
+        fn = lambda: losses._centroid_match_grads(recon, batch.labels, attrs)[0]
         assert rel_error(d, numeric_grad(fn, recon)) < self.TOL
 
     def test_visual_consistency_grads(self):

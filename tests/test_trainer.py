@@ -276,7 +276,7 @@ class TestAdam:
 
 
 class TestAdamBiasCorrection:
-    def test_skipped_unit_bias_corrections_are_bit_identical(self):
+    def test_matches_the_always_divide_update_for_400_steps(self):
         cfg = OptimizerConfig(learning_rate=0.01, beta1=0.5, beta2=0.9)
         b1, b2, lr, eps = cfg.beta1, cfg.beta2, cfg.learning_rate, trainer._ADAM_EPS
         # both corrections reach exactly 1.0 before the last step (t=54 and t=356)
@@ -289,7 +289,7 @@ class TestAdamBiasCorrection:
         for t in range(1, 401):
             g = rng.standard_normal(1000)
             opt.step([(0, g)])
-            # the unskipped update, in the optimizer's operation order
+            # the always-divide update, in the optimizer's operation order
             m = m * b1 + g * (1.0 - b1)
             v = v * b2 + (g * (1.0 - b2)) * g
             p = p - ((m / (1.0 - b1**t)) * lr) / (np.sqrt(v / (1.0 - b2**t)) + eps)
@@ -367,8 +367,8 @@ def test_heldout_semantic_centroid_loss_decreases():
         for batch in batch_iterator(bundle, 30, epoch_seed=987654):
             synth = mlp_forward(model.g_sv, np.hstack([batch.attributes, batch.noise]))
             recon = mlp_forward(model.g_vs, synth)
-            vals.append(losses.semantic_centroid_loss(
-                recon, batch.labels, losses._attr_targets(batch)))
+            vals.append(losses._centroid_match_grads(
+                recon, batch.labels, losses._attr_targets(batch))[0])
         return float(np.mean(vals))
 
     initial = init_params(16, 4, 3, seed=child_seed(0, "init"), hidden_dim=64)
