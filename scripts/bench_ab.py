@@ -6,8 +6,12 @@ For each seed S from A to B it runs ``python3 bench/run.py --workload W
 --seed S --seconds 40 --trace 0`` once in each checkout, alternating which
 side runs first, and prints every run's end-to-end metrics as it goes. It then
 prints, for each end-to-end metric of the parent's ``BENCHMARK.json``, the
-parent's median [q1, q3] -> the change's median and the number of pairs the
-change won (ties count for neither), followed by the verdict:
+parent's median [q1, q3] -> the change's median, the number of pairs the
+change won (ties count for neither) and the closest pair, followed by the
+verdict. The closest pair is the one the change won by the least or lost by
+the most, shown as its change/parent ratio: a gain that rests on the medians
+alone may not survive a noisier host, and that pair shows how near it came.
+The verdicts:
 
   gain          the change won at least 9 of 10 pairs and the medians
                 differ by more than the parent's quartile distance;
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -52,7 +57,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     """Judge one metric over paired runs: ``parent[i]`` and ``change[i]`` share a seed.
 
     ``better`` is "lower" or "higher"; ``bound`` is the metric's allowed
-    worsening as a fraction of the parent's median.
+    worsening as a fraction of the parent's median. ``closest`` is the
+    (index, change/parent ratio) of the pair the change did best in least.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same nonzero number of parent and change runs")
@@ -63,6 +69,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     gain = sign * (med - change_med)  # > 0 when the change is better
     spread = q3 - q1
     every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
+    ratios = [c / p if p else math.inf for p, c in zip(parent, change)]
+    closest = max(range(len(ratios)), key=lambda i: sign * ratios[i])
     if 10 * wins >= 9 * len(parent) and gain > spread:
         status = "gain"
     elif -gain > bound * abs(med):
@@ -72,7 +80,7 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     else:
         status = "within bound"
     return {"parent": (med, q1, q3), "change": change_med, "wins": wins,
-            "pairs": len(parent), "status": status}
+            "pairs": len(parent), "closest": (closest, ratios[closest]), "status": status}
 
 
 def run_bench(checkout: str, workload: str, seed: int) -> dict:
@@ -120,18 +128,20 @@ def main(argv: list[str]) -> int:
     for metric in metrics:
         name = metric["name"]
         # a run that failed before its first full pass reports no metrics
-        pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
-                 for p, c in zip(runs["parent"], runs["change"])
+        pairs = [(seed, p["metrics"][name]["value"], c["metrics"][name]["value"])
+                 for seed, p, c in zip(args.seeds, runs["parent"], runs["change"])
                  if name in p["metrics"] and name in c["metrics"]]
         if not pairs:
             print(f"  {name}: no pair of runs reported it")
             continue
-        parent, change = (list(side) for side in zip(*pairs))
+        seeds, parent, change = (list(side) for side in zip(*pairs))
         v = verdict(parent, change, metric["better"], metric["bound"])
         med, q1, q3 = v["parent"]
         pct = 100.0 * (v["change"] / med - 1.0) if med else float("nan")
+        i, ratio = v["closest"]
         print(f"  {name}: {med:.4g} [{q1:.4g}, {q3:.4g}] -> {v['change']:.4g} "
-              f"({pct:+.1f}%), change won {v['wins']} of {v['pairs']}: {v['status']}")
+              f"({pct:+.1f}%), change won {v['wins']} of {v['pairs']}, closest pair "
+              f"seed {seeds[i]} at {ratio:.3f}: {v['status']}")
     counts = {side: (sum(r["failed"] for r in rs), sum(r["attempted"] for r in rs))
               for side, rs in runs.items()}
     print("  failed/attempted operations: " + ", ".join(

@@ -61,6 +61,20 @@ class TestVerdict:
         v = bench_ab.verdict(parent, change, "lower", 0.25)
         assert v["wins"] == 10 and v["status"] == "within bound"
 
+    def test_closest_pair_is_the_least_won_or_most_lost(self):
+        # the medians move by -40%, but pair 3 is won by only 5% and pair 7 is
+        # lost by 2%: the closest pair is the lost one
+        change = [0.6 * p for p in PARENT]
+        change[3], change[7] = 0.95 * PARENT[3], 1.02 * PARENT[7]
+        v = bench_ab.verdict(PARENT, change, "lower", 0.25)
+        assert v["status"] == "gain"
+        assert v["closest"][0] == 7 and v["closest"][1] == pytest.approx(1.02)
+        change[7] = 0.6 * PARENT[7]
+        assert bench_ab.verdict(PARENT, change, "lower", 0.25)["closest"][0] == 3
+        # when higher is better, the smallest ratio is the closest
+        higher = [p / r for p, r in zip(PARENT, [0.6] * 3 + [0.95] + [0.6] * 6)]
+        assert bench_ab.verdict(PARENT, higher, "higher", 0.25)["closest"][0] == 3
+
     def test_unpaired_runs_are_rejected(self):
         with pytest.raises(ValueError):
             bench_ab.verdict(PARENT, PARENT[:9], "lower", 0.25)

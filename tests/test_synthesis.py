@@ -108,11 +108,16 @@ class TestSynthesize:
         assert max(chunk_rows) <= 4
 
 
-def reference_fit(x, labels, class_ids, max_steps, grad_tol, log=None):
+def reference_fit(x, labels, class_ids, max_steps, grad_tol, log=None, class_major=True):
     """The softmax fit in its plainest form: separate arrays for every
     intermediate, ``np.exp`` of every shifted logit, ``x.T @ d_logits`` and
     the exact norm test at every step.
     ``log``, if given, collects every step's shifted logits and gradient norm.
+
+    With ``class_major`` the weight is iterated as ``fit_softmax`` holds it,
+    the transposed view of a C-contiguous ``[C, K]`` array, so ``x @ w`` is
+    ``x @ w_t.T``; without it, as a C-contiguous ``[K, C]`` array, the old
+    layout. Either way a C-contiguous ``[K, C]`` copy is returned.
 
     ``fit_softmax`` forms ``d_logits.T @ x`` instead; its byte equality with
     this reference holds for the OpenBLAS build the tests were checked on
@@ -120,7 +125,11 @@ def reference_fit(x, labels, class_ids, max_steps, grad_tol, log=None):
     ids = np.asarray(class_ids)
     cols = np.searchsorted(ids, labels)
     rows = np.arange(x.shape[0])
-    w, b = np.zeros((x.shape[1], ids.size)), np.zeros(ids.size)
+    if class_major:
+        w = np.zeros((ids.size, x.shape[1])).T
+    else:
+        w = np.zeros((x.shape[1], ids.size))
+    b = np.zeros(ids.size)
     tiny = np.finfo(np.float64).tiny
     for _ in range(max_steps):
         logits = x @ w + b
@@ -139,7 +148,7 @@ def reference_fit(x, labels, class_ids, max_steps, grad_tol, log=None):
             break
         w -= dw
         b -= db
-    return w, b
+    return np.ascontiguousarray(w), b
 
 
 class TestFitClassifier:
@@ -219,6 +228,18 @@ class TestFitClassifier:
                 got = fit_softmax(feats, labels, range(4), j + 2, tol)
                 w, b = reference_fit(feats, labels, range(4), j + 2, tol)
                 assert got.w.tobytes() == w.tobytes() and got.b.tobytes() == b.tobytes()
+
+    def test_class_major_fit_matches_the_row_major_iteration_bytewise(self):
+        # at 64 rows x 512 features x 40 classes the products take OpenBLAS's
+        # standard dgemm path, which packs x @ w_t.T and x @ w alike; only
+        # the small-matrix kernels of tiny fits round the two differently
+        rng = np.random.default_rng(11)
+        labels = np.arange(64) % 40
+        feats = rng.standard_normal((40, 512))[labels] + 0.3 * rng.standard_normal((64, 512))
+        got = fit_softmax(feats, labels, range(40), 50, 1e-5)
+        w, b = reference_fit(feats, labels, range(40), 50, 1e-5, class_major=False)
+        assert got.w.flags.c_contiguous
+        assert got.w.tobytes() == w.tobytes() and got.b.tobytes() == b.tobytes()
 
     def test_missing_class_rejected(self):
         feats, labels = self.separated_data()
