@@ -22,6 +22,11 @@ The verdicts:
                 is better than every parent run;
   within bound  none of these.
 
+Before the first run it prints each file under ``bench/``, and
+``BENCHMARK.json``, that differs between the two checkouts (or is in one
+only), or one line saying that they match: a gain measured against an
+edited benchmark does not count. Bytecode caches are not compared.
+
 A last line gives each side's failed/attempted operation count. Only the
 standard library is used; the two checkouts need not be the one holding
 this script.
@@ -95,6 +100,31 @@ def run_bench(checkout: str, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
+def benchmark_files(checkout: str) -> dict[str, bytes]:
+    """``BENCHMARK.json`` and every file under ``bench/``, by path relative to
+    ``checkout``; ``__pycache__`` directories are skipped."""
+    paths = [os.path.join(checkout, "BENCHMARK.json")]
+    for root, dirs, names in os.walk(os.path.join(checkout, "bench")):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        paths += [os.path.join(root, name) for name in names]
+    files = {}
+    for path in paths:
+        if os.path.isfile(path):
+            with open(path, "rb") as fh:
+                files[os.path.relpath(path, checkout)] = fh.read()
+    return files
+
+
+def benchmark_check(parent_dir: str, change_dir: str) -> list[str]:
+    """One line per benchmark file that differs between the checkouts, or
+    one line saying that they match."""
+    parent, change = benchmark_files(parent_dir), benchmark_files(change_dir)
+    differ = sorted(p for p in parent.keys() | change.keys() if parent.get(p) != change.get(p))
+    if not differ:
+        return ["bench/ and BENCHMARK.json match between the two checkouts"]
+    return [f"benchmark file differs between the checkouts: {path}" for path in differ]
+
+
 def parse_seeds(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     seeds = list(range(int(lo), int(hi or lo) + 1))
@@ -112,6 +142,9 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     with open(os.path.join(args.parent_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
+
+    for line in benchmark_check(args.parent_dir, args.change_dir):
+        print(line, flush=True)
 
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}

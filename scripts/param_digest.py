@@ -14,8 +14,9 @@ gets small enough to be subnormal. It is the evaluate fit of the
 benchmark's ``paper_eval`` input set 0: ``SyntheticSpec(40, 10, 2048, 85,
 2, 0.1, 0, 0)`` trained with ``TrainConfig(epochs=1, batch_size=40,
 seed=0)``, 3 synthesized rows per class (seed 0) plus the real seen rows,
-and ``fit_gzsl_classifier`` over all 50 classes; the digest covers ``w``
-then ``b``. It adds under ten seconds and ignores ``--epochs`` and ``--seed``.
+and ``fit_gzsl_classifier`` over all 50 classes (``EvalConfig``'s 1000
+steps and tolerance 1e-5); the digest covers ``w`` then ``b``. It adds
+under ten seconds and ignores ``--epochs`` and ``--seed``.
 
 An eighth ``paper_train <sha256>`` line checks training itself at paper
 shape: ``SyntheticSpec(40, 10, 2048, 85, 6, 0.1, 0, 0)`` trained with
@@ -101,7 +102,8 @@ def paper_fit_digests() -> tuple[str, str]:
     synth, synth_labels = synthesize_features(params, bundle, request)
     features = np.vstack([synth, bundle.visual_train])
     labels = np.concatenate([synth_labels, bundle.labels_train])
-    clf = fit_gzsl_classifier(features, labels, bundle.all_classes)
+    clf = fit_gzsl_classifier(features, labels, bundle.all_classes,
+                              max_steps=1000, grad_tol=1e-5)
     return _sha256([clf.params.w, clf.params.b]), _sha256([synth, synth_labels])
 
 

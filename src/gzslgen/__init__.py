@@ -30,10 +30,8 @@ from .networks import (
     ModelParams,
     NetworkShape,
     classifier_forward,
-    disc_s_forward,
     disc_v_forward,
     gen_sv_forward,
-    gen_vs_forward,
     init_params,
 )
 from .synthesis import (
@@ -54,8 +52,7 @@ __all__ = [
     "per_class_accuracy", "run_ablation", "sweep_samples",
     "LossWeights",
     "LinearParams", "MLPParams", "ModelParams", "NetworkShape",
-    "classifier_forward", "disc_s_forward", "disc_v_forward",
-    "gen_sv_forward", "gen_vs_forward", "init_params",
+    "classifier_forward", "disc_v_forward", "gen_sv_forward", "init_params",
     "GzslClassifier", "SynthesisRequest", "fit_gzsl_classifier", "predict",
     "synthesize_features",
     "OptimizerConfig", "TrainConfig", "TrainLog", "pretrain_classifier", "train",

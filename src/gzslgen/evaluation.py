@@ -79,22 +79,21 @@ def harmonic_mean(ts: float, tr: float) -> float:
 
 
 def evaluate_gzsl(
-    model: ModelParams, bundle: DatasetBundle, eval_config: EvalConfig | None = None
+    model: ModelParams, bundle: DatasetBundle, eval_config: EvalConfig
 ) -> EvalReport:
     """Synthesize, fit the full-label classifier, and score both test splits."""
-    cfg = eval_config or EvalConfig()
     all_classes = bundle.all_classes
     request = SynthesisRequest(
-        classes=all_classes, n_per_class=cfg.n_per_class, seed=cfg.seed
+        classes=all_classes, n_per_class=eval_config.n_per_class, seed=eval_config.seed
     )
     features, labels = synthesize_features(model, bundle, request)
-    if cfg.include_real_seen:
+    if eval_config.include_real_seen:
         features = np.vstack([features, bundle.visual_train])
         labels = np.concatenate([labels, bundle.labels_train])
     clf = fit_gzsl_classifier(
         features, labels, all_classes,
-        max_steps=cfg.classifier_max_steps,
-        grad_tol=cfg.classifier_grad_tol,
+        max_steps=eval_config.classifier_max_steps,
+        grad_tol=eval_config.classifier_grad_tol,
     )
     preds_seen = predict(clf, bundle.visual_test_seen)
     preds_unseen = predict(clf, bundle.visual_test_unseen)
@@ -121,7 +120,7 @@ def run_ablation(
     bundle: DatasetBundle,
     base_config: TrainConfig,
     variants: Sequence[str],
-    eval_config: EvalConfig | None = None,
+    eval_config: EvalConfig,
 ) -> list[tuple[str, EvalReport]]:
     """Train and evaluate one model per variant with shared seeds."""
     rows = []
@@ -136,7 +135,7 @@ def sweep_samples(
     bundle: DatasetBundle,
     config: TrainConfig,
     counts: Sequence[int],
-    eval_config: EvalConfig | None = None,
+    eval_config: EvalConfig,
     model: ModelParams | None = None,
 ) -> list[tuple[int, float]]:
     """H as a function of synthesized samples per class.
@@ -146,12 +145,11 @@ def sweep_samples(
     """
     if not counts or any(c < 1 for c in counts):
         raise ValidationError("counts must be a nonempty list of integers >= 1")
-    cfg = eval_config or EvalConfig()
     if model is None:
         model, _ = train(bundle, config)
     curve = []
     for n in counts:
-        report = evaluate_gzsl(model, bundle, replace(cfg, n_per_class=int(n)))
+        report = evaluate_gzsl(model, bundle, replace(eval_config, n_per_class=int(n)))
         curve.append((int(n), report.h))
     return curve
 

@@ -364,7 +364,7 @@ def gen_sv_loss_and_grads(
     batch: FeatureBatch,
     weights: LossWeights,
     noise2: np.ndarray,
-    label_cols: np.ndarray | None = None,
+    label_cols: np.ndarray,
     pair_mode: str | None = "real",
 ) -> tuple[float, dict[str, float], MLPGrads]:
     """Visual-generator objective and its gradient w.r.t. that generator.
@@ -375,13 +375,15 @@ def gen_sv_loss_and_grads(
     second adversarial term: the batch's real features ("real", the default
     literal reading) or the cycled features ("cycle"); ``None`` drops that
     term (the single-GAN baseline has no reconstruction to pair).
+    ``label_cols`` holds each row's column in the frozen seen-class
+    classifier (``trainer.seen_class_columns``), which the class id itself
+    is only when the seen ids are exactly 0..S-1.
     """
     if pair_mode is not None and pair_mode not in PAIR_MODES:
         raise ContractViolation(f"unknown pair_mode {pair_mode!r}")
     k = batch.visual.shape[1]
     cache1, cache2, cache3 = _generator_chain(model, batch, noise2)
     x_synth, a_recon, x_cycle = cache1.out, cache2.out, cache3.out
-    cols = batch.labels if label_cols is None else label_cols
 
     d_synth = np.zeros_like(x_synth)
     d_recon = np.zeros_like(a_recon)
@@ -402,7 +404,7 @@ def gen_sv_loss_and_grads(
 
     # inter-class discrimination under the frozen classifier
     if weights.lambda2 > 0:
-        cls_value, _, _, d_x_cls = softmax_ce_grads(model.cls_seen, x_synth, cols)
+        cls_value, _, _, d_x_cls = softmax_ce_grads(model.cls_seen, x_synth, label_cols)
         terms["cls"] = weights.lambda2 * cls_value
         d_synth += weights.lambda2 * d_x_cls
 

@@ -151,7 +151,7 @@ def init_params(
     attribute_dim: int,
     n_seen: int,
     seed: int,
-    hidden_dim: int = 4096,
+    hidden_dim: int,
 ) -> ModelParams:
     """Deterministically initialize all five parameter sets."""
     if min(feature_dim, attribute_dim, n_seen) < 1:
@@ -317,21 +317,17 @@ def mlp_backward(
     return grads, d_u
 
 
-def critic_input_grads(
-    params: MLPParams, u: np.ndarray, h_pre: np.ndarray | None = None
-) -> np.ndarray:
+def critic_input_grads(params: MLPParams, u: np.ndarray, h_pre: np.ndarray) -> np.ndarray:
     """Per-row gradient of the scalar critic score w.r.t. its input, [B, n_in].
 
     Valid for critics only (output_dim 1, linear output). ``h_pre`` is the
     hidden preactivation of a forward pass over ``u`` that has already run
-    (``MLPCache.h_pre``); without it, ``u @ w1 + b1`` is recomputed.
+    (``MLPCache.h_pre``).
     """
     if params.shape.output_dim != 1 or params.shape.output_activation != "none":
         raise ContractViolation("input gradients are defined for scalar linear-output critics")
     _check_input(params, u)
-    if h_pre is None:
-        h_pre = u @ params.w1 + params.b1
-    elif h_pre.shape != (u.shape[0], params.shape.hidden_dim):
+    if h_pre.shape != (u.shape[0], params.shape.hidden_dim):
         raise ContractViolation(
             f"h_pre must have shape {(u.shape[0], params.shape.hidden_dim)}, got {h_pre.shape}"
         )
@@ -348,21 +344,11 @@ def gen_sv_forward(model: ModelParams, attributes: np.ndarray, noise: np.ndarray
     return mlp_forward(model.g_sv, np.hstack([attributes, noise]))
 
 
-def gen_vs_forward(model: ModelParams, visual: np.ndarray) -> np.ndarray:
-    """Reconstruct class attributes from visual features."""
-    return mlp_forward(model.g_vs, visual)
-
-
 def disc_v_forward(model: ModelParams, visual: np.ndarray, attributes: np.ndarray) -> np.ndarray:
     """Conditional critic score over (visual, attribute) pairs, [B]."""
     if visual.shape[0] != attributes.shape[0]:
         raise ContractViolation("visual and attribute batches disagree")
     return mlp_forward(model.d_v, np.hstack([visual, attributes]))[:, 0]
-
-
-def disc_s_forward(model: ModelParams, attributes: np.ndarray) -> np.ndarray:
-    """Unconditional critic score over attribute vectors, [B]."""
-    return mlp_forward(model.d_s, attributes)[:, 0]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -230,6 +230,8 @@ def train(
     the first non-finite loss term or parameter, naming it. Only the network
     a step updated can turn non-finite, so each step scans that network; the
     classifier and the initial networks are scanned once before the loop.
+    Raises ContractViolation if the frozen seen-class classifier was changed
+    (say, by ``step_callback``) by the end of training.
     """
     config.validate()
     k, l = bundle.feature_dim, bundle.attribute_dim
@@ -306,12 +308,13 @@ def train(
                 for _ in range(n_steps):
                     commit(kind, *step(batch))
 
-    assert np.array_equal(params.cls_seen.w, theta_snapshot[0])
-    assert np.array_equal(params.cls_seen.b, theta_snapshot[1])
+    if not (np.array_equal(params.cls_seen.w, theta_snapshot[0])
+            and np.array_equal(params.cls_seen.b, theta_snapshot[1])):
+        raise ContractViolation("the frozen seen-class classifier changed during training")
     return params, log
 
 
-def write_train_log(log: TrainLog, path: str, header: dict | None = None) -> None:
+def write_train_log(log: TrainLog, path: str, header: dict) -> None:
     """Line-delimited JSON: one header record, then one record per step."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({
@@ -319,7 +322,7 @@ def write_train_log(log: TrainLog, path: str, header: dict | None = None) -> Non
             "pretrain_accuracy": log.pretrain_accuracy,
             "seen_class_cols": {str(k): v for k, v in log.seen_class_cols.items()},
             "checkpoint": log.checkpoint_path,
-            "config": header or {},
+            "config": header,
         }, sort_keys=True) + "\n")
         for rec in log.records:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")

@@ -8,7 +8,15 @@ import zipfile
 import numpy as np
 
 from gzslgen.data import FeatureBatch
-from gzslgen.networks import MLPGrads, MLPParams, ModelParams, NetworkShape, init_params
+from gzslgen.networks import (
+    MLPGrads,
+    MLPParams,
+    ModelParams,
+    NetworkShape,
+    critic_input_grads,
+    init_params,
+    mlp_forward_cached,
+)
 
 
 def numeric_grad(fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -43,6 +51,11 @@ def check_param_grads(fn, params: MLPParams, analytic: MLPGrads, step=1e-5) -> d
         num = numeric_grad(fn, arr, step)
         errors[name] = rel_error(getattr(dense, name), num)
     return errors
+
+
+def critic_grads(critic: MLPParams, u: np.ndarray) -> np.ndarray:
+    """``critic_input_grads`` at ``u``, with ``h_pre`` from a forward over ``u``."""
+    return critic_input_grads(critic, u, mlp_forward_cached(critic, u).h_pre)
 
 
 def archive_contents(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -32,15 +32,15 @@ from gzslgen.losses import (
 from gzslgen.matio import dumps_json
 from gzslgen.networks import (
     LinearParams,
-    disc_s_forward,
     disc_v_forward,
     gen_sv_forward,
-    gen_vs_forward,
     init_params,
+    mlp_forward,
 )
 from gzslgen.trainer import OptimizerConfig, TrainConfig, pretrain_classifier, train
 from helpers import (
     check_param_grads,
+    critic_grads,
     linear_critic,
     numeric_grad,
     random_batch,
@@ -158,7 +158,7 @@ def test_criterion_02_loss_unit_suite():
     recon = np.abs(np.random.default_rng(1).standard_normal(batch.attributes.shape))
     assert losses.disc_s_loss_and_grads(zero_critic, batch, recon, w, alpha)[0] == 10.0
     assert losses.gen_sv_loss_and_grads(
-        zero_critic, batch, LossWeights(lambda2=0.0, lambda3=0.0), noise2)[0] == 0.0
+        zero_critic, batch, LossWeights(lambda2=0.0, lambda3=0.0), noise2, batch.labels)[0] == 0.0
     assert losses.gen_vs_loss_and_grads(
         zero_critic, batch, LossWeights(lambda5=0.0, lambda6=0.0), noise2)[0] == 0.0
 
@@ -175,8 +175,7 @@ def test_criterion_02_loss_unit_suite():
     batch = random_batch(seed=21)
     synth = gen_sv_forward(model, batch.attributes, batch.noise)
     total = losses.disc_v_loss_and_grads(model, batch, synth, LossWeights(), alpha)[0]
-    from gzslgen.networks import critic_input_grads
-    grad_fn = lambda u: critic_input_grads(model.d_v, np.hstack([u, batch.attributes]))[:, :k]
+    grad_fn = lambda u: critic_grads(model.d_v, np.hstack([u, batch.attributes]))[:, :k]
     expected = (
         disc_v_forward(model, synth, batch.attributes).mean()
         - disc_v_forward(model, batch.visual, batch.attributes).mean()
@@ -185,8 +184,8 @@ def test_criterion_02_loss_unit_suite():
     assert total == pytest.approx(expected, abs=1e-10)
 
     w = LossWeights()
-    total = losses.gen_sv_loss_and_grads(model, batch, w, noise2)[0]
-    recon = gen_vs_forward(model, synth)
+    total = losses.gen_sv_loss_and_grads(model, batch, w, noise2, batch.labels)[0]
+    recon = mlp_forward(model.g_vs, synth)
     cycle = gen_sv_forward(model, recon, noise2)
     real_groups = {c: batch.visual[batch.labels == c] for c in np.unique(batch.labels)}
     expected = (
@@ -200,7 +199,7 @@ def test_criterion_02_loss_unit_suite():
 
     total = losses.gen_vs_loss_and_grads(model, batch, w, noise2)[0]
     expected = (
-        -disc_s_forward(model, recon).mean()
+        -mlp_forward(model.d_s, recon)[:, 0].mean()
         + w.lambda5 * losses._centroid_match_grads(
             recon, batch.labels, losses._attr_targets(batch))[0]
         + w.lambda6 * visual_consistency_loss(cycle, batch.labels, real_groups)
@@ -209,10 +208,10 @@ def test_criterion_02_loss_unit_suite():
 
     beta = alpha
     total = losses.disc_s_loss_and_grads(model, batch, recon, w, beta)[0]
-    grad_fn = lambda u: critic_input_grads(model.d_s, u)
+    grad_fn = lambda u: critic_grads(model.d_s, u)
     expected = (
-        disc_s_forward(model, recon).mean()
-        - disc_s_forward(model, batch.attributes).mean()
+        mlp_forward(model.d_s, recon)[:, 0].mean()
+        - mlp_forward(model.d_s, batch.attributes)[:, 0].mean()
         + w.lambda4 * gradient_penalty(grad_fn, batch.attributes, recon, beta)
     )
     assert total == pytest.approx(expected, abs=1e-10)
@@ -266,9 +265,10 @@ def test_criterion_03_gradient_correctness():
 
     # visual-generator objective w.r.t. that generator (both pairings)
     for pair_mode in ("real", "cycle"):
-        _, _, grads = losses.gen_sv_loss_and_grads(model, batch, w, noise2,
+        _, _, grads = losses.gen_sv_loss_and_grads(model, batch, w, noise2, batch.labels,
                                                    pair_mode=pair_mode)
-        fn = lambda: losses.gen_sv_loss_and_grads(model, batch, w, noise2, pair_mode=pair_mode)[0]
+        fn = lambda: losses.gen_sv_loss_and_grads(
+            model, batch, w, noise2, batch.labels, pair_mode=pair_mode)[0]
         errors = check_param_grads(fn, model.g_sv, grads)
         assert max(errors.values()) < tol, (pair_mode, errors)
 

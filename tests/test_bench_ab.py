@@ -83,3 +83,25 @@ class TestVerdict:
 def test_parse_seeds():
     assert bench_ab.parse_seeds("900-903") == [900, 901, 902, 903]
     assert bench_ab.parse_seeds("7") == [7]
+
+
+def test_benchmark_check_names_each_differing_file(tmp_path):
+    def checkout(name, files):
+        root = tmp_path / name
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        return str(root)
+
+    same = {"BENCHMARK.json": "{}", "bench/run.py": "x = 1\n", "bench/data/pins.json": "[]"}
+    parent = checkout("parent", {**same, "bench/__pycache__/run.pyc": "a"})
+    twin = checkout("twin", {**same, "bench/__pycache__/run.pyc": "b"})
+    assert bench_ab.benchmark_check(parent, twin) == [
+        "bench/ and BENCHMARK.json match between the two checkouts"]
+
+    edited = checkout("edited", {**same, "BENCHMARK.json": '{"bound": 1}',
+                                 "bench/data/pins.json": "[1]", "bench/extra.py": ""})
+    assert bench_ab.benchmark_check(parent, edited) == [
+        f"benchmark file differs between the checkouts: {path}"
+        for path in ("BENCHMARK.json", os.path.join("bench", "data", "pins.json"),
+                     os.path.join("bench", "extra.py"))]

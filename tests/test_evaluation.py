@@ -153,9 +153,9 @@ class TestAblationAndSweep:
 
     def test_sweep_validates_counts(self, oracle):
         with pytest.raises(ValidationError):
-            sweep_samples(oracle, quick_config(), [])
+            sweep_samples(oracle, quick_config(), [], EvalConfig())
         with pytest.raises(ValidationError):
-            sweep_samples(oracle, quick_config(), [0, 5])
+            sweep_samples(oracle, quick_config(), [0, 5], EvalConfig())
 
 
 def test_report_serialization_roundtrip():

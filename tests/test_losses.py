@@ -15,15 +15,14 @@ from gzslgen.trainer import Adam, OptimizerConfig
 from gzslgen.networks import (
     LinearParams,
     MLPGrads,
-    disc_s_forward,
     disc_v_forward,
     gen_sv_forward,
-    gen_vs_forward,
     init_params,
     mlp_forward,
 )
 from helpers import (
     check_param_grads,
+    critic_grads,
     linear_critic,
     numeric_grad,
     random_batch,
@@ -251,8 +250,7 @@ class TestGradientPenalty:
 
     def test_deterministic_given_mix_seed(self):
         model = small_model()
-        from gzslgen.networks import critic_input_grads
-        grad_fn = lambda u: critic_input_grads(model.d_s, u)
+        grad_fn = lambda u: critic_grads(model.d_s, u)
         rng = np.random.default_rng(11)
         real, fake = rng.standard_normal((B, L)), rng.standard_normal((B, L))
         assert gradient_penalty(grad_fn, real, fake, mix=5) == gradient_penalty(
@@ -302,10 +300,9 @@ class TestCriticObjectives:
         alpha = alpha_for(batch)
         total = losses.disc_v_loss_and_grads(model, batch, synth, w, alpha)[0]
 
-        from gzslgen.networks import critic_input_grads
         fake = disc_v_forward(model, synth, batch.attributes).mean()
         real = disc_v_forward(model, batch.visual, batch.attributes).mean()
-        grad_fn = lambda u: critic_input_grads(
+        grad_fn = lambda u: critic_grads(
             model.d_v, np.hstack([u, batch.attributes]))[:, :K]
         gp = gradient_penalty(grad_fn, batch.visual, synth, alpha)
         assert total == pytest.approx(fake - real + w.lambda1 * gp, abs=1e-10)
@@ -332,15 +329,14 @@ class TestCriticObjectives:
     def test_disc_s_compositional_oracle(self):
         model = small_model(seed=22)
         batch = random_batch(seed=23)
-        recon = gen_vs_forward(model, batch.visual)
+        recon = mlp_forward(model.g_vs, batch.visual)
         w = LossWeights()
         alpha = alpha_for(batch)
         total = losses.disc_s_loss_and_grads(model, batch, recon, w, alpha)[0]
 
-        from gzslgen.networks import critic_input_grads
-        fake = disc_s_forward(model, recon).mean()
-        real = disc_s_forward(model, batch.attributes).mean()
-        grad_fn = lambda u: critic_input_grads(model.d_s, u)
+        fake = mlp_forward(model.d_s, recon)[:, 0].mean()
+        real = mlp_forward(model.d_s, batch.attributes)[:, 0].mean()
+        grad_fn = lambda u: critic_grads(model.d_s, u)
         gp = gradient_penalty(grad_fn, batch.attributes, recon, alpha)
         assert total == pytest.approx(fake - real + w.lambda4 * gp, abs=1e-10)
 
@@ -354,7 +350,7 @@ class TestGeneratorObjectives:
         model.d_v = zero_mlp(K + L, 16, 1)
         batch = random_batch()
         w = LossWeights(lambda2=0.0, lambda3=0.0)
-        assert losses.gen_sv_loss_and_grads(model, batch, w, self.noise2)[0] == 0.0
+        assert losses.gen_sv_loss_and_grads(model, batch, w, self.noise2, batch.labels)[0] == 0.0
 
     def test_gsv_isolates_classification_term(self):
         model = small_model()
@@ -364,17 +360,17 @@ class TestGeneratorObjectives:
         synth = gen_sv_forward(model, batch.attributes, batch.noise)
         expected = 0.25 * losses.softmax_ce_grads(
             model.cls_seen, synth, batch.labels, input_grad=False)[0]
-        total = losses.gen_sv_loss_and_grads(model, batch, w, self.noise2)[0]
+        total = losses.gen_sv_loss_and_grads(model, batch, w, self.noise2, batch.labels)[0]
         assert total == pytest.approx(expected, rel=1e-12)
 
     def test_gsv_compositional_oracle(self):
         model = small_model(seed=24)
         batch = random_batch(seed=25)
         w = LossWeights()
-        total, terms, _ = losses.gen_sv_loss_and_grads(model, batch, w, self.noise2)
+        total, terms, _ = losses.gen_sv_loss_and_grads(model, batch, w, self.noise2, batch.labels)
 
         synth = gen_sv_forward(model, batch.attributes, batch.noise)
-        recon = gen_vs_forward(model, synth)
+        recon = mlp_forward(model.g_vs, synth)
         cycle = gen_sv_forward(model, recon, self.noise2)
         expected = (
             -disc_v_forward(model, synth, batch.attributes).mean()
@@ -392,24 +388,26 @@ class TestGeneratorObjectives:
         model = small_model(seed=24)
         batch = random_batch(seed=25)
         w = LossWeights()
-        real_total, real_terms, _ = losses.gen_sv_loss_and_grads(model, batch, w, self.noise2)
+        real_total, real_terms, _ = losses.gen_sv_loss_and_grads(
+            model, batch, w, self.noise2, batch.labels)
         total, terms, _ = losses.gen_sv_loss_and_grads(
-            model, batch, w, self.noise2, pair_mode=None)
+            model, batch, w, self.noise2, batch.labels, pair_mode=None)
         assert terms["w_pair"] == 0.0
         assert list(terms) == list(real_terms)
         assert {k: v for k, v in terms.items() if k != "w_pair"} == {
             k: v for k, v in real_terms.items() if k != "w_pair"}
         assert total == pytest.approx(real_total - real_terms["w_pair"], abs=1e-12)
         assert losses.gen_sv_loss_and_grads(
-            model, batch, w, self.noise2, pair_mode=None)[0] == total
+            model, batch, w, self.noise2, batch.labels, pair_mode=None)[0] == total
 
     def test_gsv_cycle_pairing_oracle(self):
         model = small_model(seed=26)
         batch = random_batch(seed=27)
         w = LossWeights()
-        total = losses.gen_sv_loss_and_grads(model, batch, w, self.noise2, pair_mode="cycle")[0]
+        total = losses.gen_sv_loss_and_grads(
+            model, batch, w, self.noise2, batch.labels, pair_mode="cycle")[0]
         synth = gen_sv_forward(model, batch.attributes, batch.noise)
-        recon = gen_vs_forward(model, synth)
+        recon = mlp_forward(model.g_vs, synth)
         cycle = gen_sv_forward(model, recon, self.noise2)
         expected = (
             -disc_v_forward(model, synth, batch.attributes).mean()
@@ -435,7 +433,7 @@ class TestGeneratorObjectives:
         batch = random_batch()
         w = LossWeights(lambda5=0.4, lambda6=0.0)
         synth = gen_sv_forward(model, batch.attributes, batch.noise)
-        recon = gen_vs_forward(model, synth)
+        recon = mlp_forward(model.g_vs, synth)
         expected = 0.4 * losses._centroid_match_grads(
             recon, batch.labels, losses._attr_targets(batch))[0]
         total = losses.gen_vs_loss_and_grads(model, batch, w, self.noise2)[0]
@@ -447,10 +445,10 @@ class TestGeneratorObjectives:
         w = LossWeights()
         total, terms, _ = losses.gen_vs_loss_and_grads(model, batch, w, self.noise2)
         synth = gen_sv_forward(model, batch.attributes, batch.noise)
-        recon = gen_vs_forward(model, synth)
+        recon = mlp_forward(model.g_vs, synth)
         cycle = gen_sv_forward(model, recon, self.noise2)
         expected = (
-            -disc_s_forward(model, recon).mean()
+            -mlp_forward(model.d_s, recon)[:, 0].mean()
             + w.lambda5 * losses._centroid_match_grads(
                 recon, batch.labels, losses._attr_targets(batch))[0]
             + w.lambda6 * visual_consistency_loss(
@@ -468,7 +466,7 @@ class TestRegularizersNonnegative:
         for trial in range(10):
             batch = random_batch(seed=100 + trial)
             synth = gen_sv_forward(model, batch.attributes, batch.noise)
-            recon = gen_vs_forward(model, synth)
+            recon = mlp_forward(model.g_vs, synth)
             assert losses.softmax_ce_grads(
                 model.cls_seen, synth, batch.labels, input_grad=False)[0] >= 0
             assert losses._centroid_match_grads(
@@ -515,8 +513,9 @@ class TestLossGradients:
         noise2 = np.random.default_rng(48).standard_normal((B, L))
         w = LossWeights()
         _, _, grads = losses.gen_sv_loss_and_grads(
-            model, batch, w, noise2, pair_mode=pair_mode)
-        fn = lambda: losses.gen_sv_loss_and_grads(model, batch, w, noise2, pair_mode=pair_mode)[0]
+            model, batch, w, noise2, batch.labels, pair_mode=pair_mode)
+        fn = lambda: losses.gen_sv_loss_and_grads(
+            model, batch, w, noise2, batch.labels, pair_mode=pair_mode)[0]
         errors = check_param_grads(fn, model.g_sv, grads)
         assert max(errors.values()) < self.TOL, errors
 
@@ -583,7 +582,9 @@ class TestWorkBuffer:
             recon = np.abs(rng.standard_normal(batch.attributes.shape))
             return losses.disc_s_loss_and_grads(model, batch, recon, w, alpha_for(batch))
         noise2 = rng.standard_normal(batch.noise.shape)
-        return getattr(losses, name)(model, batch, w, noise2)
+        if name == "gen_sv_loss_and_grads":
+            return losses.gen_sv_loss_and_grads(model, batch, w, noise2, batch.labels)
+        return losses.gen_vs_loss_and_grads(model, batch, w, noise2)
 
     @pytest.mark.parametrize("name", LOSS_NAMES)
     def test_same_value_terms_and_grads_with_and_without_work(self, monkeypatch, name):

@@ -10,16 +10,22 @@ from gzslgen.networks import (
     NetworkShape,
     classifier_forward,
     critic_input_grads,
-    disc_s_forward,
     disc_v_forward,
     gen_sv_forward,
-    gen_vs_forward,
     init_params,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
 )
-from helpers import check_param_grads, numeric_grad, rel_error, small_model, random_batch, zero_mlp
+from helpers import (
+    check_param_grads,
+    critic_grads,
+    numeric_grad,
+    random_batch,
+    rel_error,
+    small_model,
+    zero_mlp,
+)
 
 
 # each network with an input of its kind; the two critics come last
@@ -76,13 +82,13 @@ class TestForwards:
         model.d_v = zero_mlp(15, 16, 1)
         model.d_s = zero_mlp(3, 16, 1)
         assert not gen_sv_forward(model, self.batch.attributes, self.batch.noise).any()
-        assert not gen_vs_forward(model, self.batch.visual).any()
+        assert not mlp_forward(model.g_vs, self.batch.visual).any()
         assert not disc_v_forward(model, self.batch.visual, self.batch.attributes).any()
-        assert not disc_s_forward(model, self.batch.attributes).any()
+        assert not mlp_forward(model.d_s, self.batch.attributes).any()
 
     def test_gen_vs_shape(self):
         for b in (1, 4, 9):
-            out = gen_vs_forward(self.model, np.ones((b, 12)))
+            out = mlp_forward(self.model.g_vs, np.ones((b, 12)))
             assert out.shape == (b, 3)
 
     def test_critic_scores_scale_with_final_layer(self):
@@ -100,7 +106,7 @@ class TestForwards:
         with pytest.raises(ContractViolation):
             disc_v_forward(self.model, self.batch.visual[:3], self.batch.attributes)
         with pytest.raises(ContractViolation):
-            gen_vs_forward(self.model, np.ones((4, 7)))
+            mlp_forward(self.model.g_vs, np.ones((4, 7)))
 
     def test_forward_deterministic(self):
         a = gen_sv_forward(self.model, self.batch.attributes, self.batch.noise)
@@ -164,7 +170,7 @@ class TestGradients:
         model = small_model(seed=9)
         batch = random_batch(seed=10)
         u = np.hstack([batch.visual, batch.attributes])
-        g = critic_input_grads(model.d_v, u)
+        g = critic_grads(model.d_v, u)
 
         def score_sum():
             return float(mlp_forward(model.d_v, u).sum())
@@ -250,15 +256,14 @@ class TestSelectiveBackward:
         params = getattr(model, net)
         u = builder(model, random_batch(seed=15))
         cache = mlp_forward_cached(params, u)
-        assert np.array_equal(critic_input_grads(params, u, h_pre=cache.h_pre),
-                              critic_input_grads(params, u))
-        # the input gradient depends on u only through h_pre, so a supplied
-        # h_pre is read, not recomputed from u
+        assert np.array_equal(critic_input_grads(params, u, cache.h_pre),
+                              critic_input_grads(params, u, u @ params.w1 + params.b1))
+        # the input gradient depends on u only through h_pre, so the h_pre
+        # given is read, not recomputed from u
         other = builder(model, random_batch(seed=16))
-        assert np.array_equal(
-            critic_input_grads(params, u, h_pre=mlp_forward_cached(params, other).h_pre),
-            critic_input_grads(params, other),
-        )
+        other_h_pre = mlp_forward_cached(params, other).h_pre
+        assert np.array_equal(critic_input_grads(params, u, other_h_pre),
+                              critic_input_grads(params, other, other_h_pre))
         with pytest.raises(ContractViolation, match="h_pre"):
             critic_input_grads(params, u, h_pre=cache.h_pre[1:])
 
@@ -267,7 +272,7 @@ def test_gvs_output_activation_switch():
     rectified = init_params(12, 3, 3, seed=0, hidden_dim=16)
     linear = MLPParams(rectified.g_vs.flat, NetworkShape(12, 16, 3, output_activation="none"))
     x = np.random.default_rng(0).standard_normal((40, 12))
-    out_rect = gen_vs_forward(rectified, x)
+    out_rect = mlp_forward(rectified.g_vs, x)
     out_lin = mlp_forward(linear, x)
     assert np.all(out_rect >= 0)
     assert (out_lin < 0).any()  # same weights, no rectifier

@@ -52,8 +52,9 @@ def step_loss_and_grads(kind, model, batch, rng):
         recon = rng.uniform(0, 1, size=batch.attributes.shape)
         return lambda: losses.disc_s_loss_and_grads(model, batch, recon, weights, mix)
     noise2 = rng.standard_normal(batch.noise.shape)
-    name = "gen_sv_loss_and_grads" if kind == "g_sv" else "gen_vs_loss_and_grads"
-    return lambda: getattr(losses, name)(model, batch, weights, noise2)
+    if kind == "g_sv":
+        return lambda: losses.gen_sv_loss_and_grads(model, batch, weights, noise2, batch.labels)
+    return lambda: losses.gen_vs_loss_and_grads(model, batch, weights, noise2)
 
 
 def directional_error(kind, seed):

@@ -15,6 +15,9 @@ from gzslgen.synthesis import (
 )
 from gzslgen.networks import LinearParams
 
+# the final classifier's step cap and tolerance, as in EvalConfig
+FIT = dict(max_steps=1000, grad_tol=1e-5)
+
 
 @pytest.fixture(scope="module")
 def bundle():
@@ -111,7 +114,7 @@ class TestSynthesize:
 def reference_fit(x, labels, class_ids, max_steps, grad_tol, log=None, class_major=True):
     """The softmax fit in its plainest form: separate arrays for every
     intermediate, ``np.exp`` of every shifted logit, ``x.T @ d_logits`` and
-    the exact norm test at every step.
+    ``fit_softmax``'s norm test at every step.
     ``log``, if given, collects every step's shifted logits and gradient norm.
 
     With ``class_major`` the weight is iterated as ``fit_softmax`` holds it,
@@ -141,7 +144,7 @@ def reference_fit(x, labels, class_ids, max_steps, grad_tol, log=None, class_maj
         d_logits /= x.shape[0]
         d_logits[np.abs(d_logits) < tiny] = 0.0
         dw, db = x.T @ d_logits, d_logits.sum(axis=0)
-        gnorm = np.sqrt(np.sum(dw * dw) + np.sum(db * db))
+        gnorm = np.sqrt(np.vdot(dw.T, dw.T) + np.vdot(db, db))
         if log is not None:
             log.append((shifted, gnorm))
         if gnorm < grad_tol:
@@ -162,20 +165,20 @@ class TestFitClassifier:
 
     def test_separable_classes_fit_accurately(self):
         feats, labels = self.separated_data()
-        clf = fit_gzsl_classifier(feats, labels, [0, 1])
+        clf = fit_gzsl_classifier(feats, labels, [0, 1], **FIT)
         acc = np.mean(predict(clf, feats) == labels)
         assert acc >= 0.99
 
     def test_single_class_trivial(self):
         feats = np.random.default_rng(1).standard_normal((5, 3))
-        clf = fit_gzsl_classifier(feats, np.zeros(5, dtype=int), [0])
+        clf = fit_gzsl_classifier(feats, np.zeros(5, dtype=int), [0], **FIT)
         assert np.all(predict(clf, feats) == 0)
 
     def test_row_permutation_leaves_fit_unchanged(self):
         feats, labels = self.separated_data()
-        clf_a = fit_gzsl_classifier(feats, labels, [0, 1])
+        clf_a = fit_gzsl_classifier(feats, labels, [0, 1], **FIT)
         perm = np.random.default_rng(2).permutation(len(labels))
-        clf_b = fit_gzsl_classifier(feats[perm], labels[perm], [0, 1])
+        clf_b = fit_gzsl_classifier(feats[perm], labels[perm], [0, 1], **FIT)
         np.testing.assert_allclose(clf_a.params.w, clf_b.params.w, atol=1e-8)
         np.testing.assert_allclose(clf_a.params.b, clf_b.params.b, atol=1e-8)
 
@@ -244,12 +247,12 @@ class TestFitClassifier:
     def test_missing_class_rejected(self):
         feats, labels = self.separated_data()
         with pytest.raises(ValidationError, match=r"classes without training rows: \[2\]"):
-            fit_gzsl_classifier(feats, labels, [0, 1, 2])
+            fit_gzsl_classifier(feats, labels, [0, 1, 2], **FIT)
 
     def test_label_outside_class_set_rejected(self):
         feats, labels = self.separated_data()
         with pytest.raises(ValidationError, match=r"outside the declared class set: \[1\]"):
-            fit_gzsl_classifier(feats, labels, [0])
+            fit_gzsl_classifier(feats, labels, [0], **FIT)
 
 
 class TestPredict:
@@ -281,7 +284,7 @@ class TestPredict:
         feats, labels = synthesize_features(
             model, bundle,
             SynthesisRequest(classes=bundle.all_classes, n_per_class=5, seed=0))
-        clf = fit_gzsl_classifier(feats, labels, bundle.all_classes, max_steps=5)
+        clf = fit_gzsl_classifier(feats, labels, bundle.all_classes, max_steps=5, grad_tol=1e-5)
         assert clf.class_ids == bundle.all_classes
         preds = predict(clf, bundle.visual_test_unseen)
         assert set(np.unique(preds)) <= set(bundle.all_classes)

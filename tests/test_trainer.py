@@ -1,12 +1,13 @@
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gzslgen import losses, networks, trainer
 from gzslgen.data import SyntheticSpec, make_synthetic_dataset
-from gzslgen.errors import TrainingDiverged, ValidationError
+from gzslgen.errors import ContractViolation, TrainingDiverged, ValidationError
 from gzslgen.trainer import (
     Adam,
     OptimizerConfig,
@@ -145,6 +146,14 @@ class TestTrainLoop:
         model, _ = train(bundle, cfg)
         assert np.array_equal(model.cls_seen.w, theta.w)
         assert np.array_equal(model.cls_seen.b, theta.b)
+
+    def test_classifier_changed_during_training_raises(self):
+        # an exception, not an assert, so ``python -O`` keeps the check
+        def nudge(kind, iteration, params):
+            params.cls_seen.w[0, 0] += 1.0
+
+        with pytest.raises(ContractViolation, match="seen-class classifier"):
+            train(desk_bundle(samples=20), desk_config(), step_callback=nudge)
 
     def test_critic_and_generator_updates_are_isolated(self):
         bundle = desk_bundle(samples=20)
@@ -374,3 +383,41 @@ def test_heldout_semantic_centroid_loss_decreases():
     initial = init_params(16, 4, 3, seed=child_seed(0, "init"), hidden_dim=64)
     trained, _ = train(bundle, cfg)
     assert heldout_sc(trained) < heldout_sc(initial)
+
+
+def relabelled(bundle, new_ids):
+    """``bundle`` with class ``c`` renamed ``new_ids[c]``; each attribute row
+    moves with its id."""
+    ids = np.asarray(new_ids)
+    attributes = np.empty_like(bundle.attributes)
+    attributes[ids] = bundle.attributes
+    return replace(
+        bundle,
+        labels_train=ids[bundle.labels_train],
+        labels_test_seen=ids[bundle.labels_test_seen],
+        labels_test_unseen=ids[bundle.labels_test_unseen],
+        attributes=attributes,
+        seen_classes=tuple(int(ids[c]) for c in bundle.seen_classes),
+        unseen_classes=tuple(int(ids[c]) for c in bundle.unseen_classes),
+    )
+
+
+def test_seen_ids_outside_the_first_columns_train_alike():
+    # seen ids (0, 2, 4) keep their relative order, so seen_class_columns
+    # maps them to the columns 0, 1, 2 that the ids 0, 1, 2 get; the
+    # generator's classification term must score each row in that column,
+    # not in the column its class id names
+    bundle = make_synthetic_dataset(SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11))
+    assert (bundle.seen_classes, bundle.unseen_classes) == ((0, 1, 2), (3, 4))
+    moved = relabelled(bundle, [0, 2, 4, 1, 3])
+    assert (moved.seen_classes, moved.unseen_classes) == ((0, 2, 4), (1, 3))
+    cfg = desk_config(batch_size=30, epochs=2)
+    params, log = train(bundle, cfg)
+    moved_params, moved_log = train(moved, cfg)
+    assert moved_log.seen_class_cols == {0: 0, 2: 1, 4: 2}
+    for a, b in zip(params.all_arrays(), moved_params.all_arrays()):
+        assert a.tobytes() == b.tobytes()
+    assert moved_log.pretrain_accuracy == log.pretrain_accuracy
+    cls_terms = [r["terms"]["cls"] for r in log.records if r["step"] == "g_sv"]
+    assert cls_terms and all(v > 0 for v in cls_terms)
+    assert [r["terms"]["cls"] for r in moved_log.records if r["step"] == "g_sv"] == cls_terms
