@@ -18,10 +18,9 @@ from .config import (
     RunConfig,
     effective_dict,
     load_checkpoint,
-    load_run_config,
+    parse_run_config,
     parse_synthetic_spec,
     save_checkpoint,
-    write_effective_config,
     CHECKPOINT_NAME,
 )
 from .data import DatasetBundle, make_synthetic_dataset, save_dataset
@@ -44,7 +43,7 @@ def _configure(args, embedded: RunConfig | None = None) -> RunConfig:
     a checkpoint's ``embedded`` one, with the flags applied over it. ``--seed``
     seeds training, or evaluation for the commands that load a checkpoint."""
     flags = vars(args)
-    cfg = load_run_config(flags["config"]) if flags.get("config") else embedded
+    cfg = parse_run_config(load_json(flags["config"])) if flags.get("config") else embedded
     if flags.get("seed") is not None:
         (cfg.eval if "checkpoint" in flags else cfg.train).seed = flags["seed"]
     if flags.get("variant") is not None:
@@ -82,7 +81,8 @@ def _prepare_run(args, test_rows: bool) -> tuple[RunConfig, DatasetBundle]:
     bundle = cfg.resolve_bundle()
     _check_rows(bundle, training_rows=True, test_rows=test_rows)
     os.makedirs(cfg.out, exist_ok=True)
-    write_effective_config(cfg, os.path.join(cfg.out, "config_effective.json"))
+    with open(os.path.join(cfg.out, "config_effective.json"), "w", encoding="utf-8") as fh:
+        fh.write(dumps_json(effective_dict(cfg)))
     return cfg, bundle
 
 
@@ -172,18 +172,20 @@ def cmd_export_viz(args) -> int:
     else:
         classes = list(bundle.unseen_classes)[:3]
 
+    # class -> (visual, labels) of the test split that holds its real rows
+    test_split = {
+        **dict.fromkeys(bundle.seen_classes, (bundle.visual_test_seen, bundle.labels_test_seen)),
+        **dict.fromkeys(bundle.unseen_classes,
+                        (bundle.visual_test_unseen, bundle.labels_test_unseen)),
+    }
     real_rows, real_labels = [], []
     for c in classes:
-        if c in bundle.unseen_classes:
-            mask = bundle.labels_test_unseen == c
-            rows = bundle.visual_test_unseen[mask]
-        elif c in bundle.seen_classes:
-            mask = bundle.labels_test_seen == c
-            rows = bundle.visual_test_seen[mask]
-        else:
+        if c not in test_split:
             raise ValidationError(f"class {c} is not part of the dataset")
-        real_rows.append(rows)
-        real_labels.append(np.full(rows.shape[0], c, dtype=np.int64))
+        visual, split_labels = test_split[c]
+        mask = split_labels == c
+        real_rows.append(visual[mask])
+        real_labels.append(split_labels[mask])
 
     request = SynthesisRequest(
         classes=tuple(classes), n_per_class=cfg.eval.n_per_class, seed=cfg.eval.seed
@@ -191,10 +193,8 @@ def cmd_export_viz(args) -> int:
     synth_x, synth_y = synthesize_features(params, bundle, request)
     features = np.vstack(real_rows + [synth_x])
     labels = np.concatenate(real_labels + [synth_y])
-    source = np.concatenate(
-        [np.zeros(sum(r.shape[0] for r in real_rows), dtype=np.int64),
-         np.ones(synth_x.shape[0], dtype=np.int64)]
-    )
+    n_real, n_synth = features.shape[0] - synth_x.shape[0], synth_x.shape[0]
+    source = np.repeat([0, 1], [n_real, n_synth])
 
     os.makedirs(args.out, exist_ok=True)
     write_matrix(os.path.join(args.out, "viz_features.f32"), features, "f32")
@@ -205,8 +205,8 @@ def cmd_export_viz(args) -> int:
         "n_rows": int(features.shape[0]),
         "feature_dim": int(features.shape[1]),
         "classes": [int(c) for c in classes],
-        "n_real": int(source.size - int(source.sum())),
-        "n_synth": int(source.sum()),
+        "n_real": n_real,
+        "n_synth": n_synth,
         "source_flags": "viz_source.i32 holds one flag per row: 0 real, 1 synthesized",
     }
     with open(os.path.join(args.out, "meta.json"), "w", encoding="utf-8") as fh:

@@ -21,8 +21,7 @@ from .data import DatasetBundle, SyntheticSpec, load_dataset, make_synthetic_dat
 from .errors import ContractViolation, FormatError, ValidationError
 from .evaluation import EvalConfig
 from .losses import LossWeights
-from .matio import (check_member, dumps_json, load_json, open_archive, read_fields, read_member,
-                    write_archive)
+from .matio import check_member, open_archive, read_fields, read_member, write_archive
 from .networks import LinearParams, MLPParams, ModelParams, NetworkShape
 from .trainer import OptimizerConfig, TrainConfig
 
@@ -113,10 +112,6 @@ def parse_run_config(doc: Any) -> RunConfig:
     return cfg
 
 
-def load_run_config(path: str) -> RunConfig:
-    return parse_run_config(load_json(path))
-
-
 def effective_dict(cfg: RunConfig) -> dict:
     """Fully materialized config (all defaults applied), for echoing."""
     doc: dict[str, Any] = {"out": cfg.out, "normalize": cfg.normalize}
@@ -129,11 +124,6 @@ def effective_dict(cfg: RunConfig) -> dict:
                     **{f.name: getattr(t, f.name) for f in _TRAIN_SCALARS}}
     doc["eval"] = {**asdict(cfg.eval), "counts": list(cfg.counts)}
     return doc
-
-
-def write_effective_config(cfg: RunConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(effective_dict(cfg)))
 
 
 # ---------------------------------------------------------------------------

@@ -102,17 +102,16 @@ def evaluate_gzsl(
         preds_unseen, bundle.labels_test_unseen, bundle.unseen_classes
     )
 
-    counts = {}
-    for c in bundle.seen_classes:
-        counts[c] = int(np.sum(bundle.labels_test_seen == c))
-    for c in bundle.unseen_classes:
-        counts[c] = int(np.sum(bundle.labels_test_unseen == c))
+    # per_class_accuracy has rejected a class without test rows, so every
+    # class of the dataset appears here
+    test_labels = np.concatenate([bundle.labels_test_seen, bundle.labels_test_unseen])
+    classes, counts = np.unique(test_labels, return_counts=True)
     return EvalReport(
         ts=ts,
         tr=tr,
         h=harmonic_mean(ts, tr),
         per_class_acc={**per_seen, **per_unseen},
-        n_test_per_class=counts,
+        n_test_per_class=dict(zip(classes.tolist(), counts.tolist())),
     )
 
 

@@ -343,7 +343,7 @@ def _critic_pull(critic: MLPParams, u: np.ndarray) -> tuple[float, np.ndarray]:
     """A generator's adversarial term ``-mean(critic(u))`` and its gradient
     w.r.t. ``u``, which reuses the forward's hidden preactivation."""
     cache = mlp_forward_cached(critic, u)
-    grad = critic_input_grads(critic, u, cache.h_pre)
+    grad = critic_input_grads(critic, cache)
     return -float(cache.out[:, 0].mean()), (-1.0 / u.shape[0]) * grad
 
 

@@ -20,8 +20,8 @@ it, so one fused optimizer update per network walks one buffer.
 ``mlp_backward`` always returns the parameter gradients, which cost only
 two bias sums because the weight gradients stay factors (below), and skips
 the input gradient (``input_grad=False``) of a network nothing lies
-upstream of. ``critic_input_grads`` takes the hidden preactivation ``h_pre``
-of a forward pass that has already run.
+upstream of. ``critic_input_grads`` reads the hidden preactivation ``h_pre``
+from the cache of a forward pass that has already run.
 
 Parameter gradients come back as ``MLPGrads``: the bias gradients as arrays
 and each weight gradient as the ordered sum of its terms, products ``a @ b``
@@ -122,17 +122,20 @@ class ModelParams:
 
 @dataclass
 class MLPCache:
-    """Intermediates kept by a cached forward for the backward pass."""
+    """Intermediates kept by a cached forward for the backward pass.
+
+    ``out`` is the output after its activation; a ReLU output is positive
+    exactly where its preactivation is, so the backward masks by ``out``.
+    """
 
     u: np.ndarray
     h_pre: np.ndarray
     h: np.ndarray
-    o_pre: np.ndarray
     out: np.ndarray
 
     def rows(self, lo: int, hi: int) -> "MLPCache":
         """The cache of rows ``lo:hi`` of the batch, as views."""
-        return MLPCache(*(a[lo:hi] for a in (self.u, self.h_pre, self.h, self.o_pre, self.out)))
+        return MLPCache(*(a[lo:hi] for a in (self.u, self.h_pre, self.h, self.out)))
 
 
 def _init_mlp(rng: np.random.Generator, shape: NetworkShape) -> MLPParams:
@@ -178,24 +181,20 @@ def _leaky_deriv(x: np.ndarray, slope: float) -> np.ndarray:
     return np.where(x >= 0, 1.0, slope)
 
 
-def _check_input(params: MLPParams, u: np.ndarray) -> None:
-    if u.ndim != 2 or u.shape[1] != params.shape.input_dim:
-        raise ContractViolation(
-            f"expected input [B, {params.shape.input_dim}], got {u.shape}"
-        )
-
-
 def mlp_forward(params: MLPParams, u: np.ndarray) -> np.ndarray:
     return mlp_forward_cached(params, u).out
 
 
 def mlp_forward_cached(params: MLPParams, u: np.ndarray) -> MLPCache:
-    _check_input(params, u)
+    if u.ndim != 2 or u.shape[1] != params.shape.input_dim:
+        raise ContractViolation(
+            f"expected input [B, {params.shape.input_dim}], got {u.shape}"
+        )
     h_pre = u @ params.w1 + params.b1
     h = _leaky(h_pre, params.shape.negative_slope)
     o_pre = h @ params.w2 + params.b2
     out = np.maximum(o_pre, 0.0) if params.shape.output_activation == "relu" else o_pre
-    return MLPCache(u=u, h_pre=h_pre, h=h, o_pre=o_pre, out=out)
+    return MLPCache(u=u, h_pre=h_pre, h=h, out=out)
 
 
 # A weight-gradient block holds at most this many doubles (4 MB): 128 rows
@@ -303,7 +302,7 @@ def mlp_backward(
     call's.
     """
     if params.shape.output_activation == "relu":
-        d_opre = d_out * (cache.o_pre > 0)
+        d_opre = d_out * (cache.out > 0)
     else:
         d_opre = d_out
     d_h = d_opre @ params.w2.T
@@ -317,21 +316,20 @@ def mlp_backward(
     return grads, d_u
 
 
-def critic_input_grads(params: MLPParams, u: np.ndarray, h_pre: np.ndarray) -> np.ndarray:
+def critic_input_grads(params: MLPParams, cache: MLPCache) -> np.ndarray:
     """Per-row gradient of the scalar critic score w.r.t. its input, [B, n_in].
 
-    Valid for critics only (output_dim 1, linear output). ``h_pre`` is the
-    hidden preactivation of a forward pass over ``u`` that has already run
-    (``MLPCache.h_pre``).
+    Valid for critics only (output_dim 1, linear output). ``cache`` is that of
+    a forward pass that has already run, and only its hidden preactivation
+    ``h_pre`` is read: the gradient depends on the input through it alone.
     """
     if params.shape.output_dim != 1 or params.shape.output_activation != "none":
         raise ContractViolation("input gradients are defined for scalar linear-output critics")
-    _check_input(params, u)
-    if h_pre.shape != (u.shape[0], params.shape.hidden_dim):
+    if cache.h_pre.ndim != 2 or cache.h_pre.shape[1] != params.shape.hidden_dim:
         raise ContractViolation(
-            f"h_pre must have shape {(u.shape[0], params.shape.hidden_dim)}, got {h_pre.shape}"
+            f"h_pre must be [B, {params.shape.hidden_dim}], got {cache.h_pre.shape}"
         )
-    s = _leaky_deriv(h_pre, params.shape.negative_slope) * params.w2[:, 0]  # [B, H]
+    s = _leaky_deriv(cache.h_pre, params.shape.negative_slope) * params.w2[:, 0]  # [B, H]
     return s @ params.w1.T
 
 
@@ -351,12 +349,6 @@ def disc_v_forward(model: ModelParams, visual: np.ndarray, attributes: np.ndarra
     return mlp_forward(model.d_v, np.hstack([visual, attributes]))[:, 0]
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def classifier_logits(cls: LinearParams, visual: np.ndarray) -> np.ndarray:
     """``visual @ w + b``."""
     if visual.ndim != 2 or visual.shape[1] != cls.w.shape[0]:
@@ -370,4 +362,6 @@ def classifier_logits(cls: LinearParams, visual: np.ndarray) -> np.ndarray:
 
 def classifier_forward(cls: LinearParams, visual: np.ndarray) -> np.ndarray:
     """Class-probability rows (each sums to 1)."""
-    return softmax(classifier_logits(cls, visual))
+    logits = classifier_logits(cls, visual)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)

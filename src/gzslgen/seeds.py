@@ -21,7 +21,3 @@ def child_seed(root: int, name: str) -> int:
     tag = zlib.crc32(name.encode("utf-8"))
     seq = np.random.SeedSequence([int(root), tag])
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-def child_rng(root: int, name: str) -> np.random.Generator:
-    return np.random.default_rng(child_seed(root, name))

@@ -38,7 +38,7 @@ from .networks import (
     init_params,
     mlp_forward,
 )
-from .seeds import child_rng, child_seed
+from .seeds import child_seed
 from .synthesis import fit_softmax
 
 # each ablation variant and the loss weights it switches off; the single-GAN
@@ -183,11 +183,6 @@ def seen_class_columns(bundle: DatasetBundle) -> tuple[np.ndarray, dict[int, int
     return lookup, col_of
 
 
-def classifier_accuracy(cls: LinearParams, x: np.ndarray, cols: np.ndarray) -> float:
-    preds = classifier_forward(cls, x).argmax(axis=1)
-    return float(np.mean(preds == cols))
-
-
 def pretrain_classifier(bundle: DatasetBundle, config: TrainConfig) -> LinearParams:
     """Fit the frozen seen-class softmax classifier on real training features
     with ``fit_softmax`` and the config's pretrain settings."""
@@ -240,10 +235,9 @@ def train(
 
     cls = pretrain_classifier(bundle, config)
     _check_params_finite(cls.arrays().values(), "in the seen-class classifier after its pretrain")
-    log = TrainLog(seen_class_cols=col_of)
-    log.pretrain_accuracy = classifier_accuracy(
-        cls, bundle.visual_train, lookup[bundle.labels_train]
-    )
+    preds = classifier_forward(cls, bundle.visual_train).argmax(axis=1)
+    log = TrainLog(pretrain_accuracy=float(np.mean(preds == lookup[bundle.labels_train])),
+                   seen_class_cols=col_of)
 
     params = init_params(
         k, l, len(col_of),
@@ -256,7 +250,7 @@ def train(
     _check_params_finite((net.flat for net in nets.values()), "at initialisation")
 
     opts = {name: Adam(net.flat, config.optimizer) for name, net in nets.items()}
-    rng = child_rng(config.seed, "noise")
+    rng = np.random.default_rng(child_seed(config.seed, "noise"))
 
     def commit(kind: str, value: float, terms: dict[str, float], grads: MLPGrads) -> None:
         """Check, apply and record one step of the current iteration."""

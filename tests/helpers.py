@@ -54,8 +54,8 @@ def check_param_grads(fn, params: MLPParams, analytic: MLPGrads, step=1e-5) -> d
 
 
 def critic_grads(critic: MLPParams, u: np.ndarray) -> np.ndarray:
-    """``critic_input_grads`` at ``u``, with ``h_pre`` from a forward over ``u``."""
-    return critic_input_grads(critic, u, mlp_forward_cached(critic, u).h_pre)
+    """``critic_input_grads`` at ``u``, from the cache of a forward over ``u``."""
+    return critic_input_grads(critic, mlp_forward_cached(critic, u))
 
 
 def archive_contents(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -9,7 +9,7 @@ import pytest
 
 from gzslgen import evaluation
 from gzslgen.cli import main
-from gzslgen.data import load_dataset, save_dataset
+from gzslgen.data import SyntheticSpec, load_dataset, make_synthetic_dataset, save_dataset
 from gzslgen.matio import dumps_json
 
 
@@ -297,6 +297,12 @@ class TestAblateAndSweep:
         curve = json.loads((tmp_path / "run" / "curve.json").read_text())
         assert [p["n_per_class"] for p in curve["curve"]] == [5, 20]
 
+    def test_ablate_unknown_variant_exits_two_before_writing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
+        assert main(["ablate", "--config", str(cfg), "--variants", "full,nope"]) == 2
+        assert "'nope'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("counts", [[0], [5, -1], []], ids=["zero", "negative", "empty"])
     def test_sweep_rejects_counts_before_writing(self, tmp_path, capsys, counts):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", eval={"counts": counts})
@@ -428,6 +434,49 @@ class TestExportViz:
         err = capsys.readouterr().err
         assert str(ckpt) in err and "attribute_dim" in err
         assert not out.exists()
+
+    @staticmethod
+    def trained_checkpoint(tmp_path, **overrides):
+        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", **overrides)
+        assert main(["train", "--config", str(cfg)]) == 0
+        return str(tmp_path / "run" / "checkpoint.zip")
+
+    def test_seen_and_unseen_classes_in_request_order(self, tmp_path):
+        ckpt = self.trained_checkpoint(tmp_path)
+        out = tmp_path / "viz"
+        assert main(["export-viz", "--checkpoint", ckpt, "--classes", "0,3",
+                     "--n-per-class", "10", "--out", str(out)]) == 0
+        bundle = make_synthetic_dataset(SyntheticSpec(**ORACLE_SPEC))
+        # class 0 is seen and class 3 unseen: each exports its own test split's rows
+        real = [bundle.visual_test_seen[bundle.labels_test_seen == 0],
+                bundle.visual_test_unseen[bundle.labels_test_unseen == 3]]
+        n0, n3 = (len(rows) for rows in real)
+        assert n0 > 0 and n3 > 0
+        feats = np.fromfile(out / "viz_features.f32", dtype="<f4").reshape(-1, 12)
+        assert np.array_equal(feats[: n0 + n3], np.vstack(real).astype("<f4"))
+        labels = np.fromfile(out / "viz_labels.i32", dtype="<i4")
+        assert labels.tolist() == [0] * n0 + [3] * n3 + [0] * 10 + [3] * 10
+        source = np.fromfile(out / "viz_source.i32", dtype="<i4")
+        assert source.tolist() == [0] * (n0 + n3) + [1] * 20
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["classes"] == [0, 3]
+        assert (meta["n_real"], meta["n_synth"]) == (n0 + n3, 20)
+
+    def test_class_outside_the_dataset_exits_two(self, tmp_path, capsys):
+        ckpt = self.trained_checkpoint(tmp_path)
+        out = tmp_path / "viz"
+        assert main(["export-viz", "--checkpoint", ckpt, "--classes", "3,9",
+                     "--out", str(out)]) == 2
+        assert "class 9 is not part of the dataset" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_classes_are_the_first_three_unseen(self, tmp_path):
+        ckpt = self.trained_checkpoint(tmp_path, synthetic={"n_unseen_classes": 4})
+        out = tmp_path / "viz"
+        assert main(["export-viz", "--checkpoint", ckpt, "--n-per-class", "2",
+                     "--out", str(out)]) == 0
+        # seen classes 0..2, unseen 3..6
+        assert json.loads((out / "meta.json").read_text())["classes"] == [3, 4, 5]
 
     def test_malformed_classes_exit_two_naming_the_flag(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")

@@ -34,6 +34,8 @@ async def fetch():
 def test_counts_code_but_not_blanks_comments_or_docstrings():
     # code: import, class, def, the two string lines, return, async def, string
     assert code_lines.count_lines(FIXTURE) == (21, 8)
+    # definitions: Box, its method size, and fetch
+    assert code_lines.count_definitions(FIXTURE) == 3
 
 
 def test_source_without_docstrings_or_comments():

@@ -56,6 +56,14 @@ class TestPerClassAccuracy:
         with pytest.raises(ValidationError, match="no test rows"):
             per_class_accuracy(np.array([0]), np.array([0]), [0, 1])
 
+    def test_misaligned_arrays_rejected(self):
+        with pytest.raises(ContractViolation, match="align"):
+            per_class_accuracy(np.array([0, 1]), np.array([0, 1, 1]), [0, 1])
+
+    def test_labels_outside_the_class_set_named(self):
+        with pytest.raises(ValidationError, match=r"outside the class set: \[2, 5\]"):
+            per_class_accuracy(np.zeros(4, dtype=int), np.array([0, 5, 1, 2]), [0, 1])
+
 
 class TestHarmonicMean:
     # reference rows from the benchmark results table (percent / 100)
