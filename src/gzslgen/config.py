@@ -7,7 +7,10 @@ and the CLI applies its flags over the file. Options since removed are listed
 by section in ``_RETIRED_KEYS``: loading an older checkpoint drops them from
 its embedded run config, and a run config that names one is rejected as an
 unknown field. Both documents are typed through ``matio.read_fields``, so a
-malformed value is an error naming the field.
+malformed value is an error naming the field. ``RunConfig.validate`` checks
+each section's field bounds with ``matio.check_bounds``: the spec's as
+``synthetic.*``, training's as ``train.*`` and evaluation's, ``counts``
+included, as ``eval.*``; its own check is that exactly one data source is named.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .data import DatasetBundle, SyntheticSpec, load_dataset, make_synthetic_dat
 from .errors import ContractViolation, FormatError, ValidationError
 from .evaluation import EvalConfig
 from .losses import LossWeights
-from .matio import check_member, open_archive, read_fields, read_member, write_archive
+from .matio import check_bounds, check_member, open_archive, read_fields, read_member, write_archive
 from .networks import LinearParams, MLPParams, ModelParams, NetworkShape
 from .trainer import OptimizerConfig, TrainConfig
 
@@ -44,7 +47,9 @@ class RunConfig:
     normalize: bool = False
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-    counts: list[int] = field(default_factory=lambda: [10, 50, 100, 300, 500])
+    # read and checked in the "eval" section
+    counts: list[int] = field(default_factory=lambda: [10, 50, 100, 300, 500], metadata={
+        "bound": (lambda v: len(v) > 0 and min(v) >= 1, "a nonempty list of integers >= 1")})
 
     def validate(self) -> None:
         if (self.dataset is None) == (self.synthetic is None):
@@ -54,12 +59,8 @@ class RunConfig:
         if self.synthetic is not None:
             self.synthetic.validate()
         self.train.validate()
-        for name, least in (("n_per_class", 1), ("seed", 0), ("classifier_max_steps", 0),
-                            ("classifier_grad_tol", 0)):
-            if not getattr(self.eval, name) >= least:
-                raise ValidationError(f"eval.{name} must be >= {least}")
-        if not self.counts or min(self.counts) < 1:
-            raise ValidationError("eval.counts must be a nonempty list of integers >= 1")
+        check_bounds("eval", self.eval)
+        check_bounds("eval", self)
 
     def resolve_bundle(self) -> DatasetBundle:
         if self.synthetic is not None:

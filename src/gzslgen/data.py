@@ -8,7 +8,8 @@ neither the seen nor the unseen class list may be empty. ``SPLITS`` is the
 one table of the three splits (train, test_seen, test_unseen) and the class
 list each split's labels must lie in; saving, loading, validation and the
 optional rescale all walk it. ``load_dataset`` types ``meta.json`` as a
-``DatasetMeta`` through ``matio.read_fields``.
+``DatasetMeta`` through ``matio.read_fields`` and checks the bounds its fields
+declare with ``matio.check_bounds``, naming ``<path>.<field>``.
 
 Loading and synthetic generation are pure functions; a batch iterator is
 single-consumer (create one per worker).
@@ -18,13 +19,14 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, ValidationError
-from .matio import dumps_json, load_json, read_fields, read_matrix, write_matrix
+from .matio import (AT_LEAST_0, AT_LEAST_1, POSITIVE, check_bounds, dumps_json, load_json,
+                    read_fields, read_matrix, write_matrix)
 
 # split -> the class-list field its labels must lie in. Split s has the
 # DatasetBundle fields visual_s and labels_s, the meta.json count n_s and the
@@ -34,6 +36,7 @@ SPLITS = {
     "test_seen": "seen_classes",
     "test_unseen": "unseen_classes",
 }
+_NONEMPTY = {"bound": (lambda v: len(v) > 0, "a nonempty list")}
 
 
 @dataclass
@@ -67,10 +70,10 @@ class DatasetBundle:
 class DatasetMeta:
     """The fields of a dataset directory's ``meta.json`` besides its format tag."""
 
-    feature_dim: int
-    attribute_dim: int
-    seen_classes: list[int]
-    unseen_classes: list[int]
+    feature_dim: int = field(metadata=AT_LEAST_1)
+    attribute_dim: int = field(metadata=AT_LEAST_1)
+    seen_classes: list[int] = field(metadata=_NONEMPTY)
+    unseen_classes: list[int] = field(metadata=_NONEMPTY)
     n_train: int
     n_test_seen: int
     n_test_unseen: int
@@ -86,29 +89,20 @@ class SyntheticSpec:
     class means live in the same rectified regime as pooled CNN features.
     """
 
-    n_seen_classes: int
-    n_unseen_classes: int
-    feature_dim: int
-    attribute_dim: int
-    samples_per_class: int
-    cluster_std: float
-    projection_seed: int = 0
-    noise_seed: int = 0
+    n_seen_classes: int = field(metadata=AT_LEAST_1)
+    n_unseen_classes: int = field(metadata=AT_LEAST_1)
+    feature_dim: int = field(metadata=AT_LEAST_1)
+    attribute_dim: int = field(metadata=AT_LEAST_1)
+    samples_per_class: int = field(metadata=AT_LEAST_1)
+    cluster_std: float = field(metadata=POSITIVE)
+    projection_seed: int = field(default=0, metadata=AT_LEAST_0)
+    noise_seed: int = field(default=0, metadata=AT_LEAST_0)
 
     def validate(self) -> None:
-        if self.attribute_dim < 1 or self.feature_dim < self.attribute_dim:
-            raise ValidationError(
-                f"need feature_dim >= attribute_dim >= 1, got "
-                f"K={self.feature_dim}, L={self.attribute_dim}"
-            )
-        for field in ("n_seen_classes", "n_unseen_classes", "samples_per_class"):
-            if getattr(self, field) < 1:
-                raise ValidationError(f"{field} must be >= 1")
-        for field in ("projection_seed", "noise_seed"):
-            if getattr(self, field) < 0:
-                raise ValidationError(f"{field} must be >= 0")
-        if not self.cluster_std > 0:
-            raise ValidationError("cluster_std must be > 0")
+        check_bounds("synthetic", self)
+        if self.feature_dim < self.attribute_dim:
+            raise ValidationError(f"synthetic.feature_dim must be >= synthetic.attribute_dim, "
+                                  f"got {self.feature_dim} < {self.attribute_dim}")
 
 
 @dataclass
@@ -235,12 +229,7 @@ def load_dataset(root: str, normalize: bool = False) -> DatasetBundle:
     """
     path = os.path.join(root, "meta.json")
     meta = DatasetMeta(**read_fields(path, load_json(path), fields(DatasetMeta)))
-    for name in ("feature_dim", "attribute_dim"):
-        if getattr(meta, name) < 1:
-            raise ValidationError(f"{path}: {name} must be >= 1, got {getattr(meta, name)}")
-    for name in ("seen_classes", "unseen_classes"):
-        if not getattr(meta, name):
-            raise ValidationError(f"{path}: {name} must list at least one class")
+    check_bounds(path, meta)
     loaded = {}
     for split in SPLITS:
         n = getattr(meta, f"n_{split}")

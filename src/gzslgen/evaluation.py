@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import DatasetBundle
 from .errors import ContractViolation, ValidationError
+from .matio import AT_LEAST_0, AT_LEAST_1, check_bounds
 from .synthesis import SynthesisRequest, fit_gzsl_classifier, predict, synthesize_features
 from .networks import ModelParams
 from .trainer import TrainConfig, train
@@ -23,11 +24,11 @@ from .trainer import TrainConfig, train
 
 @dataclass
 class EvalConfig:
-    n_per_class: int = 300
+    n_per_class: int = field(default=300, metadata=AT_LEAST_1)
     include_real_seen: bool = True
-    classifier_max_steps: int = 1000
-    classifier_grad_tol: float = 1e-5
-    seed: int = 0
+    classifier_max_steps: int = field(default=1000, metadata=AT_LEAST_0)
+    classifier_grad_tol: float = field(default=1e-5, metadata=AT_LEAST_0)
+    seed: int = field(default=0, metadata=AT_LEAST_0)
 
 
 @dataclass
@@ -81,7 +82,10 @@ def harmonic_mean(ts: float, tr: float) -> float:
 def evaluate_gzsl(
     model: ModelParams, bundle: DatasetBundle, eval_config: EvalConfig
 ) -> EvalReport:
-    """Synthesize, fit the full-label classifier, and score both test splits."""
+    """Synthesize, fit the full-label classifier, and score both test splits.
+    An ``eval_config`` value out of its field's bound is a ValidationError
+    naming ``eval.<field>``, raised before any work."""
+    check_bounds("eval", eval_config)
     all_classes = bundle.all_classes
     request = SynthesisRequest(
         classes=all_classes, n_per_class=eval_config.n_per_class, seed=eval_config.seed
@@ -121,7 +125,9 @@ def run_ablation(
     variants: Sequence[str],
     eval_config: EvalConfig,
 ) -> list[tuple[str, EvalReport]]:
-    """Train and evaluate one model per variant with shared seeds."""
+    """Train and evaluate one model per variant with shared seeds; ``eval_config``
+    is checked, as ``evaluate_gzsl`` checks it, before the first training."""
+    check_bounds("eval", eval_config)
     rows = []
     for variant in variants:
         config = replace(base_config, variant=variant)
@@ -141,9 +147,11 @@ def sweep_samples(
 
     One trained model is reused across all counts; only the final
     classifier is refit, isolating the sample budget under study.
+    ``counts`` and ``eval_config`` are checked before any training.
     """
     if not counts or any(c < 1 for c in counts):
         raise ValidationError("counts must be a nonempty list of integers >= 1")
+    check_bounds("eval", eval_config)
     if model is None:
         model, _ = train(bundle, config)
     curve = []

@@ -36,13 +36,14 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .data import FeatureBatch
-from .errors import ContractViolation, ValidationError
+from .errors import ContractViolation
+from .matio import AT_LEAST_0
 from .networks import (
     LinearParams,
     MLPCache,
@@ -69,17 +70,12 @@ class LossWeights:
     centroid term.
     """
 
-    lambda1: float = 10.0
-    lambda2: float = 0.01
-    lambda3: float = 0.01
-    lambda4: float = 10.0
-    lambda5: float = 0.1
-    lambda6: float = 0.01
-
-    def validate(self) -> None:
-        for name, value in self.__dict__.items():
-            if not value >= 0:
-                raise ValidationError(f"{name} must be nonnegative, got {value}")
+    lambda1: float = field(default=10.0, metadata=AT_LEAST_0)
+    lambda2: float = field(default=0.01, metadata=AT_LEAST_0)
+    lambda3: float = field(default=0.01, metadata=AT_LEAST_0)
+    lambda4: float = field(default=10.0, metadata=AT_LEAST_0)
+    lambda5: float = field(default=0.1, metadata=AT_LEAST_0)
+    lambda6: float = field(default=0.01, metadata=AT_LEAST_0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ stream between the caller's buffers and the zip members with no full-size copy.
 ``read_fields`` types every JSON document the program reads against its
 dataclass: run configs and specs (``config.parse_run_config``), a dataset's
 ``meta.json`` (``data.load_dataset``) and checkpoint metadata
-(``config.load_checkpoint``).
+(``config.load_checkpoint``). A bounded field declares its rule once, in its
+metadata (``field(default=..., metadata=AT_LEAST_1)``), and ``check_bounds``
+is the one function that checks those rules, so every out-of-range setting
+is reported as ``<section>.<field> must be <rule>, got <value>``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import os
 import sys
 import zipfile
 from contextlib import contextmanager
-from dataclasses import MISSING, Field
+from dataclasses import MISSING, Field, fields
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -103,6 +106,24 @@ def read_fields(section: str, doc: Any, declared: Iterable[Field], complete: boo
             raise ValidationError(f"{section}.{f.name} must be {described}, got {value!r:.40}")
         out[f.name] = float(value) if f.type == "float" else value
     return out
+
+
+# The bound of a dataclass field, as its metadata {"bound": (test, text)}: a
+# value passes when ``test(value)`` is true. Each test compares, so NaN meets none.
+AT_LEAST_0 = {"bound": (lambda v: v >= 0, ">= 0")}
+AT_LEAST_1 = {"bound": (lambda v: v >= 1, ">= 1")}
+POSITIVE = {"bound": (lambda v: v > 0, "> 0")}
+
+
+def check_bounds(section: str, obj: Any) -> None:
+    """A ValidationError naming ``section.field`` for the first field of the
+    dataclass instance ``obj`` whose value breaks the bound in its metadata."""
+    for f in fields(obj):
+        if "bound" in f.metadata:
+            test, text = f.metadata["bound"]
+            value = getattr(obj, f.name)
+            if not test(value):
+                raise ValidationError(f"{section}.{f.name} must be {text}, got {value!r:.40}")
 
 
 def write_archive(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:

@@ -22,7 +22,7 @@ those rows (see ``row_blocks``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -30,18 +30,18 @@ import numpy as np
 from .data import DatasetBundle
 from .errors import ValidationError
 from .losses import softmax_ce_grads
+from .matio import AT_LEAST_0, AT_LEAST_1, check_bounds
 from .networks import LinearParams, ModelParams, classifier_forward, gen_sv_forward, row_blocks
 
 
 @dataclass
 class SynthesisRequest:
     classes: tuple[int, ...]  # ordered, seen and/or unseen
-    n_per_class: int
-    seed: int = 0
+    n_per_class: int = field(metadata=AT_LEAST_1)
+    seed: int = field(default=0, metadata=AT_LEAST_0)
 
     def validate(self, n_attribute_rows: int) -> None:
-        if self.n_per_class < 1:
-            raise ValidationError("n_per_class must be >= 1")
+        check_bounds("request", self)
         bad = [c for c in self.classes if not 0 <= c < n_attribute_rows]
         if bad:
             raise ValidationError(f"classes without an attribute row: {bad}")

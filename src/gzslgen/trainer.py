@@ -28,8 +28,9 @@ import numpy as np
 
 from . import losses
 from .data import DatasetBundle, FeatureBatch, batch_iterator
-from .errors import ContractViolation, TrainingDiverged, ValidationError
+from .errors import ContractViolation, TrainingDiverged
 from .losses import LossWeights
+from .matio import AT_LEAST_0, AT_LEAST_1, POSITIVE, check_bounds
 from .networks import (
     LinearParams,
     MLPGrads,
@@ -52,45 +53,37 @@ VARIANTS = {
 }
 
 
+_BETA = {"bound": (lambda v: 0 <= v < 1, "in [0, 1)")}
+
+
 @dataclass
 class OptimizerConfig:
-    learning_rate: float = 1e-4
-    beta1: float = 0.5
-    beta2: float = 0.9
+    learning_rate: float = field(default=1e-4, metadata=POSITIVE)
+    beta1: float = field(default=0.5, metadata=_BETA)
+    beta2: float = field(default=0.9, metadata=_BETA)
 
 
 @dataclass
 class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
-    batch_size: int = 64
-    n1: int = 5
-    n2: int = 5
-    epochs: int = 50
+    batch_size: int = field(default=64, metadata=AT_LEAST_1)
+    n1: int = field(default=5, metadata=AT_LEAST_1)
+    n2: int = field(default=5, metadata=AT_LEAST_1)
+    epochs: int = field(default=50, metadata=AT_LEAST_1)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    hidden_dim: int = 4096
-    seed: int = 0
-    variant: str = "full"
-    pair_mode: str = "real"  # second adversarial pairing: "real" | "cycle"
-    pretrain_max_steps: int = 1000
-    pretrain_grad_tol: float = 1e-5
+    hidden_dim: int = field(default=4096, metadata=AT_LEAST_1)
+    seed: int = field(default=0, metadata=AT_LEAST_0)
+    variant: str = field(default="full", metadata={
+        "bound": (lambda v: v in VARIANTS, f"one of {tuple(VARIANTS)}")})
+    # second adversarial pairing: "real" | "cycle"
+    pair_mode: str = field(default="real", metadata={
+        "bound": (lambda v: v in losses.PAIR_MODES, f"one of {losses.PAIR_MODES}")})
+    pretrain_max_steps: int = field(default=1000, metadata=AT_LEAST_0)
+    pretrain_grad_tol: float = field(default=1e-5, metadata=AT_LEAST_0)
 
     def validate(self) -> None:
-        self.weights.validate()
-        for name, least in (("n1", 1), ("n2", 1), ("epochs", 1), ("batch_size", 1),
-                            ("hidden_dim", 1), ("seed", 0), ("pretrain_max_steps", 0),
-                            ("pretrain_grad_tol", 0)):
-            if not getattr(self, name) >= least:  # NaN fails too
-                raise ValidationError(f"train.{name} must be >= {least}")
-        if not self.optimizer.learning_rate > 0:
-            raise ValidationError("train.learning_rate must be > 0")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self.optimizer, name) < 1:
-                raise ValidationError(f"train.{name} must lie in [0, 1)")
-        if self.variant not in VARIANTS:
-            raise ValidationError(
-                f"unknown variant {self.variant!r}; pick one of {tuple(VARIANTS)}")
-        if self.pair_mode not in losses.PAIR_MODES:
-            raise ValidationError(f"unknown pair_mode {self.pair_mode!r}")
+        for part in (self.weights, self, self.optimizer):
+            check_bounds("train", part)
 
 
 @dataclass

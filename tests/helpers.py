@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
 import zipfile
 
 import numpy as np
@@ -56,6 +58,16 @@ def check_param_grads(fn, params: MLPParams, analytic: MLPGrads, step=1e-5) -> d
 def critic_grads(critic: MLPParams, u: np.ndarray) -> np.ndarray:
     """``critic_input_grads`` at ``u``, from the cache of a forward over ``u``."""
     return critic_input_grads(critic, mlp_forward_cached(critic, u))
+
+
+def load_script(name: str):
+    """The module ``scripts/<name>.py``, imported under ``name``."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scripts", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def archive_contents(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -14,6 +14,7 @@ geometric mean, and must reject both on every row.
 """
 
 import json
+import os
 import time
 
 import numpy as np
@@ -42,6 +43,7 @@ from helpers import (
     check_param_grads,
     critic_grads,
     linear_critic,
+    load_script,
     numeric_grad,
     random_batch,
     rel_error,
@@ -397,6 +399,23 @@ def test_criterion_07_sample_count_sweep(oracle_bundle, oracle_runs):
     print(f"\n  H@10 median {np.median(h10):.3f}, H@500 median {np.median(h500):.3f}")
     assert np.median(h500) >= np.median(h10)
     assert oracle_runs["train_seconds"] + (time.time() - t0) < 600.0
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the trained oracle against scripts/param_digest.expected
+
+
+def test_oracle_seed_0_models_match_their_recorded_digests(oracle_runs):
+    """Seed 0's ``full`` and ``baseline_single_gan`` models are the ones
+    ``scripts/param_digest.py`` trains, so a change to training's rounding at
+    oracle shape shows here as well as in that script's ``--check``."""
+    param_digest = load_script("param_digest")
+    want = param_digest.read_digests(
+        os.path.join(os.path.dirname(param_digest.__file__), "param_digest.expected"))
+    seed_0 = ORACLE_SEEDS.index(0)
+    for variant in ("full", "baseline_single_gan"):
+        got = param_digest._sha256(oracle_runs[variant][seed_0].all_arrays())
+        assert got == want[variant], variant
 
 
 # ---------------------------------------------------------------------------

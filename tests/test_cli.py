@@ -396,7 +396,9 @@ def test_empty_class_list_is_named(tmp_path, capsys, field):
     ds = dataset_on_one_side(tmp_path, field)
     cfg = write_dataset_config(tmp_path / "cfg.json", tmp_path / "run", ds)
     assert main(["train", "--config", str(cfg)]) == 2
-    assert f"{field} must list at least one class" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{ds / 'meta.json'}.{field} must be a nonempty list, got []" in err
+    assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gzslgen import evaluation
 from gzslgen.data import SyntheticSpec, make_synthetic_dataset
 from gzslgen.errors import ContractViolation, ValidationError
 from gzslgen.evaluation import (
@@ -164,6 +165,25 @@ class TestAblationAndSweep:
             sweep_samples(oracle, quick_config(), [], EvalConfig())
         with pytest.raises(ValidationError):
             sweep_samples(oracle, quick_config(), [0, 5], EvalConfig())
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1), ("classifier_max_steps", -3), ("classifier_grad_tol", float("nan")),
+])
+def test_library_entry_points_check_eval_bounds_first(oracle, monkeypatch, field, value):
+    def downstream(*args, **kwargs):
+        raise AssertionError("work began before the eval config was checked")
+
+    monkeypatch.setattr(evaluation, "synthesize_features", downstream)
+    monkeypatch.setattr(evaluation, "train", downstream)
+    bad = EvalConfig(**{field: value})
+    named = rf"^eval\.{field} must be >= 0, got {value}$"
+    with pytest.raises(ValidationError, match=named):
+        evaluate_gzsl(None, oracle, bad)
+    with pytest.raises(ValidationError, match=named):
+        sweep_samples(oracle, quick_config(), [10], bad)
+    with pytest.raises(ValidationError, match=named):
+        run_ablation(oracle, quick_config(), ["full"], bad)
 
 
 def test_report_serialization_roundtrip():

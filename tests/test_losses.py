@@ -256,6 +256,32 @@ class TestGradientPenalty:
         assert gradient_penalty(grad_fn, real, fake, mix=5) == gradient_penalty(
             grad_fn, real, fake, mix=5)
 
+    # the penalty's rows written out as the formula, not through _interpolate
+    def test_interpolated_rows_are_the_literal_formula(self):
+        rng = np.random.default_rng(12)
+        real, fake = rng.standard_normal((B, K)), rng.standard_normal((B, K))
+        alpha = rng.uniform(0, 1, size=B)
+        want = alpha[:, None] * real + (1.0 - alpha[:, None]) * fake
+        assert np.array_equal(losses._interpolate(real, fake, alpha), want)
+        drawn = np.random.default_rng(13).uniform(0, 1, (B, 1))
+        want = drawn * real + (1.0 - drawn) * fake
+        assert np.array_equal(losses._interpolate(real, fake, np.random.default_rng(13)), want)
+        assert np.array_equal(losses._interpolate(real, fake, 13), want)
+
+    def test_disc_v_penalty_term_at_the_literal_rows(self):
+        # small_model's leaky critic has an input gradient that depends on
+        # where the penalty is taken
+        model = small_model(seed=22)
+        batch = random_batch(seed=23)
+        synth = gen_sv_forward(model, batch.attributes, batch.noise)
+        w = LossWeights(lambda1=7.5)
+        alpha = alpha_for(batch)
+        mixed = alpha[:, None] * batch.visual + (1.0 - alpha[:, None]) * synth
+        g = critic_grads(model.d_v, np.hstack([mixed, batch.attributes]))[:, :K]
+        want = w.lambda1 * np.mean((np.linalg.norm(g, axis=1) - 1.0) ** 2)
+        terms = losses.disc_v_loss_and_grads(model, batch, synth, w, alpha)[1]
+        assert terms["gp"] == pytest.approx(want, rel=1e-12)
+
     def test_mismatched_real_and_fake_rejected(self):
         # one interpolation checks the shapes for the penalty and both critics
         model = small_model()

@@ -55,6 +55,18 @@ class TestInit:
         assert m.d_s.w1.shape == (4, 32)
         assert m.cls_seen.w.shape == (16, 3)
 
+    def test_dimension_one_is_accepted(self):
+        m = init_params(1, 1, 1, seed=0, hidden_dim=1)
+        shapes = {
+            "g_sv": {"w1": (2, 1), "b1": (1,), "w2": (1, 1), "b2": (1,)},
+            "g_vs": {"w1": (1, 1), "b1": (1,), "w2": (1, 1), "b2": (1,)},
+            "d_v": {"w1": (2, 1), "b1": (1,), "w2": (1, 1), "b2": (1,)},
+            "d_s": {"w1": (1, 1), "b1": (1,), "w2": (1, 1), "b2": (1,)},
+        }
+        for name, want in shapes.items():
+            assert {k: a.shape for k, a in getattr(m, name).arrays().items()} == want
+        assert m.cls_seen.w.shape == (1, 1) and m.cls_seen.b.shape == (1,)
+
     def test_biases_zero_at_init(self):
         m = init_params(16, 4, 3, seed=0, hidden_dim=32)
         for net in (m.g_sv, m.g_vs, m.d_v, m.d_s):
