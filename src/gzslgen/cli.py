@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -41,7 +42,8 @@ from .trainer import VARIANTS, train, write_train_log
 def _configure(args, embedded: RunConfig | None = None) -> RunConfig:
     """The run config a command runs with, validated: the ``--config`` file, else
     a checkpoint's ``embedded`` one, with the flags applied over it. ``--seed``
-    seeds training, or evaluation for the commands that load a checkpoint."""
+    seeds training, or evaluation for the commands that load a checkpoint.
+    Each of ``--variants`` is checked as that run's ``train.variant``."""
     flags = vars(args)
     cfg = parse_run_config(load_json(flags["config"])) if flags.get("config") else embedded
     if flags.get("seed") is not None:
@@ -53,6 +55,8 @@ def _configure(args, embedded: RunConfig | None = None) -> RunConfig:
     if flags.get("out") is not None:
         cfg.out = flags["out"]
     cfg.validate()
+    for variant in flags.get("variants") or ():
+        replace(cfg.train, variant=variant).validate()
     return cfg
 
 
@@ -133,12 +137,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    variants = args.variants.split(",") if args.variants else list(VARIANTS)
-    for v in variants:
-        if v not in VARIANTS:
-            raise ValidationError(f"unknown variant {v!r}; pick from {tuple(VARIANTS)}")
     cfg, bundle = _prepare_run(args, test_rows=True)
-    rows = run_ablation(bundle, cfg.train, variants, cfg.eval)
+    rows = run_ablation(bundle, cfg.train, args.variants or list(VARIANTS), cfg.eval)
     _write_report(cfg.out, rows)
     print(format_report_table(rows), end="")
     return 0
@@ -243,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="train+evaluate every ablation variant")
     common(p)
-    p.add_argument("--variants", help="comma-separated subset of variants")
+    p.add_argument("--variants", type=lambda s: s.split(","),
+                   help="comma-separated subset of variants")
     p.add_argument("--n-per-class", dest="n_per_class", type=int)
     p.set_defaults(func=cmd_ablate)
 

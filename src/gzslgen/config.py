@@ -11,6 +11,8 @@ malformed value is an error naming the field. ``RunConfig.validate`` checks
 each section's field bounds with ``matio.check_bounds``: the spec's as
 ``synthetic.*``, training's as ``train.*`` and evaluation's, ``counts``
 included, as ``eval.*``; its own check is that exactly one data source is named.
+``load_checkpoint`` checks the bounds of each metadata section it reads, so a
+network shape out of range is named as ``network_shapes.<net>.<field>``.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ from typing import Any, Iterable
 import numpy as np
 
 from .data import DatasetBundle, SyntheticSpec, load_dataset, make_synthetic_dataset
-from .errors import ContractViolation, FormatError, ValidationError
-from .evaluation import EvalConfig
+from .errors import FormatError, ValidationError
+from .evaluation import SWEEP_COUNTS, EvalConfig
 from .losses import LossWeights
 from .matio import check_bounds, check_member, open_archive, read_fields, read_member, write_archive
 from .networks import LinearParams, MLPParams, ModelParams, NetworkShape
 from .trainer import OptimizerConfig, TrainConfig
 
 CHECKPOINT_NAME = "checkpoint.zip"
+_NETWORKS = ("g_sv", "g_vs", "d_v", "d_s")
 
 _TRAIN_SCALARS = [f for f in fields(TrainConfig) if f.name not in ("weights", "optimizer")]
 _TRAIN_FIELDS = (*fields(LossWeights), *fields(OptimizerConfig), *_TRAIN_SCALARS)
@@ -48,8 +51,8 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
     # read and checked in the "eval" section
-    counts: list[int] = field(default_factory=lambda: [10, 50, 100, 300, 500], metadata={
-        "bound": (lambda v: len(v) > 0 and min(v) >= 1, "a nonempty list of integers >= 1")})
+    counts: list[int] = field(default_factory=lambda: [10, 50, 100, 300, 500],
+                              metadata=SWEEP_COUNTS)
 
     def validate(self) -> None:
         if (self.dataset is None) == (self.synthetic is None):
@@ -134,7 +137,7 @@ def effective_dict(cfg: RunConfig) -> dict:
 def save_checkpoint(path: str, params: ModelParams, run_config: RunConfig) -> None:
     arrays: dict[str, np.ndarray] = {}
     shapes = {}
-    for name in ("g_sv", "g_vs", "d_v", "d_s"):
+    for name in _NETWORKS:
         net = getattr(params, name)
         arrays.update({f"{name}_{k}": v for k, v in net.arrays().items()})
         shapes[name] = asdict(net.shape)
@@ -166,51 +169,49 @@ class _ClassifierShapes:
     """The ``array_shapes`` entries read; networks are shaped by ``network_shapes``."""
 
     cls_w: list[int]
-    cls_b: list[int]
+    cls_b: list[int] = field(metadata={"bound": (lambda v: len(v) == 1 and v[0] >= 1,
+                                                 "[n] with n >= 1")})
 
 
 def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
     def read(cls: type, *keys: str) -> Any:
-        """``cls`` from the metadata object ``meta[k0][k1]...``, every field present."""
+        """``cls`` from the metadata object ``meta[k0][k1]...``, every field
+        present and within its bound."""
         doc = _meta_field(path, meta, *keys)
+        section = ".".join(keys)
         try:
-            return cls(**read_fields(".".join(keys), doc, fields(cls), complete=True))
+            obj = cls(**read_fields(section, doc, fields(cls), complete=True))
+            check_bounds(section, obj)
         except ValidationError as exc:
             raise FormatError(f"{path}: checkpoint metadata: {exc}") from exc
-
-    def mlp(name: str) -> MLPParams:
-        # the members are checked against the declared shape before the
-        # network of that shape is allocated, then read straight into it
-        shape = read(NetworkShape, "network_shapes", name)
-        try:
-            shape.validate()
-        except ContractViolation as exc:
-            raise FormatError(f"{path}: checkpoint metadata network_shapes.{name}: {exc}") from exc
-        i, h, o = shape.input_dim, shape.hidden_dim, shape.output_dim
-        dims = {"w1": (i, h), "b1": (h,), "w2": (h, o), "b2": (o,)}
-        for k, d in dims.items():
-            check_member(zf, f"{name}_{k}", d, f"network_shapes.{name}")
-        net = MLPParams.zeros(shape)
-        for k, view in net.arrays().items():
-            read_member(zf, f"{name}_{k}", view)
-        return net
+        return obj
 
     with open_archive(path) as (meta, zf):
         if not isinstance(meta, dict) or meta.get("format") != "gzslgen-checkpoint":
             raise FormatError(f"{path}: not a checkpoint archive")
         shapes = read(_ClassifierShapes, "array_shapes")
-        g_sv = mlp("g_sv")
-        k = g_sv.shape.output_dim
-        if len(shapes.cls_b) != 1 or shapes.cls_b[0] < 1 or shapes.cls_w != [k, *shapes.cls_b]:
-            raise FormatError(f"{path}: checkpoint metadata array_shapes.cls_w {shapes.cls_w} and "
-                              f"array_shapes.cls_b {shapes.cls_b} must be [{k}, n] and [n], n >= 1")
+        nets = {}
+        for name in _NETWORKS:
+            # the members are checked against the declared shape before the
+            # network of that shape is allocated, then read straight into it
+            shape = read(NetworkShape, "network_shapes", name)
+            i, h, o = shape.input_dim, shape.hidden_dim, shape.output_dim
+            dims = {"w1": (i, h), "b1": (h,), "w2": (h, o), "b2": (o,)}
+            for key, d in dims.items():
+                check_member(zf, f"{name}_{key}", d, f"network_shapes.{name}")
+            nets[name] = MLPParams.zeros(shape)
+            for key, view in nets[name].arrays().items():
+                read_member(zf, f"{name}_{key}", view)
+        want = [nets["g_sv"].shape.output_dim, *shapes.cls_b]
+        if shapes.cls_w != want:
+            raise FormatError(f"{path}: checkpoint metadata: array_shapes.cls_w must be {want} "
+                              f"(g_sv's output width and array_shapes.cls_b), got {shapes.cls_w}")
         for key in ("cls_w", "cls_b"):
             check_member(zf, key, getattr(shapes, key), f"array_shapes.{key}")
         cls_seen = LinearParams(w=np.zeros(shapes.cls_w), b=np.zeros(shapes.cls_b))
         for key, out in cls_seen.arrays().items():
             read_member(zf, f"cls_{key}", out)
-        params = ModelParams(g_sv=g_sv, g_vs=mlp("g_vs"), d_v=mlp("d_v"), d_s=mlp("d_s"),
-                             cls_seen=cls_seen)
+        params = ModelParams(**nets, cls_seen=cls_seen)
     run_doc = _meta_field(path, meta, "run_config")
     for section, keys in _RETIRED_KEYS.items():
         part = run_doc.get(section) if isinstance(run_doc, dict) else None

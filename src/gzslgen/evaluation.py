@@ -16,10 +16,15 @@ import numpy as np
 
 from .data import DatasetBundle
 from .errors import ContractViolation, ValidationError
-from .matio import AT_LEAST_0, AT_LEAST_1, check_bounds
+from .matio import AT_LEAST_0, AT_LEAST_1, check_bound, check_bounds
 from .synthesis import SynthesisRequest, fit_gzsl_classifier, predict, synthesize_features
 from .networks import ModelParams
 from .trainer import TrainConfig, train
+
+
+# the bound of the sweep's sample counts, ``RunConfig.counts`` in a run config
+SWEEP_COUNTS = {"bound": (lambda v: len(v) > 0 and all(c >= 1 for c in v),
+                          "a nonempty list of integers >= 1")}
 
 
 @dataclass
@@ -125,14 +130,17 @@ def run_ablation(
     variants: Sequence[str],
     eval_config: EvalConfig,
 ) -> list[tuple[str, EvalReport]]:
-    """Train and evaluate one model per variant with shared seeds; ``eval_config``
-    is checked, as ``evaluate_gzsl`` checks it, before the first training."""
+    """Train and evaluate one model per variant with shared seeds. ``eval_config``
+    and every variant's training config (an unknown variant as ``train.variant``)
+    are checked before the first training."""
     check_bounds("eval", eval_config)
+    configs = [replace(base_config, variant=variant) for variant in variants]
+    for config in configs:
+        config.validate()
     rows = []
-    for variant in variants:
-        config = replace(base_config, variant=variant)
+    for config in configs:
         model, _ = train(bundle, config)
-        rows.append((variant, evaluate_gzsl(model, bundle, eval_config)))
+        rows.append((config.variant, evaluate_gzsl(model, bundle, eval_config)))
     return rows
 
 
@@ -147,10 +155,10 @@ def sweep_samples(
 
     One trained model is reused across all counts; only the final
     classifier is refit, isolating the sample budget under study.
-    ``counts`` and ``eval_config`` are checked before any training.
+    ``counts`` (as ``eval.counts``) and ``eval_config`` are checked before
+    any training.
     """
-    if not counts or any(c < 1 for c in counts):
-        raise ValidationError("counts must be a nonempty list of integers >= 1")
+    check_bound("eval.counts", SWEEP_COUNTS, counts)
     check_bounds("eval", eval_config)
     if model is None:
         model, _ = train(bundle, config)

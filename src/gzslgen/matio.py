@@ -14,7 +14,9 @@ dataclass: run configs and specs (``config.parse_run_config``), a dataset's
 (``config.load_checkpoint``). A bounded field declares its rule once, in its
 metadata (``field(default=..., metadata=AT_LEAST_1)``), and ``check_bounds``
 is the one function that checks those rules, so every out-of-range setting
-is reported as ``<section>.<field> must be <rule>, got <value>``.
+or network shape is reported as ``<section>.<field> must be <rule>, got
+<value>``. ``check_bound`` checks one value against one such rule, for a
+value passed on its own (``evaluation.sweep_samples``' ``counts``).
 """
 
 from __future__ import annotations
@@ -120,10 +122,15 @@ def check_bounds(section: str, obj: Any) -> None:
     dataclass instance ``obj`` whose value breaks the bound in its metadata."""
     for f in fields(obj):
         if "bound" in f.metadata:
-            test, text = f.metadata["bound"]
-            value = getattr(obj, f.name)
-            if not test(value):
-                raise ValidationError(f"{section}.{f.name} must be {text}, got {value!r:.40}")
+            check_bound(f"{section}.{f.name}", f.metadata, getattr(obj, f.name))
+
+
+def check_bound(name: str, metadata: dict, value: Any) -> None:
+    """A ValidationError ``<name> must be <rule>, got <value>`` unless ``value``
+    meets the bound in ``metadata``."""
+    test, text = metadata["bound"]
+    if not test(value):
+        raise ValidationError(f"{name} must be {text}, got {value!r:.40}")
 
 
 def write_archive(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:

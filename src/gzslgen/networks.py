@@ -32,35 +32,37 @@ the optimizer consumes each block while it is in cache and no
 parameter-sized gradient is ever made; ``MLPGrads.dense`` writes the same
 blocks into fresh parameters.
 ``synthesis`` splits its generator forwards by the same row rule.
+
+``NetworkShape`` declares its bounds on its fields (widths at least 1, a
+``negative_slope`` in [0, 1], an output activation of ``OUTPUT_ACTIVATIONS``),
+and ``matio.check_bounds`` checks them where a shape enters: ``init_params``
+for each shape it builds and ``config.load_checkpoint`` for each one it reads,
+both as ``network_shapes.<net>.<field>``. ``MLPParams`` and the forwards take
+a shape as given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ContractViolation
+from .matio import AT_LEAST_1, check_bounds
 
 OUTPUT_ACTIVATIONS = ("relu", "none")
 
 
 @dataclass
 class NetworkShape:
-    input_dim: int
-    hidden_dim: int
-    output_dim: int
-    negative_slope: float = 0.2
-    output_activation: str = "none"
-
-    def validate(self) -> None:
-        if min(self.input_dim, self.hidden_dim, self.output_dim) < 1:
-            raise ContractViolation("all network dimensions must be >= 1")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ContractViolation(f"unknown output activation {self.output_activation!r}")
-        if not 0.0 <= self.negative_slope <= 1.0:
-            raise ContractViolation(f"negative_slope must be in [0, 1], got {self.negative_slope}")
+    input_dim: int = field(metadata=AT_LEAST_1)
+    hidden_dim: int = field(metadata=AT_LEAST_1)
+    output_dim: int = field(metadata=AT_LEAST_1)
+    negative_slope: float = field(default=0.2, metadata={
+        "bound": (lambda v: 0 <= v <= 1, "in [0, 1]")})
+    output_activation: str = field(default="none", metadata={
+        "bound": (lambda v: v in OUTPUT_ACTIVATIONS, f"one of {OUTPUT_ACTIVATIONS}")})
 
 
 class MLPParams:
@@ -138,8 +140,8 @@ class MLPCache:
         return MLPCache(*(a[lo:hi] for a in (self.u, self.h_pre, self.h, self.out)))
 
 
-def _init_mlp(rng: np.random.Generator, shape: NetworkShape) -> MLPParams:
-    shape.validate()
+def _init_mlp(rng: np.random.Generator, name: str, shape: NetworkShape) -> MLPParams:
+    check_bounds(f"network_shapes.{name}", shape)
     # Fan-in scaled zero-mean weights, zero biases.
     net = MLPParams.zeros(shape)
     rng.standard_normal(out=net.w1)
@@ -156,24 +158,23 @@ def init_params(
     seed: int,
     hidden_dim: int,
 ) -> ModelParams:
-    """Deterministically initialize all five parameter sets."""
-    if min(feature_dim, attribute_dim, n_seen) < 1:
-        raise ContractViolation("dims must be >= 1")
+    """Deterministically initialize all five parameter sets. A width below 1
+    breaks a network shape's bound (a ValidationError naming it); an
+    ``n_seen`` below 1 is a ContractViolation."""
+    if n_seen < 1:
+        raise ContractViolation(f"n_seen must be >= 1, got {n_seen}")
     rng = np.random.default_rng(seed)
     k, l = feature_dim, attribute_dim
-    mk = lambda i, o, act: _init_mlp(rng, NetworkShape(i, hidden_dim, o, output_activation=act))
-    g_sv = mk(2 * l, k, "relu")
-    g_vs = mk(k, l, "relu")
-    d_v = mk(k + l, 1, "none")
-    d_s = mk(l, 1, "none")
+    nets = {name: _init_mlp(rng, name, NetworkShape(i, hidden_dim, o, output_activation=act))
+            for name, i, o, act in (("g_sv", 2 * l, k, "relu"), ("g_vs", k, l, "relu"),
+                                    ("d_v", k + l, 1, "none"), ("d_s", l, 1, "none"))}
     cls_w = rng.standard_normal((k, n_seen)) / np.sqrt(k)
-    cls = LinearParams(w=cls_w, b=np.zeros(n_seen))
-    return ModelParams(g_sv=g_sv, g_vs=g_vs, d_v=d_v, d_s=d_s, cls_seen=cls)
+    return ModelParams(**nets, cls_seen=LinearParams(w=cls_w, b=np.zeros(n_seen)))
 
 
 def _leaky(x: np.ndarray, slope: float) -> np.ndarray:
     # the same bits as np.where(x >= 0, x, slope * x) when 0 <= slope <= 1,
-    # which NetworkShape.validate enforces
+    # the bound of NetworkShape.negative_slope (see the module docstring)
     return np.maximum(x, slope * x)
 
 

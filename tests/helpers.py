@@ -11,6 +11,7 @@ import numpy as np
 
 from gzslgen.data import FeatureBatch
 from gzslgen.networks import (
+    LinearParams,
     MLPGrads,
     MLPParams,
     ModelParams,
@@ -19,6 +20,7 @@ from gzslgen.networks import (
     init_params,
     mlp_forward_cached,
 )
+from gzslgen.trainer import train
 
 
 def numeric_grad(fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
@@ -119,3 +121,18 @@ def linear_critic(n_in: int, direction: np.ndarray, hidden_offset: float = 50.0)
 
 def zero_mlp(n_in: int, hidden: int, n_out: int, activation: str = "none") -> MLPParams:
     return MLPParams.zeros(NetworkShape(n_in, hidden, n_out, output_activation=activation))
+
+
+def trained_parts(bundle, config) -> tuple[list, LinearParams]:
+    """``train(bundle, config)``'s networks as (flat buffer, shape) pairs and its
+    classifier, for a worker process to return: pickling an MLPParams whole
+    would unpickle its w1/b1/w2/b2 views as copies apart from ``flat``."""
+    model, _ = train(bundle, config)
+    nets = (model.g_sv, model.g_vs, model.d_v, model.d_s)
+    return [(net.flat, net.shape) for net in nets], model.cls_seen
+
+
+def model_from_parts(parts: tuple[list, LinearParams]) -> ModelParams:
+    """The ModelParams that ``trained_parts`` took apart."""
+    nets, cls_seen = parts
+    return ModelParams(*(MLPParams(flat, shape) for flat, shape in nets), cls_seen=cls_seen)

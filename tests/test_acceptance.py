@@ -14,8 +14,10 @@ geometric mean, and must reject both on every row.
 """
 
 import json
+import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -44,10 +46,12 @@ from helpers import (
     critic_grads,
     linear_critic,
     load_script,
+    model_from_parts,
     numeric_grad,
     random_batch,
     rel_error,
     small_model,
+    trained_parts,
     zero_mlp,
 )
 
@@ -79,13 +83,24 @@ def oracle_bundle():
 
 @pytest.fixture(scope="module")
 def oracle_runs(oracle_bundle):
-    """Train full and baseline models for every pinned seed (shared by 6/7)."""
+    """Train full and baseline models for every pinned seed (shared by 6/7).
+
+    The ten trainings are independent, so they run in a pool of at most two
+    spawned processes, each with one BLAS thread; a model's bytes do not depend
+    on where it was trained (seed 0's are checked against
+    ``scripts/param_digest.expected`` below).
+    """
     t0 = time.time()
-    runs = {"full": [], "baseline_single_gan": []}
-    for variant in runs:
-        for seed in ORACLE_SEEDS:
-            model, _ = train(oracle_bundle, oracle_train_config(seed, variant))
-            runs[variant].append(model)
+    variants = ("full", "baseline_single_gan")
+    configs = [oracle_train_config(seed, variant) for variant in variants for seed in ORACLE_SEEDS]
+    spawn = multiprocessing.get_context("spawn")
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("OPENBLAS_NUM_THREADS", "1")  # read when a worker imports numpy
+        with ProcessPoolExecutor(min(2, os.cpu_count() or 1), mp_context=spawn) as pool:
+            parts = list(pool.map(trained_parts, [oracle_bundle] * len(configs), configs))
+    models = [model_from_parts(p) for p in parts]
+    runs = {variant: models[i * len(ORACLE_SEEDS): (i + 1) * len(ORACLE_SEEDS)]
+            for i, variant in enumerate(variants)}
     runs["train_seconds"] = time.time() - t0
     return runs
 

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import zipfile
 
@@ -198,6 +199,24 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,bound", [
+        ("negative_slope", 1.5, r"in \[0, 1\]"),
+        ("hidden_dim", 0, ">= 1"),
+        ("output_activation", "tanh", r"one of \('relu', 'none'\)"),
+    ], ids=["negative_slope", "hidden_dim", "output_activation"])
+    def test_shape_out_of_bound_names_field_and_value(self, tmp_path, capsys, field, value, bound):
+        cfg = tiny_run_config(out=str(tmp_path))
+        path = str(tmp_path / "checkpoint.zip")
+        save_checkpoint(path, init_params(8, 2, 2, seed=0, hidden_dim=8), cfg)
+        meta, arrays = archive_contents(path)
+        meta["network_shapes"]["d_s"][field] = value
+        write_archive(path, meta, arrays)
+        named = rf"network_shapes\.d_s\.{field} must be {bound}, got {value!r}$"
+        with pytest.raises(FormatError, match=rf"^{re.escape(path)}: checkpoint metadata: {named}"):
+            load_checkpoint(path)
+        assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
+        assert re.search(named, capsys.readouterr().err.strip())
 
     def test_identical_params_identical_bytes(self, tmp_path):
         cfg = tiny_run_config(out=str(tmp_path))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gzslgen import evaluation
+from gzslgen.config import parse_run_config
 from gzslgen.data import SyntheticSpec, make_synthetic_dataset
 from gzslgen.errors import ContractViolation, ValidationError
 from gzslgen.evaluation import (
@@ -165,6 +166,27 @@ class TestAblationAndSweep:
             sweep_samples(oracle, quick_config(), [], EvalConfig())
         with pytest.raises(ValidationError):
             sweep_samples(oracle, quick_config(), [0, 5], EvalConfig())
+
+
+@pytest.mark.parametrize("counts", [[0], [5, -1], []], ids=["zero", "negative", "empty"])
+def test_sweep_counts_read_as_the_run_config_does(oracle, counts):
+    doc = {"synthetic": {"n_seen_classes": 1, "n_unseen_classes": 1, "feature_dim": 2,
+                         "attribute_dim": 1, "samples_per_class": 1, "cluster_std": 1.0},
+           "eval": {"counts": counts}}
+    with pytest.raises(ValidationError) as from_config:
+        parse_run_config(doc)
+    assert str(from_config.value) == f"eval.counts must be a nonempty list of integers >= 1, got {counts}"
+    with pytest.raises(ValidationError) as from_library:
+        sweep_samples(oracle, quick_config(), counts, EvalConfig())
+    assert str(from_library.value) == str(from_config.value)
+
+
+def test_ablation_checks_every_variant_before_training(oracle, monkeypatch):
+    calls = []
+    monkeypatch.setattr(evaluation, "train", lambda *args: calls.append(args))
+    with pytest.raises(ValidationError, match=r"^train\.variant must be one of .*, got 'nope'$"):
+        run_ablation(oracle, quick_config(), ["full", "nope"], EvalConfig(n_per_class=10))
+    assert calls == []
 
 
 @pytest.mark.parametrize("field,value", [

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gzslgen.config import load_checkpoint, parse_run_config, save_checkpoint
-from gzslgen.errors import ContractViolation
+from gzslgen.errors import ContractViolation, ValidationError
+from gzslgen.matio import check_bounds
+from gzslgen.seeds import child_seed
 from gzslgen import networks
 from gzslgen.networks import (
     LinearParams,
@@ -66,6 +68,34 @@ class TestInit:
         for name, want in shapes.items():
             assert {k: a.shape for k, a in getattr(m, name).arrays().items()} == want
         assert m.cls_seen.w.shape == (1, 1) and m.cls_seen.b.shape == (1,)
+
+    def test_weights_are_the_seeded_draws_over_root_fan_in(self):
+        # distinct widths, so a weight scaled by the wrong fan-in differs too
+        k, l, n_seen, hidden, seed = 6, 2, 3, 5, child_seed(3, "init")
+        m = init_params(k, l, n_seen, seed=seed, hidden_dim=hidden)
+        rng = np.random.default_rng(seed)
+        for net, fan_in, n_out in ((m.g_sv, 2 * l, k), (m.g_vs, k, l),
+                                   (m.d_v, k + l, 1), (m.d_s, l, 1)):
+            w1 = rng.standard_normal((fan_in, hidden)) / np.sqrt(fan_in)
+            w2 = rng.standard_normal((hidden, n_out)) / np.sqrt(hidden)
+            assert net.w1.tobytes() == w1.tobytes() and net.w2.tobytes() == w2.tobytes()
+            assert not net.b1.any() and not net.b2.any()
+        cls_w = rng.standard_normal((k, n_seen)) / np.sqrt(k)
+        assert m.cls_seen.w.tobytes() == cls_w.tobytes() and not m.cls_seen.b.any()
+
+    @pytest.mark.parametrize("dims,named", [
+        ((0, 4, 3, 32), "g_sv.output_dim"),
+        ((16, 0, 3, 32), "g_sv.input_dim"),
+        ((16, 4, 3, 0), "g_sv.hidden_dim"),
+    ], ids=["feature_dim", "attribute_dim", "hidden_dim"])
+    def test_width_below_one_names_the_shape_field(self, dims, named):
+        k, l, n_seen, hidden = dims
+        with pytest.raises(ValidationError, match=rf"^network_shapes\.{named} must be >= 1, got 0$"):
+            init_params(k, l, n_seen, seed=0, hidden_dim=hidden)
+
+    def test_no_seen_class_rejected(self):
+        with pytest.raises(ContractViolation, match="n_seen must be >= 1, got 0"):
+            init_params(16, 4, 0, seed=0, hidden_dim=32)
 
     def test_biases_zero_at_init(self):
         m = init_params(16, 4, 3, seed=0, hidden_dim=32)
@@ -293,8 +323,8 @@ def test_gvs_output_activation_switch():
 
 @pytest.mark.parametrize("slope", [1.5, -0.1])
 def test_slope_outside_unit_interval_rejected(slope):
-    with pytest.raises(ContractViolation, match="negative_slope"):
-        NetworkShape(4, 8, 2, negative_slope=slope).validate()
+    with pytest.raises(ValidationError, match=rf"^net\.negative_slope must be in \[0, 1\], got {slope}$"):
+        check_bounds("net", NetworkShape(4, 8, 2, negative_slope=slope))
 
 
 @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
