@@ -39,12 +39,15 @@ A tenth ``synth <sha256>`` line hashes the features, then the labels, that
 must leave them equal. It reuses the ``paper_fit`` model and adds well under
 a second.
 
-Run from any directory; it imports ``gzslgen`` from ``src/`` next to this
-script. The oracle is the one of tests/test_acceptance.py (criteria 6 and 7):
-``SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11)``, B=30, H=64,
-learning rate 1e-4, beta2 0.999. The digest covers the bytes of every array
-of ``ModelParams.all_arrays()`` in order, so two commits that print the same
-digest trained bit-identical parameters.
+Run from any directory; it imports ``gzslgen`` from ``src/`` and the test
+helpers from ``tests/`` next to this script. The oracle is the one of
+acceptance criteria 6 and 7, ``tests/helpers.py``'s ``ORACLE_SPEC``
+(``SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11)``) trained with its
+``ORACLE_TRAIN`` (B=30, H=64, learning rate 1e-4, beta2 0.999), and the six
+oracle models train in that module's ``train_in_pool``: at most two spawned
+processes with one BLAS thread each. The digest covers the bytes of every
+array of ``ModelParams.all_arrays()`` in order, so two commits that print the
+same digest trained bit-identical parameters.
 
 ``--check FILE`` compares the printed lines with the ``<label> <sha256>``
 lines of ``FILE``, skipping ``#`` comment lines, and exits 1 after naming on
@@ -54,7 +57,8 @@ were taken with in its comment line; a change that alters trained bits
 updates it in the same commit, so the new digests show in its diff.
 
 Run it alone on a small host, not beside the tests, ``bench/run.py`` or
-``scripts/bench_ab.py``: nothing caps the BLAS thread count, and
+``scripts/bench_ab.py``: its oracle lines keep both cores of a 2-vCPU host
+busy and nothing caps the BLAS thread count of its paper-shape lines, and
 overlapping runs slow each other far more than twofold, so the timings of
 whatever it overlaps cannot be compared.
 """
@@ -66,13 +70,14 @@ import hashlib
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests")]
 
 from gzslgen import (  # noqa: E402
-    OptimizerConfig,
     SynthesisRequest,
     SyntheticSpec,
     TrainConfig,
@@ -83,8 +88,7 @@ from gzslgen import (  # noqa: E402
 )
 from gzslgen.config import RunConfig, save_checkpoint  # noqa: E402
 from gzslgen.trainer import VARIANTS  # noqa: E402
-
-ORACLE = SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11)
+from helpers import ORACLE_SPEC, ORACLE_TRAIN, train_in_pool  # noqa: E402
 
 
 def _sha256(arrays) -> str:
@@ -116,7 +120,7 @@ def paper_train_digest() -> str:
 def checkpoint_digest(params, config: TrainConfig) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "checkpoint.zip")
-        save_checkpoint(path, params, RunConfig(synthetic=ORACLE, train=config))
+        save_checkpoint(path, params, RunConfig(synthetic=ORACLE_SPEC, train=config))
         with open(path, "rb") as fh:
             return hashlib.sha256(fh.read()).hexdigest()
 
@@ -146,23 +150,19 @@ def main() -> int:
         got[label] = digest
         print(label, digest, flush=True)
 
-    bundle = make_synthetic_dataset(ORACLE)
-    runs = [(variant, variant, "real") for variant in VARIANTS]
-    runs.append(("full_cycle", "full", "cycle"))
-    for label, variant, pair_mode in runs:
-        config = TrainConfig(
-            batch_size=30, epochs=args.epochs, hidden_dim=64,
-            optimizer=OptimizerConfig(learning_rate=1e-4, beta2=0.999),
-            seed=args.seed, variant=variant, pair_mode=pair_mode,
-        )
-        params, _ = train(bundle, config)
+    runs = {variant: (variant, "real") for variant in VARIANTS}
+    runs["full_cycle"] = ("full", "cycle")
+    configs = [replace(ORACLE_TRAIN, epochs=args.epochs, seed=args.seed,
+                       variant=variant, pair_mode=pair_mode)
+               for variant, pair_mode in runs.values()]
+    models = train_in_pool(make_synthetic_dataset(ORACLE_SPEC), configs)
+    for label, params in zip(runs, models):
         emit(label, _sha256(params.all_arrays()))
-        if label == "full":
-            full = params, config
+    full = list(runs).index("full")
     fit, synth = paper_fit_digests()
     emit("paper_fit", fit)
     emit("paper_train", paper_train_digest())
-    emit("checkpoint", checkpoint_digest(*full))
+    emit("checkpoint", checkpoint_digest(models[full], configs[full]))
     emit("synth", synth)
 
     if want is None:

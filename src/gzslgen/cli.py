@@ -24,7 +24,7 @@ from .config import (
     save_checkpoint,
     CHECKPOINT_NAME,
 )
-from .data import DatasetBundle, make_synthetic_dataset, save_dataset
+from .data import DatasetBundle, check_rows, make_synthetic_dataset, save_dataset
 from .errors import (
     ContractViolation,
     DataLoadError,
@@ -60,19 +60,6 @@ def _configure(args, embedded: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def _check_rows(bundle: DatasetBundle, training_rows: bool, test_rows: bool) -> None:
-    """Reject a dataset, naming the classes, where a seen class lacks training
-    rows (with ``training_rows``) or any class lacks test rows (with ``test_rows``)."""
-    needs = [("training", bundle.seen_classes, bundle.labels_train)] if training_rows else []
-    if test_rows:
-        needs.append(("test", bundle.all_classes,
-                      np.concatenate([bundle.labels_test_seen, bundle.labels_test_unseen])))
-    for kind, classes, labels in needs:
-        missing = np.setdiff1d(classes, labels)
-        if missing.size:
-            raise ValidationError(f"classes without {kind} rows: {missing.tolist()}")
-
-
 def _prepare_run(args, test_rows: bool) -> tuple[RunConfig, DatasetBundle]:
     """The run config and dataset of a command that trains, once the dataset has
     the rows it needs, and its output directory holding ``config_effective.json``.
@@ -83,7 +70,7 @@ def _prepare_run(args, test_rows: bool) -> tuple[RunConfig, DatasetBundle]:
     """
     cfg = _configure(args)
     bundle = cfg.resolve_bundle()
-    _check_rows(bundle, training_rows=True, test_rows=test_rows)
+    check_rows(bundle, training_rows=True, test_rows=test_rows)
     os.makedirs(cfg.out, exist_ok=True)
     with open(os.path.join(cfg.out, "config_effective.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps_json(effective_dict(cfg)))
@@ -128,7 +115,6 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     params, cfg, bundle = _load_model(args)
-    _check_rows(bundle, training_rows=False, test_rows=True)
     report = evaluate_gzsl(params, bundle, cfg.eval)
     os.makedirs(cfg.out, exist_ok=True)
     _write_report(cfg.out, [("gzsl", report)])
@@ -172,28 +158,21 @@ def cmd_export_viz(args) -> int:
     else:
         classes = list(bundle.unseen_classes)[:3]
 
-    # class -> (visual, labels) of the test split that holds its real rows
-    test_split = {
-        **dict.fromkeys(bundle.seen_classes, (bundle.visual_test_seen, bundle.labels_test_seen)),
-        **dict.fromkeys(bundle.unseen_classes,
-                        (bundle.visual_test_unseen, bundle.labels_test_unseen)),
-    }
-    real_rows, real_labels = [], []
     for c in classes:
-        if c not in test_split:
+        if c not in bundle.all_classes:
             raise ValidationError(f"class {c} is not part of the dataset")
-        visual, split_labels = test_split[c]
-        mask = split_labels == c
-        real_rows.append(visual[mask])
-        real_labels.append(split_labels[mask])
+    # each class's real rows, from the one test split that holds its labels
+    test_labels = np.concatenate([bundle.labels_test_seen, bundle.labels_test_unseen])
+    rows = np.concatenate([np.flatnonzero(test_labels == c) for c in classes])
+    real = np.vstack([bundle.visual_test_seen, bundle.visual_test_unseen])[rows]
 
     request = SynthesisRequest(
         classes=tuple(classes), n_per_class=cfg.eval.n_per_class, seed=cfg.eval.seed
     )
     synth_x, synth_y = synthesize_features(params, bundle, request)
-    features = np.vstack(real_rows + [synth_x])
-    labels = np.concatenate(real_labels + [synth_y])
-    n_real, n_synth = features.shape[0] - synth_x.shape[0], synth_x.shape[0]
+    features = np.vstack([real, synth_x])
+    labels = np.concatenate([test_labels[rows], synth_y])
+    n_real, n_synth = rows.size, synth_x.shape[0]
     source = np.repeat([0, 1], [n_real, n_synth])
 
     os.makedirs(args.out, exist_ok=True)

@@ -10,6 +10,9 @@ list each split's labels must lie in; saving, loading, validation and the
 optional rescale all walk it. ``load_dataset`` types ``meta.json`` as a
 ``DatasetMeta`` through ``matio.read_fields`` and checks the bounds its fields
 declare with ``matio.check_bounds``, naming ``<path>.<field>``.
+``check_rows`` rejects a dataset where a class lacks the training or test
+rows a run needs, naming every such class; the library's evaluation entry
+points and the CLI call it before any work.
 
 Loading and synthetic generation are pure functions; a batch iterator is
 single-consumer (create one per worker).
@@ -24,9 +27,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, ValidationError
-from .matio import (AT_LEAST_0, AT_LEAST_1, POSITIVE, check_bounds, dumps_json, load_json,
-                    read_fields, read_matrix, write_matrix)
+from .errors import ValidationError
+from .matio import (AT_LEAST_0, AT_LEAST_1, POSITIVE, check_bound, check_bounds, dumps_json,
+                    load_json, read_fields, read_matrix, write_matrix)
 
 # split -> the class-list field its labels must lie in. Split s has the
 # DatasetBundle fields visual_s and labels_s, the meta.json count n_s and the
@@ -254,16 +257,30 @@ def load_dataset(root: str, normalize: bool = False) -> DatasetBundle:
     return bundle
 
 
+def check_rows(bundle: DatasetBundle, training_rows: bool, test_rows: bool) -> None:
+    """Reject a dataset, naming the classes, where a seen class lacks training
+    rows (with ``training_rows``) or any class lacks test rows (with ``test_rows``)."""
+    needs = [("training", bundle.seen_classes, bundle.labels_train)] if training_rows else []
+    if test_rows:
+        needs.append(("test", bundle.all_classes,
+                      np.concatenate([bundle.labels_test_seen, bundle.labels_test_unseen])))
+    for kind, classes, labels in needs:
+        missing = np.setdiff1d(classes, labels)
+        if missing.size:
+            raise ValidationError(f"classes without {kind} rows: {missing.tolist()}")
+
+
 def batch_iterator(
     bundle: DatasetBundle, batch_size: int, epoch_seed: int
 ) -> Iterator[FeatureBatch]:
     """Yield shuffled mini-batches covering every training row once.
 
     Each batch carries freshly sampled standard-Gaussian noise of width L.
-    Order and noise are fully determined by ``epoch_seed``.
+    Order and noise are fully determined by ``epoch_seed``. A ``batch_size``
+    below 1 breaks ``AT_LEAST_1``, the bound ``TrainConfig.batch_size``
+    declares (a ValidationError).
     """
-    if batch_size < 1:
-        raise ContractViolation(f"batch_size must be >= 1, got {batch_size}")
+    check_bound("batch_size", AT_LEAST_1, batch_size)
     n = bundle.visual_train.shape[0]
     if batch_size > n:
         warnings.warn(

@@ -4,7 +4,10 @@ mean, the ablation grid, and the synthesized-sample-count sweep.
 ts and tr are average per-class accuracies on the unseen and seen test
 splits, both predicted over the full (seen plus unseen) label set.
 Variant and sweep runs are independent; they may run in parallel as long
-as each owns its model state and output directory.
+as each owns its model state and output directory, in threads or in other
+processes (a ``ModelParams`` pickles whole). Each entry point rejects a
+dataset without the rows it needs (``data.check_rows``) before any training,
+synthesis or fit.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DatasetBundle
+from .data import DatasetBundle, check_rows
 from .errors import ContractViolation, ValidationError
 from .matio import AT_LEAST_0, AT_LEAST_1, check_bound, check_bounds
 from .synthesis import SynthesisRequest, fit_gzsl_classifier, predict, synthesize_features
@@ -88,9 +91,10 @@ def evaluate_gzsl(
     model: ModelParams, bundle: DatasetBundle, eval_config: EvalConfig
 ) -> EvalReport:
     """Synthesize, fit the full-label classifier, and score both test splits.
-    An ``eval_config`` value out of its field's bound is a ValidationError
-    naming ``eval.<field>``, raised before any work."""
+    An ``eval_config`` value out of its field's bound, or a class without
+    test rows, is a ValidationError raised before any work."""
     check_bounds("eval", eval_config)
+    check_rows(bundle, training_rows=False, test_rows=True)
     all_classes = bundle.all_classes
     request = SynthesisRequest(
         classes=all_classes, n_per_class=eval_config.n_per_class, seed=eval_config.seed
@@ -111,8 +115,8 @@ def evaluate_gzsl(
         preds_unseen, bundle.labels_test_unseen, bundle.unseen_classes
     )
 
-    # per_class_accuracy has rejected a class without test rows, so every
-    # class of the dataset appears here
+    # check_rows has rejected a class without test rows, so every class of
+    # the dataset appears here
     test_labels = np.concatenate([bundle.labels_test_seen, bundle.labels_test_unseen])
     classes, counts = np.unique(test_labels, return_counts=True)
     return EvalReport(
@@ -130,10 +134,12 @@ def run_ablation(
     variants: Sequence[str],
     eval_config: EvalConfig,
 ) -> list[tuple[str, EvalReport]]:
-    """Train and evaluate one model per variant with shared seeds. ``eval_config``
-    and every variant's training config (an unknown variant as ``train.variant``)
-    are checked before the first training."""
+    """Train and evaluate one model per variant with shared seeds. ``eval_config``,
+    every variant's training config (an unknown variant as ``train.variant``)
+    and the dataset's training and test rows are checked before the first
+    training."""
     check_bounds("eval", eval_config)
+    check_rows(bundle, training_rows=True, test_rows=True)
     configs = [replace(base_config, variant=variant) for variant in variants]
     for config in configs:
         config.validate()
@@ -155,11 +161,13 @@ def sweep_samples(
 
     One trained model is reused across all counts; only the final
     classifier is refit, isolating the sample budget under study.
-    ``counts`` (as ``eval.counts``) and ``eval_config`` are checked before
-    any training.
+    ``counts`` (as ``eval.counts``), ``eval_config`` and the dataset's test
+    rows, and its training rows when there is no ``model``, are checked
+    before any training.
     """
     check_bound("eval.counts", SWEEP_COUNTS, counts)
     check_bounds("eval", eval_config)
+    check_rows(bundle, training_rows=model is None, test_rows=True)
     if model is None:
         model, _ = train(bundle, config)
     curve = []

@@ -70,6 +70,9 @@ class MLPParams:
 
     ``w1/b1/w2/b2`` are views into ``flat`` (see the module docstring): write
     into them (``net.b1[:] = ...``, ``net.w2 *= 3``), never rebind them.
+    ``pickle`` and ``copy.deepcopy`` rebuild a network from ``(flat, shape)``,
+    so the copy's four arrays are views of its own ``flat`` and a model can
+    cross a process boundary whole.
     """
 
     def __init__(self, flat: np.ndarray, shape: NetworkShape):
@@ -83,6 +86,9 @@ class MLPParams:
         self.b1 = flat[i * h : i * h + h]
         self.w2 = flat[i * h + h : i * h + h + h * o].reshape(h, o)
         self.b2 = flat[i * h + h + h * o :]
+
+    def __reduce__(self):
+        return MLPParams, (self.flat, self.shape)
 
     @classmethod
     def zeros(cls, shape: NetworkShape) -> "MLPParams":

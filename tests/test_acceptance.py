@@ -14,17 +14,16 @@ geometric mean, and must reject both on every row.
 """
 
 import json
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gzslgen import losses
 from gzslgen.cli import main as cli_main
-from gzslgen.data import SyntheticSpec, make_synthetic_dataset
+from gzslgen.data import SyntheticSpec, make_synthetic_dataset, oracle_class_means
 from gzslgen.evaluation import EvalConfig, evaluate_gzsl, harmonic_mean, sweep_samples
 from gzslgen.losses import (
     LossWeights,
@@ -40,40 +39,27 @@ from gzslgen.networks import (
     init_params,
     mlp_forward,
 )
+from gzslgen.synthesis import SynthesisRequest, synthesize_features
 from gzslgen.trainer import OptimizerConfig, TrainConfig, pretrain_classifier, train
 from helpers import (
+    ORACLE_SPEC,
+    ORACLE_TRAIN,
     check_param_grads,
     critic_grads,
     linear_critic,
     load_script,
-    model_from_parts,
     numeric_grad,
     random_batch,
     rel_error,
     small_model,
-    trained_parts,
+    train_in_pool,
     zero_mlp,
 )
 
 # ---------------------------------------------------------------------------
 # pinned desk-scale oracle experiment (criteria 6 and 7)
 
-ORACLE_SPEC = SyntheticSpec(
-    n_seen_classes=3, n_unseen_classes=2, feature_dim=16, attribute_dim=4,
-    samples_per_class=50, cluster_std=0.1, projection_seed=5, noise_seed=11,
-)
 ORACLE_SEEDS = (0, 1, 2, 3, 4)
-
-
-def oracle_train_config(seed: int, variant: str) -> TrainConfig:
-    # term weights stay at the reference defaults; the free desk-scale knobs
-    # (epochs, batch, width, optimizer second moment) are calibrated for the
-    # 16-dimensional oracle
-    return TrainConfig(
-        batch_size=30, epochs=600, hidden_dim=64,
-        optimizer=OptimizerConfig(learning_rate=1e-4, beta2=0.999),
-        seed=seed, variant=variant,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -83,22 +69,15 @@ def oracle_bundle():
 
 @pytest.fixture(scope="module")
 def oracle_runs(oracle_bundle):
-    """Train full and baseline models for every pinned seed (shared by 6/7).
-
-    The ten trainings are independent, so they run in a pool of at most two
-    spawned processes, each with one BLAS thread; a model's bytes do not depend
-    on where it was trained (seed 0's are checked against
-    ``scripts/param_digest.expected`` below).
-    """
+    """Train full and baseline models for every pinned seed (shared by 6, 7
+    and the synthesis-quality check), in ``train_in_pool``'s worker
+    processes; seed 0's bytes are checked against
+    ``scripts/param_digest.expected`` below."""
     t0 = time.time()
     variants = ("full", "baseline_single_gan")
-    configs = [oracle_train_config(seed, variant) for variant in variants for seed in ORACLE_SEEDS]
-    spawn = multiprocessing.get_context("spawn")
-    with pytest.MonkeyPatch.context() as env:
-        env.setenv("OPENBLAS_NUM_THREADS", "1")  # read when a worker imports numpy
-        with ProcessPoolExecutor(min(2, os.cpu_count() or 1), mp_context=spawn) as pool:
-            parts = list(pool.map(trained_parts, [oracle_bundle] * len(configs), configs))
-    models = [model_from_parts(p) for p in parts]
+    configs = [replace(ORACLE_TRAIN, seed=seed, variant=variant)
+               for variant in variants for seed in ORACLE_SEEDS]
+    models = train_in_pool(oracle_bundle, configs)
     runs = {variant: models[i * len(ORACLE_SEEDS): (i + 1) * len(ORACLE_SEEDS)]
             for i, variant in enumerate(variants)}
     runs["train_seconds"] = time.time() - t0
@@ -414,6 +393,27 @@ def test_criterion_07_sample_count_sweep(oracle_bundle, oracle_runs):
     print(f"\n  H@10 median {np.median(h10):.3f}, H@500 median {np.median(h500):.3f}")
     assert np.median(h500) >= np.median(h10)
     assert oracle_runs["train_seconds"] + (time.time() - t0) < 600.0
+
+
+# ---------------------------------------------------------------------------
+# synthesis quality of the criterion-6 oracle model
+
+
+def test_synthesized_centroids_land_nearest_their_own_class(oracle_bundle, oracle_runs):
+    # after training on the oracle, each class's synthesized centroid
+    # must sit closer to its own true cluster mean than to any other,
+    # for at least 80% of classes
+    trained = oracle_runs["full"][ORACLE_SEEDS.index(0)]
+    feats, labels = synthesize_features(
+        trained, oracle_bundle,
+        SynthesisRequest(classes=oracle_bundle.all_classes, n_per_class=200, seed=1))
+    true_means = oracle_class_means(ORACLE_SPEC)
+    hits = 0
+    for c in oracle_bundle.all_classes:
+        centroid = feats[labels == c].mean(axis=0)
+        dists = np.linalg.norm(true_means - centroid, axis=1)
+        hits += int(np.argmin(dists) == c)
+    assert hits >= 0.8 * len(oracle_bundle.all_classes)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from gzslgen.data import (
     save_dataset,
     validate_bundle,
 )
-from gzslgen.errors import ContractViolation, DataLoadError, FormatError, ValidationError
+from gzslgen.errors import DataLoadError, FormatError, ValidationError
 
 
 def oracle_spec(**kw):
@@ -198,7 +198,7 @@ class TestBatchIterator:
 
     def test_bad_batch_size_rejected(self):
         bundle = make_synthetic_dataset(oracle_spec(samples_per_class=2))
-        with pytest.raises(ContractViolation):
+        with pytest.raises(ValidationError, match=r"^batch_size must be >= 1, got 0$"):
             list(batch_iterator(bundle, 0, 0))
 
     def test_epochs_are_permutations_of_the_same_rows(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from gzslgen.evaluation import (
     run_ablation,
     sweep_samples,
 )
+from gzslgen.networks import init_params
 from gzslgen.trainer import OptimizerConfig, TrainConfig, train
 
 
@@ -206,6 +209,37 @@ def test_library_entry_points_check_eval_bounds_first(oracle, monkeypatch, field
         sweep_samples(oracle, quick_config(), [10], bad)
     with pytest.raises(ValidationError, match=named):
         run_ablation(oracle, quick_config(), ["full"], bad)
+
+
+def test_library_entry_points_name_every_class_without_test_rows_first(oracle, monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(evaluation, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, wrapper)
+
+    counted("train")
+    counted("fit_gzsl_classifier")
+    seen, unseen = oracle.labels_test_seen != 1, oracle.labels_test_unseen != 4
+    bundle = replace(oracle,
+                     visual_test_seen=oracle.visual_test_seen[seen],
+                     labels_test_seen=oracle.labels_test_seen[seen],
+                     visual_test_unseen=oracle.visual_test_unseen[unseen],
+                     labels_test_unseen=oracle.labels_test_unseen[unseen])
+    model = init_params(12, 3, 3, seed=0, hidden_dim=16)
+    eval_cfg = EvalConfig(n_per_class=5)
+    named = r"^classes without test rows: \[1, 4\]$"
+    with pytest.raises(ValidationError, match=named):
+        evaluate_gzsl(model, bundle, eval_cfg)
+    with pytest.raises(ValidationError, match=named):
+        run_ablation(bundle, quick_config(), ["full"], eval_cfg)
+    with pytest.raises(ValidationError, match=named):
+        sweep_samples(bundle, quick_config(), [5], eval_cfg)
+    assert calls == []
 
 
 def test_report_serialization_roundtrip():

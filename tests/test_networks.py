@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -381,6 +383,15 @@ class TestFlatLayout:
         for name in ("g_sv", "g_vs", "d_v", "d_s"):
             assert np.array_equal(getattr(loaded, name).flat, getattr(model, name).flat)
             self.assert_flat_layout(getattr(loaded, name))
+
+    def test_pickle_and_deepcopy_keep_the_views(self):
+        model = small_model()
+        for copied in (pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+            for name in ("g_sv", "g_vs", "d_v", "d_s"):
+                net, original = getattr(copied, name), getattr(model, name)
+                assert not np.shares_memory(net.flat, original.flat)
+                assert net.flat.tobytes() == original.flat.tobytes()
+                self.assert_flat_layout(net)
 
     def test_backward_grads(self):
         model = small_model()

@@ -299,28 +299,3 @@ class TestPredict:
         clf.params.w *= 2.5
         np.testing.assert_array_equal(predict(clf, x), base)
 
-
-class TestTrainedSynthesisQuality:
-    def test_synthesized_centroids_land_nearest_their_own_class(self):
-        # after training on the oracle, each class's synthesized centroid
-        # must sit closer to its own true cluster mean than to any other,
-        # for at least 80% of classes
-        from gzslgen.data import oracle_class_means
-        from gzslgen.trainer import OptimizerConfig, TrainConfig, train
-
-        spec = SyntheticSpec(3, 2, 16, 4, 50, 0.1, projection_seed=5, noise_seed=11)
-        oracle = make_synthetic_dataset(spec)
-        config = TrainConfig(batch_size=30, epochs=600, hidden_dim=64,
-                             optimizer=OptimizerConfig(learning_rate=1e-4, beta2=0.999),
-                             seed=0)
-        trained, _ = train(oracle, config)
-        feats, labels = synthesize_features(
-            trained, oracle,
-            SynthesisRequest(classes=oracle.all_classes, n_per_class=200, seed=1))
-        true_means = oracle_class_means(spec)
-        hits = 0
-        for c in oracle.all_classes:
-            centroid = feats[labels == c].mean(axis=0)
-            dists = np.linalg.norm(true_means - centroid, axis=1)
-            hits += int(np.argmin(dists) == c)
-        assert hits >= 0.8 * len(oracle.all_classes)

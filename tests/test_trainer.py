@@ -19,6 +19,7 @@ from gzslgen.trainer import (
 )
 from gzslgen.losses import LossWeights
 from gzslgen.networks import classifier_forward
+from helpers import ORACLE_SPEC, ORACLE_TRAIN
 
 
 def desk_bundle(samples=20, std=0.05):
@@ -361,15 +362,12 @@ def test_heldout_semantic_centroid_loss_decreases():
     # the oracle's linear semantic map makes the reconstruction learnable:
     # after training, centroid error on a held-out batch drops vs iteration 0
     from gzslgen import losses
-    from gzslgen.data import SyntheticSpec, batch_iterator, make_synthetic_dataset
+    from gzslgen.data import batch_iterator
     from gzslgen.networks import init_params, mlp_forward
     from gzslgen.seeds import child_seed
 
-    spec = SyntheticSpec(3, 2, 16, 4, 50, 0.1, projection_seed=5, noise_seed=11)
-    bundle = make_synthetic_dataset(spec)
-    cfg = TrainConfig(batch_size=30, epochs=300, hidden_dim=64,
-                      optimizer=OptimizerConfig(learning_rate=1e-4, beta2=0.999),
-                      seed=0)
+    bundle = make_synthetic_dataset(ORACLE_SPEC)
+    cfg = replace(ORACLE_TRAIN, epochs=300)
 
     def heldout_sc(model):
         vals = []
@@ -407,7 +405,7 @@ def test_seen_ids_outside_the_first_columns_train_alike():
     # maps them to the columns 0, 1, 2 that the ids 0, 1, 2 get; the
     # generator's classification term must score each row in that column,
     # not in the column its class id names
-    bundle = make_synthetic_dataset(SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11))
+    bundle = make_synthetic_dataset(ORACLE_SPEC)
     assert (bundle.seen_classes, bundle.unseen_classes) == ((0, 1, 2), (3, 4))
     moved = relabelled(bundle, [0, 2, 4, 1, 3])
     assert (moved.seen_classes, moved.unseen_classes) == ((0, 2, 4), (1, 3))
