@@ -1,6 +1,6 @@
 """Train the acceptance oracle once per variant and print the SHA-256 of its parameters.
 
-    python3 scripts/param_digest.py --epochs 600 [--seed 0] [--check FILE]
+    python3 scripts/param_digest.py [--check FILE]
 
 It prints one ``<variant> <sha256>`` line for each of the five variants of
 ``trainer.VARIANTS``, so the baseline and ablation training paths are
@@ -16,7 +16,7 @@ benchmark's ``paper_eval`` input set 0: ``SyntheticSpec(40, 10, 2048, 85,
 seed=0)``, 3 synthesized rows per class (seed 0) plus the real seen rows,
 and ``fit_gzsl_classifier`` over all 50 classes (``EvalConfig``'s 1000
 steps and tolerance 1e-5); the digest covers ``w`` then ``b``. It adds
-under ten seconds and ignores ``--epochs`` and ``--seed``.
+under ten seconds.
 
 An eighth ``paper_train <sha256>`` line checks training itself at paper
 shape: ``SyntheticSpec(40, 10, 2048, 85, 6, 0.1, 0, 0)`` trained with
@@ -24,8 +24,7 @@ shape: ``SyntheticSpec(40, 10, 2048, 85, 6, 0.1, 0, 0)`` trained with
 240 rows make three batches of 64 and a last one of 48, and its weight
 gradients are formed several blocks of rows at a time
 (``networks.MLPGrads.segments``), which the H=64 oracle lines, one block per
-gradient, cannot reach. It adds about twenty seconds and also ignores
-``--epochs`` and ``--seed``.
+gradient, cannot reach. It adds about twenty seconds.
 
 A ninth ``checkpoint <sha256>`` line hashes the archive bytes that
 ``save_checkpoint`` writes for the oracle ``full`` model, with the oracle
@@ -43,18 +42,18 @@ Run from any directory; it imports ``gzslgen`` from ``src/`` and the test
 helpers from ``tests/`` next to this script. The oracle is the one of
 acceptance criteria 6 and 7, ``tests/helpers.py``'s ``ORACLE_SPEC``
 (``SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11)``) trained with its
-``ORACLE_TRAIN`` (B=30, H=64, learning rate 1e-4, beta2 0.999), and the six
-oracle models train in that module's ``train_in_pool``: at most two spawned
-processes with one BLAS thread each. The digest covers the bytes of every
+``ORACLE_TRAIN`` (600 epochs at seed 0, B=30, H=64, learning rate 1e-4,
+beta2 0.999), and the six oracle models train in that module's
+``train_in_pool``: at most two spawned processes with one BLAS thread each. The digest covers the bytes of every
 array of ``ModelParams.all_arrays()`` in order, so two commits that print the
 same digest trained bit-identical parameters.
 
 ``--check FILE`` compares the printed lines with the ``<label> <sha256>``
 lines of ``FILE``, skipping ``#`` comment lines, and exits 1 after naming on
 stderr each line that differs. ``scripts/param_digest.expected`` holds the
-lines of ``--epochs 600`` at seed 0, with the numpy and BLAS versions they
-were taken with in its comment line; a change that alters trained bits
-updates it in the same commit, so the new digests show in its diff.
+lines, with the numpy and BLAS versions they were taken with in its comment
+line; a change that alters trained bits updates it in the same commit, so
+the new digests show in its diff.
 
 Run it alone on a small host, not beside the tests, ``bench/run.py`` or
 ``scripts/bench_ab.py``: its oracle lines keep both cores of a 2-vCPU host
@@ -139,8 +138,6 @@ def differing_lines(want: dict[str, str], got: dict[str, str]) -> list[str]:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--epochs", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--check", metavar="FILE", help="expected lines; exit 1 if any differs")
     args = parser.parse_args()
     want = read_digests(args.check) if args.check else None
@@ -152,8 +149,7 @@ def main() -> int:
 
     runs = {variant: (variant, "real") for variant in VARIANTS}
     runs["full_cycle"] = ("full", "cycle")
-    configs = [replace(ORACLE_TRAIN, epochs=args.epochs, seed=args.seed,
-                       variant=variant, pair_mode=pair_mode)
+    configs = [replace(ORACLE_TRAIN, variant=variant, pair_mode=pair_mode)
                for variant, pair_mode in runs.values()]
     models = train_in_pool(make_synthetic_dataset(ORACLE_SPEC), configs)
     for label, params in zip(runs, models):

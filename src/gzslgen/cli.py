@@ -150,7 +150,7 @@ def cmd_synth_data(args) -> int:
 
 def cmd_export_viz(args) -> int:
     params, cfg, bundle = _load_model(args)
-    if args.classes:
+    if args.classes is not None:
         try:
             classes = [int(c) for c in args.classes.split(",")]
         except ValueError:

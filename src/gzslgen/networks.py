@@ -29,8 +29,7 @@ that each span the whole weight (a backward's ``input.T @ delta``, a penalty's
 zero-padded term), left unformed. ``MLPGrads.segments`` forms the weight
 gradients a block of ``row_blocks`` rows at a time in one small scratch, so
 the optimizer consumes each block while it is in cache and no
-parameter-sized gradient is ever made; ``MLPGrads.dense`` writes the same
-blocks into fresh parameters.
+parameter-sized gradient is ever made.
 ``synthesis`` splits its generator forwards by the same row rule.
 
 ``NetworkShape`` declares its bounds on its fields (widths at least 1, a
@@ -261,13 +260,6 @@ class MLPGrads:
         yield i * h, self.b1
         yield from _weight_blocks(self.w2, h, o, i * h + h)
         yield i * h + h + h * o, self.b2
-
-    def dense(self) -> MLPParams:
-        """The gradient written into fresh parameters, block by block."""
-        grads = MLPParams(np.empty(_flat_size(self.shape)), self.shape)
-        for lo, values in self.segments():
-            grads.flat[lo : lo + values.size] = values
-        return grads
 
 
 def _weight_blocks(

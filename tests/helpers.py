@@ -1,8 +1,11 @@
-"""Shared test utilities: finite-difference oracles, tiny fixtures, and the
-acceptance oracle with the process pool that trains its models.
+"""Shared test utilities: finite-difference oracles, the dense-gradient
+reference, tiny fixtures, the CLI run config, and the acceptance oracle with
+the process pool that trains its models.
 
 ``ORACLE_SPEC`` and ``ORACLE_TRAIN`` are the oracle dataset and training run
 of acceptance criteria 6 and 7, which ``scripts/param_digest.py`` also hashes.
+``CLI_SPEC`` is the smaller 12-dimensional dataset of ``cli_config``, the run
+config the CLI tests and acceptance criterion 8 run.
 ``train_in_pool`` trains several models at once and returns them whole (an
 ``MLPParams`` pickles as its ``flat`` buffer and shape). Its worker lives
 here, in an importable module, so a spawned process can find it.
@@ -44,6 +47,26 @@ ORACLE_TRAIN = TrainConfig(
     optimizer=OptimizerConfig(learning_rate=1e-4, beta2=0.999), seed=0,
 )
 
+CLI_SPEC = {
+    "n_seen_classes": 3, "n_unseen_classes": 2,
+    "feature_dim": 12, "attribute_dim": 3,
+    "samples_per_class": 12, "cluster_std": 0.08,
+    "projection_seed": 4, "noise_seed": 5,
+}
+
+
+def cli_config(out) -> dict:
+    """A fresh run-config document on ``CLI_SPEC`` that writes to ``out``."""
+    return {
+        "synthetic": dict(CLI_SPEC),
+        "train": {
+            "batch_size": 18, "epochs": 4, "n1": 2, "n2": 2, "hidden_dim": 16,
+            "learning_rate": 1e-3, "beta2": 0.999, "seed": 0,
+        },
+        "eval": {"n_per_class": 15, "counts": [5, 20]},
+        "out": str(out),
+    }
+
 
 def numeric_grad(fn, arr: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of scalar fn() w.r.t. arr, edited in place."""
@@ -69,9 +92,24 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.linalg.norm(analytic - numeric)) / denom
 
 
+def dense_reference(grads: MLPGrads) -> np.ndarray:
+    """The flat gradient from whole products, summed in the order of the terms."""
+    def weight(terms):
+        (a, b, _), *later = terms
+        total = a @ b
+        for a, b, scale in later:
+            product = a @ b
+            if scale is not None:
+                product *= scale
+            total += product
+        return total.reshape(-1)
+
+    return np.concatenate([weight(grads.w1), grads.b1, weight(grads.w2), grads.b2])
+
+
 def check_param_grads(fn, params: MLPParams, analytic: MLPGrads, step=1e-5) -> dict[str, float]:
-    """Relative FD error per parameter array of an MLP, against ``analytic.dense()``."""
-    dense = analytic.dense()
+    """Relative FD error per parameter array of an MLP, against ``dense_reference``."""
+    dense = MLPParams(dense_reference(analytic), params.shape)
     errors = {}
     for name, arr in params.arrays().items():
         num = numeric_grad(fn, arr, step)

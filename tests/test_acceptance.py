@@ -45,6 +45,7 @@ from helpers import (
     ORACLE_SPEC,
     ORACLE_TRAIN,
     check_param_grads,
+    cli_config,
     critic_grads,
     linear_critic,
     load_script,
@@ -438,19 +439,8 @@ def test_oracle_seed_0_models_match_their_recorded_digests(oracle_runs):
 
 
 def test_criterion_08_byte_identical_reruns(tmp_path):
-    doc = {
-        "synthetic": {"n_seen_classes": 3, "n_unseen_classes": 2,
-                      "feature_dim": 12, "attribute_dim": 3,
-                      "samples_per_class": 12, "cluster_std": 0.08,
-                      "projection_seed": 4, "noise_seed": 5},
-        "train": {"batch_size": 18, "epochs": 4, "n1": 2, "n2": 2,
-                  "hidden_dim": 16, "learning_rate": 1e-3, "beta2": 0.999,
-                  "seed": 0},
-        "eval": {"n_per_class": 15, "counts": [5, 20]},
-        "out": str(tmp_path / "run"),
-    }
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(dumps_json(doc))
+    cfg.write_text(dumps_json(cli_config(tmp_path / "run")))
 
     assert cli_main(["train", "--config", str(cfg)]) == 0
     first_ckpt = (tmp_path / "run" / "checkpoint.zip").read_bytes()

@@ -1,13 +1,10 @@
-import importlib.util
 import os
 
 import pytest
 
-_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "scripts", "bench_ab.py")
-_spec = importlib.util.spec_from_file_location("bench_ab", _PATH)
-bench_ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_ab)
+from helpers import load_script
+
+bench_ab = load_script("bench_ab")
 
 PARENT = [3.0, 3.1, 3.2, 3.3, 3.4, 3.5, 3.6, 3.7, 3.8, 3.9]
 

@@ -11,26 +11,11 @@ from gzslgen import evaluation
 from gzslgen.cli import main
 from gzslgen.data import SyntheticSpec, load_dataset, make_synthetic_dataset, save_dataset
 from gzslgen.matio import dumps_json
-
-
-ORACLE_SPEC = {
-    "n_seen_classes": 3, "n_unseen_classes": 2,
-    "feature_dim": 12, "attribute_dim": 3,
-    "samples_per_class": 12, "cluster_std": 0.08,
-    "projection_seed": 4, "noise_seed": 5,
-}
+from helpers import CLI_SPEC, cli_config
 
 
 def write_config(path, out, **overrides):
-    doc = {
-        "synthetic": dict(ORACLE_SPEC),
-        "train": {
-            "batch_size": 18, "epochs": 4, "n1": 2, "n2": 2, "hidden_dim": 16,
-            "learning_rate": 1e-3, "beta2": 0.999, "seed": 0,
-        },
-        "eval": {"n_per_class": 15, "counts": [5, 20]},
-        "out": str(out),
-    }
+    doc = cli_config(out)
     for key, value in overrides.items():
         if isinstance(value, dict) and key in doc:
             doc[key].update(value)
@@ -149,7 +134,7 @@ def zip_with_meta(text):
 
 def write_spec(tmp_path):
     spec = tmp_path / "spec.json"
-    spec.write_text(dumps_json(ORACLE_SPEC))
+    spec.write_text(dumps_json(CLI_SPEC))
     return spec
 
 
@@ -171,7 +156,7 @@ class TestSynthDataCommand:
         ({"cluster_std": None}, "spec.cluster_std"),
     ], ids=["feature_dim-str", "cluster_std-missing"])
     def test_malformed_field_exits_two_naming_it(self, tmp_path, capsys, update, name):
-        doc = {k: v for k, v in {**ORACLE_SPEC, **update}.items() if v is not None}
+        doc = {k: v for k, v in {**CLI_SPEC, **update}.items() if v is not None}
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         assert main(["synth-data", "--spec", str(spec), "--out", str(tmp_path / "ds")]) == 2
@@ -428,7 +413,7 @@ class TestExportViz:
         # the directory the embedded run config names now holds wider attributes
         shutil.rmtree(ds)
         wide = tmp_path / "wide.json"
-        wide.write_text(dumps_json({**ORACLE_SPEC, "attribute_dim": 5}))
+        wide.write_text(dumps_json({**CLI_SPEC, "attribute_dim": 5}))
         assert main(["synth-data", "--spec", str(wide), "--out", str(ds)]) == 0
         ckpt = tmp_path / "run" / "checkpoint.zip"
         out = tmp_path / "viz"
@@ -448,7 +433,7 @@ class TestExportViz:
         out = tmp_path / "viz"
         assert main(["export-viz", "--checkpoint", ckpt, "--classes", "0,3",
                      "--n-per-class", "10", "--out", str(out)]) == 0
-        bundle = make_synthetic_dataset(SyntheticSpec(**ORACLE_SPEC))
+        bundle = make_synthetic_dataset(SyntheticSpec(**CLI_SPEC))
         # class 0 is seen and class 3 unseen: each exports its own test split's rows
         real = [bundle.visual_test_seen[bundle.labels_test_seen == 0],
                 bundle.visual_test_unseen[bundle.labels_test_unseen == 3]]
@@ -491,6 +476,14 @@ class TestExportViz:
         assert "--classes" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_empty_classes_exit_two_not_the_default(self, tmp_path, capsys):
+        ckpt = self.trained_checkpoint(tmp_path)
+        out = tmp_path / "viz"
+        assert main(["export-viz", "--checkpoint", ckpt, "--classes", "",
+                     "--out", str(out)]) == 2
+        assert "--classes must list class ids, got ''" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_rerun_is_byte_identical(self, tmp_path):
@@ -517,14 +510,6 @@ class TestDeterminism:
         second = (tmp_path / "run" / "checkpoint.zip").read_bytes()
         assert first == second
 
-    def test_same_out_dir_same_bytes(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
-        assert main(["train", "--config", str(cfg)]) == 0
-        ckpt = tmp_path / "run" / "checkpoint.zip"
-        first = ckpt.read_bytes()
-        assert main(["train", "--config", str(cfg)]) == 0
-        assert ckpt.read_bytes() == first
-
     def test_train_log_steps_are_byte_identical_without_timing(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
         logs = []
@@ -537,15 +522,6 @@ class TestDeterminism:
             logs.append([json.dumps({k: v for k, v in rec.items() if k != "timing"},
                                     sort_keys=True) for rec in steps])
         assert len(logs[0]) > 0 and logs[0] == logs[1]
-
-    def test_evaluate_is_idempotent(self, tmp_path):
-        cfg = write_config(tmp_path / "cfg.json", tmp_path / "run")
-        assert main(["train", "--config", str(cfg)]) == 0
-        ckpt = str(tmp_path / "run" / "checkpoint.zip")
-        assert main(["evaluate", "--checkpoint", ckpt, "--out", str(tmp_path / "e1")]) == 0
-        assert main(["evaluate", "--checkpoint", ckpt, "--out", str(tmp_path / "e2")]) == 0
-        assert (tmp_path / "e1" / "report.json").read_bytes() == \
-            (tmp_path / "e2" / "report.json").read_bytes()
 
 
 class TestSeedOverride:
@@ -575,7 +551,7 @@ def evaluate_argv(tmp_path, n_per_class):
 
 def synth_data_argv(tmp_path, feature_dim):
     spec = tmp_path / "spec.json"
-    spec.write_text(dumps_json({**ORACLE_SPEC, "feature_dim": feature_dim}))
+    spec.write_text(dumps_json({**CLI_SPEC, "feature_dim": feature_dim}))
     return ["synth-data", "--spec", str(spec), "--out", str(tmp_path / "ds")]
 
 

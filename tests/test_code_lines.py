@@ -1,11 +1,6 @@
-import importlib.util
-import os
+from helpers import load_script
 
-_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "scripts", "code_lines.py")
-_spec = importlib.util.spec_from_file_location("code_lines", _PATH)
-code_lines = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(code_lines)
+code_lines = load_script("code_lines")
 
 FIXTURE = '''"""Module docstring,
 over two lines."""

@@ -1,18 +1,15 @@
-import importlib.util
 import os
 import re
 
-_SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
-_spec = importlib.util.spec_from_file_location(
-    "param_digest", os.path.join(_SCRIPTS, "param_digest.py"))
-param_digest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(param_digest)
+from helpers import load_script
+
+param_digest = load_script("param_digest")
 
 LABELS = [*param_digest.VARIANTS, "full_cycle", "paper_fit", "paper_train", "checkpoint", "synth"]
 
 
 def test_expected_file_holds_every_line_once():
-    path = os.path.join(_SCRIPTS, "param_digest.expected")
+    path = os.path.join(os.path.dirname(param_digest.__file__), "param_digest.expected")
     with open(path, encoding="utf-8") as fh:
         assert "numpy" in fh.readline()
     want = param_digest.read_digests(path)

@@ -101,14 +101,6 @@ class TestVariantMasking:
 
 
 class TestTrainLoop:
-    def test_step_schedule_and_counts(self):
-        bundle = desk_bundle(samples=20)  # 60 rows, batch 15 -> 4 iterations
-        cfg = desk_config(n1=2, n2=2, epochs=1)
-        _, log = train(bundle, cfg)
-        assert len(log.records) == 4 * (2 + 2 + 2)
-        for it in (1, 2, 3, 4):
-            assert log.step_kinds(it) == ["d_v", "d_v", "d_s", "d_s", "g_sv", "g_vs"]
-
     def test_baseline_skips_dual_steps(self):
         bundle = desk_bundle(samples=20)
         cfg = desk_config(variant="baseline_single_gan")
@@ -140,14 +132,6 @@ class TestTrainLoop:
         for x, y in zip(model_a.all_arrays(), model_b.all_arrays()):
             assert np.array_equal(x, y)
 
-    def test_classifier_frozen_through_training(self):
-        bundle = desk_bundle(samples=20)
-        cfg = desk_config(epochs=2)
-        theta = pretrain_classifier(bundle, cfg)
-        model, _ = train(bundle, cfg)
-        assert np.array_equal(model.cls_seen.w, theta.w)
-        assert np.array_equal(model.cls_seen.b, theta.b)
-
     def test_classifier_changed_during_training_raises(self):
         # an exception, not an assert, so ``python -O`` keeps the check
         def nudge(kind, iteration, params):
@@ -178,19 +162,6 @@ class TestTrainLoop:
             assert touched <= {kind}, f"{kind} step modified {touched}"
         assert changed["d_v"] == {"d_v"}
         assert changed["g_sv"] == {"g_sv"}
-
-    def test_finite_through_200_iterations(self):
-        bundle = desk_bundle(samples=20)  # 60 rows, batch 15 -> 4 iters/epoch
-        cfg = desk_config(epochs=50)      # 200 iterations
-        model, log = train(bundle, cfg)
-        iterations = {r["iteration"] for r in log.records}
-        assert max(iterations) == 200
-        for record in log.records:
-            assert np.isfinite(record["loss"])
-            assert np.isfinite(record["grad_norm"])
-            assert all(np.isfinite(v) for v in record["terms"].values())
-        for arr in model.all_arrays():
-            assert np.all(np.isfinite(arr))
 
     @pytest.mark.parametrize("kind,loss_fn", [
         ("d_v", "disc_v_loss_and_grads"),
