@@ -11,8 +11,10 @@ malformed value is an error naming the field. ``RunConfig.validate`` checks
 each section's field bounds with ``matio.check_bounds``: the spec's as
 ``synthetic.*``, training's as ``train.*`` and evaluation's, ``counts``
 included, as ``eval.*``; its own check is that exactly one data source is named.
-``load_checkpoint`` checks the bounds of each metadata section it reads, so a
-network shape out of range is named as ``network_shapes.<net>.<field>``.
+``load_checkpoint`` checks that the metadata's ``version`` is 1 and the bounds
+of each metadata section it reads, so a network shape out of range is named as
+``network_shapes.<net>.<field>``. Its networks, and the member names of every
+array (``_members``), follow ``networks.NETWORKS``.
 """
 
 from __future__ import annotations
@@ -27,17 +29,17 @@ from .errors import FormatError, ValidationError
 from .evaluation import SWEEP_COUNTS, EvalConfig
 from .losses import LossWeights
 from .matio import check_bounds, check_member, open_archive, read_fields, read_member, write_archive
-from .networks import LinearParams, MLPParams, ModelParams, NetworkShape
+from .networks import NETWORKS, LinearParams, MLPParams, ModelParams, NetworkShape
 from .trainer import OptimizerConfig, TrainConfig
 
 CHECKPOINT_NAME = "checkpoint.zip"
-_NETWORKS = ("g_sv", "g_vs", "d_v", "d_s")
 
 _TRAIN_SCALARS = [f for f in fields(TrainConfig) if f.name not in ("weights", "optimizer")]
 _TRAIN_FIELDS = (*fields(LossWeights), *fields(OptimizerConfig), *_TRAIN_SCALARS)
 _RETIRED_KEYS = {
-    "train": ("separate_critic_batches", "noise_dim", "baseline_cls_loss", "pretrain_lr",
-              "negative_slope", "gvs_output_activation", "eps"),
+    "train": ("separate_critic_batches", "resample_critic_noise", "noise_dim",
+              "baseline_cls_loss", "pretrain_lr", "negative_slope", "gvs_output_activation",
+              "eps"),
     "eval": ("classifier_lr",),
 }
 
@@ -134,19 +136,19 @@ def effective_dict(cfg: RunConfig) -> dict:
 # checkpoints
 
 
+def _members(params: ModelParams) -> dict[str, np.ndarray]:
+    """Every array of ``params`` by its archive member name: ``<network>_<key>``,
+    then ``cls_w`` and ``cls_b`` for the seen-class classifier."""
+    parts = [(name, getattr(params, name)) for name in NETWORKS] + [("cls", params.cls_seen)]
+    return {f"{prefix}_{key}": arr for prefix, part in parts for key, arr in part.arrays().items()}
+
+
 def save_checkpoint(path: str, params: ModelParams, run_config: RunConfig) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    shapes = {}
-    for name in _NETWORKS:
-        net = getattr(params, name)
-        arrays.update({f"{name}_{k}": v for k, v in net.arrays().items()})
-        shapes[name] = asdict(net.shape)
-    arrays["cls_w"] = params.cls_seen.w
-    arrays["cls_b"] = params.cls_seen.b
+    arrays = _members(params)
     meta = {
         "format": "gzslgen-checkpoint",
         "version": 1,
-        "network_shapes": shapes,
+        "network_shapes": {name: asdict(getattr(params, name).shape) for name in NETWORKS},
         "array_shapes": {k: [int(v) for v in a.shape] for k, a in arrays.items()},
         "run_config": effective_dict(run_config),
     }
@@ -189,29 +191,29 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
     with open_archive(path) as (meta, zf):
         if not isinstance(meta, dict) or meta.get("format") != "gzslgen-checkpoint":
             raise FormatError(f"{path}: not a checkpoint archive")
+        version = _meta_field(path, meta, "version")
+        if type(version) is not int or version != 1:
+            raise FormatError(f"{path}: checkpoint metadata: version must be 1, "
+                              f"got {version!r:.40}")
         shapes = read(_ClassifierShapes, "array_shapes")
-        nets = {}
-        for name in _NETWORKS:
-            # the members are checked against the declared shape before the
-            # network of that shape is allocated, then read straight into it
-            shape = read(NetworkShape, "network_shapes", name)
-            i, h, o = shape.input_dim, shape.hidden_dim, shape.output_dim
-            dims = {"w1": (i, h), "b1": (h,), "w2": (h, o), "b2": (o,)}
-            for key, d in dims.items():
-                check_member(zf, f"{name}_{key}", d, f"network_shapes.{name}")
-            nets[name] = MLPParams.zeros(shape)
-            for key, view in nets[name].arrays().items():
-                read_member(zf, f"{name}_{key}", view)
-        want = [nets["g_sv"].shape.output_dim, *shapes.cls_b]
+        net_shapes = {name: read(NetworkShape, "network_shapes", name) for name in NETWORKS}
+        want = [net_shapes["g_sv"].output_dim, *shapes.cls_b]
         if shapes.cls_w != want:
             raise FormatError(f"{path}: checkpoint metadata: array_shapes.cls_w must be {want} "
                               f"(g_sv's output width and array_shapes.cls_b), got {shapes.cls_w}")
+        # every member is checked against its declared shape before the model
+        # is allocated, then read straight into it
+        for name, shape in net_shapes.items():
+            i, h, o = shape.input_dim, shape.hidden_dim, shape.output_dim
+            for key, d in {"w1": (i, h), "b1": (h,), "w2": (h, o), "b2": (o,)}.items():
+                check_member(zf, f"{name}_{key}", d, f"network_shapes.{name}")
         for key in ("cls_w", "cls_b"):
             check_member(zf, key, getattr(shapes, key), f"array_shapes.{key}")
-        cls_seen = LinearParams(w=np.zeros(shapes.cls_w), b=np.zeros(shapes.cls_b))
-        for key, out in cls_seen.arrays().items():
-            read_member(zf, f"cls_{key}", out)
-        params = ModelParams(**nets, cls_seen=cls_seen)
+        params = ModelParams(**{name: MLPParams.zeros(s) for name, s in net_shapes.items()},
+                             cls_seen=LinearParams(w=np.zeros(shapes.cls_w),
+                                                   b=np.zeros(shapes.cls_b)))
+        for member, view in _members(params).items():
+            read_member(zf, member, view)
     run_doc = _meta_field(path, meta, "run_config")
     for section, keys in _RETIRED_KEYS.items():
         part = run_doc.get(section) if isinstance(run_doc, dict) else None

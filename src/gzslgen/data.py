@@ -6,10 +6,10 @@ matrices (see ``save_dataset``). Class ids must be the integers
 ``0 .. C_total-1`` so that labels index the attribute matrix directly, and
 neither the seen nor the unseen class list may be empty. ``SPLITS`` is the
 one table of the three splits (train, test_seen, test_unseen) and the class
-list each split's labels must lie in; saving, loading, validation and the
-optional rescale all walk it. ``load_dataset`` types ``meta.json`` as a
-``DatasetMeta`` through ``matio.read_fields`` and checks the bounds its fields
-declare with ``matio.check_bounds``, naming ``<path>.<field>``.
+list each split's labels must lie in; the synthetic draws, saving, loading,
+validation and the optional rescale all walk it. ``load_dataset`` types
+``meta.json`` as a ``DatasetMeta`` through ``matio.read_fields`` and checks the
+bounds its fields declare with ``matio.check_bounds``, naming ``<path>.<field>``.
 ``check_rows`` rejects a dataset where a class lacks the training or test
 rows a run needs, naming every such class; the library's evaluation entry
 points and the CLI call it before any work.
@@ -180,25 +180,13 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> DatasetBundle:
         labels = np.repeat(np.asarray(classes, dtype=np.int64), s)
         return feats, labels
 
-    seen = tuple(range(spec.n_seen_classes))
-    unseen = tuple(range(spec.n_seen_classes, c_total))
-    train_x, train_y = draw(seen)
-    test_seen_x, test_seen_y = draw(seen)
-    test_unseen_x, test_unseen_y = draw(unseen)
-
-    return validate_bundle(
-        DatasetBundle(
-            visual_train=train_x,
-            labels_train=train_y,
-            visual_test_seen=test_seen_x,
-            labels_test_seen=test_seen_y,
-            visual_test_unseen=test_unseen_x,
-            labels_test_unseen=test_unseen_y,
-            attributes=attributes,
-            seen_classes=seen,
-            unseen_classes=unseen,
-        )
-    )
+    classes = {"seen_classes": tuple(range(spec.n_seen_classes)),
+               "unseen_classes": tuple(range(spec.n_seen_classes, c_total))}
+    drawn = {}
+    # SPLITS' order (train, test_seen, test_unseen) is the order of the draws
+    for split, partition in SPLITS.items():
+        drawn[f"visual_{split}"], drawn[f"labels_{split}"] = draw(classes[partition])
+    return validate_bundle(DatasetBundle(**drawn, attributes=attributes, **classes))
 
 
 def oracle_class_means(spec: SyntheticSpec) -> np.ndarray:

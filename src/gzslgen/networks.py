@@ -51,6 +51,8 @@ from .errors import ContractViolation
 from .matio import AT_LEAST_1, check_bounds
 
 OUTPUT_ACTIVATIONS = ("relu", "none")
+# the four networks of ``ModelParams``, in init and checkpoint order
+NETWORKS = ("g_sv", "g_vs", "d_v", "d_s")
 
 
 @dataclass
@@ -122,8 +124,8 @@ class ModelParams:
     cls_seen: LinearParams
 
     def all_arrays(self) -> Iterable[np.ndarray]:
-        for net in (self.g_sv, self.g_vs, self.d_v, self.d_s):
-            yield from net.arrays().values()
+        for name in NETWORKS:
+            yield from getattr(self, name).arrays().values()
         yield from self.cls_seen.arrays().values()
 
 

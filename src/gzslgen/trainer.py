@@ -32,6 +32,7 @@ from .errors import ContractViolation, TrainingDiverged
 from .losses import LossWeights
 from .matio import AT_LEAST_0, AT_LEAST_1, POSITIVE, check_bounds
 from .networks import (
+    NETWORKS,
     LinearParams,
     MLPGrads,
     ModelParams,
@@ -94,9 +95,6 @@ class TrainLog:
     pretrain_accuracy: float = 0.0
     seen_class_cols: dict[int, int] = field(default_factory=dict)
     checkpoint_path: str | None = None
-
-    def step_kinds(self, iteration: int) -> list[str]:
-        return [r["step"] for r in self.records if r["iteration"] == iteration]
 
 
 def effective_weights(config: TrainConfig) -> LossWeights:
@@ -169,11 +167,9 @@ class Adam:
 def seen_class_columns(bundle: DatasetBundle) -> tuple[np.ndarray, dict[int, int]]:
     """Lookup from class id to classifier column (seen classes ascending)."""
     seen_sorted = sorted(bundle.seen_classes)
-    col_of = {c: i for i, c in enumerate(seen_sorted)}
     lookup = np.full(len(bundle.all_classes), -1, dtype=np.int64)
-    for c, i in col_of.items():
-        lookup[c] = i
-    return lookup, col_of
+    lookup[seen_sorted] = np.arange(len(seen_sorted))
+    return lookup, {c: i for i, c in enumerate(seen_sorted)}
 
 
 def pretrain_classifier(bundle: DatasetBundle, config: TrainConfig) -> LinearParams:
@@ -239,7 +235,7 @@ def train(
     )
     params.cls_seen = cls
     theta_snapshot = (cls.w.copy(), cls.b.copy())
-    nets = {"d_v": params.d_v, "d_s": params.d_s, "g_sv": params.g_sv, "g_vs": params.g_vs}
+    nets = {name: getattr(params, name) for name in NETWORKS}
     _check_params_finite((net.flat for net in nets.values()), "at initialisation")
 
     opts = {name: Adam(net.flat, config.optimizer) for name, net in nets.items()}

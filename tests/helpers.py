@@ -33,7 +33,7 @@ from gzslgen.networks import (
     init_params,
     mlp_forward_cached,
 )
-from gzslgen.trainer import OptimizerConfig, TrainConfig, train
+from gzslgen.trainer import OptimizerConfig, TrainConfig, TrainLog, train
 
 ORACLE_SPEC = SyntheticSpec(
     n_seen_classes=3, n_unseen_classes=2, feature_dim=16, attribute_dim=4,
@@ -120,6 +120,11 @@ def check_param_grads(fn, params: MLPParams, analytic: MLPGrads, step=1e-5) -> d
 def critic_grads(critic: MLPParams, u: np.ndarray) -> np.ndarray:
     """``critic_input_grads`` at ``u``, from the cache of a forward over ``u``."""
     return critic_input_grads(critic, mlp_forward_cached(critic, u))
+
+
+def step_kinds(log: TrainLog, iteration: int) -> list[str]:
+    """The step kinds ``log`` recorded in ``iteration``, in order."""
+    return [r["step"] for r in log.records if r["iteration"] == iteration]
 
 
 def load_script(name: str):

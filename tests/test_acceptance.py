@@ -53,6 +53,7 @@ from helpers import (
     random_batch,
     rel_error,
     small_model,
+    step_kinds,
     train_in_pool,
     zero_mlp,
 )
@@ -322,7 +323,7 @@ def test_criterion_05_training_loop_contract():
     _, log = train(bundle, cfg)
     assert len(log.records) == 4 * (2 + 2 + 2)
     for it in (1, 2, 3, 4):
-        assert log.step_kinds(it) == ["d_v", "d_v", "d_s", "d_s", "g_sv", "g_vs"]
+        assert step_kinds(log, it) == ["d_v", "d_v", "d_s", "d_s", "g_sv", "g_vs"]
 
     # frozen classifier
     theta = pretrain_classifier(bundle, cfg)

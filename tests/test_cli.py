@@ -454,7 +454,7 @@ class TestExportViz:
         out = tmp_path / "viz"
         assert main(["export-viz", "--checkpoint", ckpt, "--classes", "3,9",
                      "--out", str(out)]) == 2
-        assert "class 9 is not part of the dataset" in capsys.readouterr().err
+        assert "classes without an attribute row: [9]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_default_classes_are_the_first_three_unseen(self, tmp_path):

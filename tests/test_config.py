@@ -40,6 +40,7 @@ def tiny_run_config(out="run"):
 # every removed run-config option, with the default older versions echoed
 RETIRED_KEYS = [
     ("train", "separate_critic_batches", False),
+    ("train", "resample_critic_noise", True),
     ("train", "noise_dim", None),
     ("train", "baseline_cls_loss", True),
     ("train", "pretrain_lr", 1.0),
@@ -152,6 +153,7 @@ class TestCheckpoint:
         ("array_shapes", "cls_w"),
         ("array_shapes",),
         ("run_config",),
+        ("version",),
     ], ids=".".join)
     def test_missing_metadata_key_is_named(self, tmp_path, capsys, keys):
         cfg = tiny_run_config(out=str(tmp_path))
@@ -180,8 +182,9 @@ class TestCheckpoint:
         (("array_shapes", "cls_w"), [16]),
         (("array_shapes", "cls_w"), [2, 8]),
         (("array_shapes", "cls_b"), [1, 2]),
+        (("version",), 2),
     ], ids=["output_activation", "hidden_dim", "slope-above-one", "slope-negative",
-            "cls_w-flat", "cls_w-transposed", "cls_b-matrix"])
+            "cls_w-flat", "cls_w-transposed", "cls_b-matrix", "version-2"])
     def test_malformed_network_shape_is_named(self, tmp_path, capsys, keys, value):
         cfg = tiny_run_config(out=str(tmp_path))
         model, _ = train(cfg.resolve_bundle(), cfg.train)

@@ -158,6 +158,17 @@ class TestSemanticCentroidLoss:
         got = losses._centroid_match_grads(recon, labels, attrs)[0]
         assert got == pytest.approx(expected, rel=1e-12)
 
+    def test_class_at_its_target_gets_a_finite_zero_gradient(self):
+        # class 0's batch centroid is its target, a zero norm to divide by
+        rng = np.random.default_rng(8)
+        labels = np.array([0, 0, 1, 1])
+        recon = rng.standard_normal((4, L))
+        attrs = np.vstack([recon[:2].mean(axis=0), rng.uniform(0, 1, L)])
+        d_recon = losses._centroid_match_grads(recon, labels, attrs)[1]
+        assert np.all(np.isfinite(d_recon))
+        assert np.array_equal(d_recon[:2], np.zeros((2, L)))
+        assert np.all(d_recon[2:] != 0)
+
     def test_permutation_invariant_within_class(self):
         rng = np.random.default_rng(5)
         labels = np.repeat([0, 1], 5)
@@ -254,6 +265,16 @@ class TestCriticObjectives:
         total = losses.disc_v_loss_and_grads(
             model, batch, np.abs(batch.visual) + 0.1, w, alpha_for(batch))[0]
         assert total == pytest.approx(7.5, abs=1e-12)
+
+    def test_zero_critic_gradient_segments_are_finite(self):
+        # a zero critic's input gradient has norm 0 at every penalized row
+        model = small_model()
+        model.d_v = zero_mlp(K + L, 16, 1)
+        batch = random_batch()
+        grads = losses.disc_v_loss_and_grads(
+            model, batch, np.abs(batch.visual) + 0.1, LossWeights(), alpha_for(batch))[2]
+        for _, values in grads.segments():
+            assert np.all(np.isfinite(values))
 
     def test_disc_s_zero_critic_total_is_lambda4(self):
         model = small_model()

@@ -311,8 +311,11 @@ def test_slope_outside_unit_interval_rejected(slope):
         check_bounds("net", NetworkShape(4, 8, 2, negative_slope=slope))
 
 
+# the bound accepts both endpoints, and _leaky keeps the where form's bits
+# at each slope the bound accepts
 @pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
 def test_leaky_is_the_where_form_bit_for_bit(slope):
+    check_bounds("net", NetworkShape(4, 8, 2, negative_slope=slope))
     rng = np.random.default_rng(0)
     scaled = rng.standard_normal(2000) * 10.0 ** rng.integers(-320, 300, 2000)
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e308, -1e308]

@@ -19,7 +19,7 @@ from gzslgen.trainer import (
 )
 from gzslgen.losses import LossWeights
 from gzslgen.networks import classifier_forward
-from helpers import ORACLE_SPEC, ORACLE_TRAIN
+from helpers import ORACLE_SPEC, ORACLE_TRAIN, step_kinds
 
 
 def desk_bundle(samples=20, std=0.05):
@@ -107,7 +107,7 @@ class TestTrainLoop:
         _, log = train(bundle, cfg)
         kinds = {r["step"] for r in log.records}
         assert kinds == {"d_v", "g_sv"}
-        assert log.step_kinds(1) == ["d_v", "d_v", "g_sv"]
+        assert step_kinds(log, 1) == ["d_v", "d_v", "g_sv"]
 
     def test_no_sc_logs_zero_sc_contribution(self):
         bundle = desk_bundle(samples=20)
@@ -210,6 +210,8 @@ class TestTrainLoop:
             TrainConfig(optimizer=OptimizerConfig(learning_rate=0.0)).validate()
         with pytest.raises(ValidationError):
             TrainConfig(weights=LossWeights(lambda1=-1.0)).validate()
+        # the endpoints the Adam betas' bound accepts
+        TrainConfig(optimizer=OptimizerConfig(beta1=0.0, beta2=0.0)).validate()
 
     def test_library_train_checks_its_bounds_before_the_pretrain(self, monkeypatch):
         def pretrain(*args):
