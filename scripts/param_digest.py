@@ -51,9 +51,12 @@ same digest trained bit-identical parameters.
 ``--check FILE`` compares the printed lines with the ``<label> <sha256>``
 lines of ``FILE``, skipping ``#`` comment lines, and exits 1 after naming on
 stderr each line that differs. ``scripts/param_digest.expected`` holds the
-lines, with the numpy and BLAS versions they were taken with in its comment
-line; a change that alters trained bits updates it in the same commit, so
-the new digests show in its diff.
+lines; a change that alters trained bits updates it in the same commit, so
+the new digests show in its diff. Its ``environment`` line records what the
+digests were taken under: the numpy version, the BLAS name and version, and
+the CPU model, which matters because the OpenBLAS in numpy's wheels picks
+its kernels for the CPU at run time. When a digest differs and the running
+environment is not the recorded one, ``--check`` names both.
 
 Run it alone on a small host, not beside the tests, ``bench/run.py`` or
 ``scripts/bench_ab.py``: its oracle lines keep both cores of a 2-vCPU host
@@ -67,6 +70,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import platform
 import sys
 import tempfile
 from dataclasses import replace
@@ -124,10 +128,43 @@ def checkpoint_digest(params, config: TrainConfig) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
-def read_digests(path: str) -> dict[str, str]:
-    """The ``<label> <sha256>`` lines of ``path``, skipping blank and ``#`` lines."""
+ENVIRONMENT = "environment"
+
+
+def environment() -> str:
+    """The numpy version, BLAS name and version, and CPU model of this process."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = platform.processor() or platform.machine()
+    if os.path.exists("/proc/cpuinfo"):
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    return f"numpy {np.__version__}; {blas['name']} {blas['version']}; {cpu}"
+
+
+def _read_lines(path: str) -> dict[str, str]:
+    """Each ``<label> <text>`` line of ``path`` by label, skipping blank and ``#`` lines."""
     with open(path, encoding="utf-8") as fh:
-        return dict(line.split() for line in fh if line.strip() and not line.startswith("#"))
+        return dict(line.strip().split(maxsplit=1) for line in fh
+                    if line.strip() and not line.startswith("#"))
+
+
+def read_digests(path: str) -> dict[str, str]:
+    """The ``<label> <sha256>`` lines of ``path``, without its environment line."""
+    return {label: text for label, text in _read_lines(path).items() if label != ENVIRONMENT}
+
+
+def read_environment(path: str) -> str | None:
+    """The text of the environment line of ``path``; None without one."""
+    return _read_lines(path).get(ENVIRONMENT)
+
+
+def environment_note(recorded: str | None, running: str) -> str:
+    """A line naming both environments for a differing digest; empty when
+    ``running`` is the ``recorded`` one."""
+    if recorded == running:
+        return ""
+    return f"recorded under {recorded or 'no environment line'}; running under {running}"
 
 
 def differing_lines(want: dict[str, str], got: dict[str, str]) -> list[str]:
@@ -166,6 +203,9 @@ def main() -> int:
     differing = differing_lines(want, got)
     for message in differing:
         print(f"differs from {args.check}: {message}", file=sys.stderr)
+    note = environment_note(read_environment(args.check), environment())
+    if differing and note:
+        print(f"{args.check}: {note}", file=sys.stderr)
     return 1 if differing else 0
 
 

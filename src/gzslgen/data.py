@@ -39,7 +39,7 @@ SPLITS = {
     "test_seen": "seen_classes",
     "test_unseen": "unseen_classes",
 }
-_NONEMPTY = {"bound": (lambda v: len(v) > 0, "a nonempty list")}
+_CLASS_IDS = {"bound": (lambda v: 0 < len(v) == len(set(v)), "a nonempty list of distinct ids")}
 
 
 @dataclass
@@ -75,8 +75,8 @@ class DatasetMeta:
 
     feature_dim: int = field(metadata=AT_LEAST_1)
     attribute_dim: int = field(metadata=AT_LEAST_1)
-    seen_classes: list[int] = field(metadata=_NONEMPTY)
-    unseen_classes: list[int] = field(metadata=_NONEMPTY)
+    seen_classes: list[int] = field(metadata=_CLASS_IDS)
+    unseen_classes: list[int] = field(metadata=_CLASS_IDS)
     n_train: int
     n_test_seen: int
     n_test_unseen: int
@@ -122,6 +122,10 @@ class FeatureBatch:
 
 
 def validate_bundle(bundle: DatasetBundle) -> DatasetBundle:
+    for name in ("seen_classes", "unseen_classes"):
+        ids, counts = np.unique(getattr(bundle, name), return_counts=True)
+        if np.any(counts > 1):
+            raise ValidationError(f"{name} repeats class ids: {ids[counts > 1].tolist()}")
     seen = set(bundle.seen_classes)
     unseen = set(bundle.unseen_classes)
     if seen & unseen:

@@ -3,7 +3,9 @@
 Each objective has one entry point: a ``*_and_grads`` function returns the
 value, its named terms and the analytic parameter gradients, and a caller
 that needs only the value takes element 0. Each job has one body: one
-interpolation gives every penalized row; both critics call one WGAN-GP
+interpolation gives every penalized row, from the [B] coefficient vector
+``alpha`` that the caller draws (the trainer draws it from its noise stream
+right after the step's noise); both critics call one WGAN-GP
 objective, whose gradient penalty appends one term to each weight's
 gradient; one critic pull gives all three adversarial terms of the
 generators, reusing its forward's hidden preactivation; both generators
@@ -14,8 +16,10 @@ terms start at 0.0, and a term of weight 0, or the pair term at
 where nothing lies upstream of it: in the critic objective, where a
 generator's chain starts, and in the softmax fit
 (``softmax_ce_grads(..., input_grad=False)``). The test suite pins the
-values against independent term-by-term recomputation from the public term
-operations, and pins every gradient against central finite differences.
+values against references written from the paper's formulas in plain numpy
+(``tests/helpers.py``: the class centroid, the visual consistency term and
+the gradient penalty), which share no code with this module, and pins every
+gradient against central finite differences.
 
 Each ``*_and_grads`` returns its gradient as ``networks.MLPGrads``: the
 weight gradients stay products that each span their whole weight, the second
@@ -37,7 +41,7 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -149,31 +153,9 @@ def softmax_ce_grads(
     return loss, (d_logits.T @ x).T, d_logits.sum(axis=0), dx
 
 
-def class_centroid(features_of_class: np.ndarray) -> np.ndarray:
-    """Arithmetic mean over the rows of one class."""
-    if features_of_class.ndim != 2 or features_of_class.shape[0] < 1:
-        raise ContractViolation("class_centroid needs a nonempty [N_c, D] matrix")
-    return features_of_class.mean(axis=0)
-
-
 def _group_indices(labels: np.ndarray) -> list[tuple[int, np.ndarray]]:
     labels = np.asarray(labels)
     return [(int(c), np.flatnonzero(labels == c)) for c in np.unique(labels)]
-
-
-def visual_consistency_loss(
-    cycle_visual: np.ndarray,
-    labels: np.ndarray,
-    real_visual_by_class: Mapping[int, np.ndarray],
-) -> float:
-    """Mean over classes of ||centroid(x''_c) - centroid(x_c)||_2."""
-    targets = {}
-    for c, _ in _group_indices(labels):
-        if c not in real_visual_by_class:
-            raise ContractViolation(f"class {c} has no real visual features")
-        targets[c] = class_centroid(np.asarray(real_visual_by_class[c]))
-    value, _ = _centroid_match_grads(cycle_visual, labels, targets)
-    return value
 
 
 def _centroid_match_grads(
@@ -204,36 +186,14 @@ def _batch_centroid_targets(batch: FeatureBatch) -> dict[int, np.ndarray]:
 # gradient penalty
 
 
-def _interpolate(real: np.ndarray, fake: np.ndarray, mix) -> np.ndarray:
-    """Rows ``alpha*real + (1-alpha)*fake``; ``mix`` is an interpolation seed, a
-    Generator, or an explicit [B] coefficient vector ``alpha``."""
+def _interpolate(real: np.ndarray, fake: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Rows ``alpha*real + (1-alpha)*fake`` for the [B] coefficient vector ``alpha``."""
     if real.shape != fake.shape:
         raise ContractViolation(f"real {real.shape} and fake {fake.shape} must match")
     n = real.shape[0]
-    if isinstance(mix, np.ndarray):
-        if mix.shape != (n,):
-            raise ContractViolation(f"mix coefficients must have shape ({n},)")
-        alpha = mix[:, None]
-    else:
-        rng = mix if isinstance(mix, np.random.Generator) else np.random.default_rng(int(mix))
-        alpha = rng.uniform(0.0, 1.0, size=(n, 1))
-    return alpha * real + (1.0 - alpha) * fake
-
-
-def gradient_penalty(
-    critic_input_grad: Callable[[np.ndarray], np.ndarray],
-    real: np.ndarray,
-    fake: np.ndarray,
-    mix,
-) -> float:
-    """Two-sided penalty pushing the critic's input-gradient norm to 1.
-
-    ``critic_input_grad`` maps a batch of inputs to the per-row gradient of
-    the critic score w.r.t. those inputs; see ``_interpolate`` for ``mix``.
-    """
-    grads = critic_input_grad(_interpolate(real, fake, mix))
-    norms = np.linalg.norm(grads, axis=1)
-    return float(np.mean((norms - 1.0) ** 2))
+    if alpha.shape != (n,):
+        raise ContractViolation(f"alpha {alpha.shape} must match the batch ({n},)")
+    return alpha[:, None] * real + (1.0 - alpha[:, None]) * fake
 
 
 def _add_gp_grads(
@@ -277,14 +237,14 @@ def _critic_loss_and_grads(
     critic: MLPParams,
     real_in: np.ndarray,
     fake_in: np.ndarray,
-    mixed_in: np.ndarray,
+    between_in: np.ndarray,
     n_grad: int,
     lam: float,
 ) -> tuple[float, dict[str, float], MLPGrads]:
     """WGAN-GP critic objective: mean fake minus mean real score plus ``lam``
-    times the penalty on the first ``n_grad`` input columns at ``mixed_in``."""
+    times the penalty on the first ``n_grad`` input columns at ``between_in``."""
     b = real_in.shape[0]
-    cache = mlp_forward_cached(critic, np.vstack([fake_in, real_in, mixed_in]))
+    cache = mlp_forward_cached(critic, np.vstack([fake_in, real_in, between_in]))
     fake_cache, real_cache = cache.rows(0, b), cache.rows(b, 2 * b)
     ones = np.full((b, 1), 1.0 / b)
     grads, _ = mlp_backward(critic, fake_cache, ones, input_grad=False)
@@ -302,15 +262,16 @@ def disc_v_loss_and_grads(
     batch: FeatureBatch,
     synth_visual: np.ndarray,
     weights: LossWeights,
-    mix,
+    alpha: np.ndarray,
 ) -> tuple[float, dict[str, float], MLPGrads]:
-    """Conditional visual-critic objective: fake minus real score plus penalty."""
-    mixed = _interpolate(batch.visual, synth_visual, mix)
+    """Conditional visual-critic objective: fake minus real score plus penalty,
+    taken at the rows ``_interpolate(batch.visual, synth_visual, alpha)``."""
+    between = _interpolate(batch.visual, synth_visual, alpha)
     return _critic_loss_and_grads(
         model.d_v,
         real_in=np.hstack([batch.visual, batch.attributes]),
         fake_in=np.hstack([synth_visual, batch.attributes]),
-        mixed_in=np.hstack([mixed, batch.attributes]),
+        between_in=np.hstack([between, batch.attributes]),
         n_grad=batch.visual.shape[1],
         lam=weights.lambda1,
     )
@@ -321,12 +282,13 @@ def disc_s_loss_and_grads(
     batch: FeatureBatch,
     recon_attrs: np.ndarray,
     weights: LossWeights,
-    mix,
+    alpha: np.ndarray,
 ) -> tuple[float, dict[str, float], MLPGrads]:
-    """Semantic-critic objective over real vs reconstructed attributes."""
+    """Semantic-critic objective over real vs reconstructed attributes, with
+    the penalty at ``_interpolate(batch.attributes, recon_attrs, alpha)``."""
     return _critic_loss_and_grads(
         model.d_s, real_in=batch.attributes, fake_in=recon_attrs,
-        mixed_in=_interpolate(batch.attributes, recon_attrs, mix),
+        between_in=_interpolate(batch.attributes, recon_attrs, alpha),
         n_grad=recon_attrs.shape[1], lam=weights.lambda4,
     )
 

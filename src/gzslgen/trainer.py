@@ -2,7 +2,8 @@
 
 Per iteration: the visual critic takes n1 steps, the semantic critic n2
 steps, then each generator takes one step, all on the same mini-batch.
-Each critic step draws fresh generator noise. Each generator step applies
+Each critic step draws fresh generator noise, then its gradient penalty's
+interpolation coefficients. Each generator step applies
 the visual generator to the batch's own noise (``FeatureBatch.noise``) and
 draws fresh noise only for the cycle's second application. One table of
 (kind, steps, step) entries holds that schedule, and the single-GAN
@@ -271,9 +272,10 @@ def train(
     # interpolation coefficients, from rng
     schedule = [
         ("d_v", config.n1, lambda batch: losses.disc_v_loss_and_grads(
-            params, batch, synth_visual(batch), weights, rng)),
+            params, batch, synth_visual(batch), weights, rng.uniform(0.0, 1.0, len(batch)))),
         ("d_s", config.n2, lambda batch: losses.disc_s_loss_and_grads(
-            params, batch, mlp_forward(params.g_vs, synth_visual(batch)), weights, rng)),
+            params, batch, mlp_forward(params.g_vs, synth_visual(batch)), weights,
+            rng.uniform(0.0, 1.0, len(batch)))),
         ("g_sv", 1, lambda batch: losses.gen_sv_loss_and_grads(
             params, batch, weights, noise(batch), lookup[batch.labels], pair_mode)),
         ("g_vs", 1, lambda batch: losses.gen_vs_loss_and_grads(

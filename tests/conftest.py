@@ -1,8 +1,40 @@
 import os
 import re
 import sys
+import time
+from dataclasses import replace
+
+import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
+
+from gzslgen.data import make_synthetic_dataset  # noqa: E402
+from helpers import ORACLE_SEEDS, ORACLE_SPEC, ORACLE_TRAIN, train_in_pool  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def oracle_bundle():
+    return make_synthetic_dataset(ORACLE_SPEC)
+
+
+@pytest.fixture(scope="session")
+def oracle_runs(oracle_bundle):
+    """Every oracle model the suite trains, each once, in ``train_in_pool``'s
+    worker processes: full and baseline models for every pinned seed (shared
+    by criteria 6 and 7, the synthesis-quality check and the digest check
+    against ``scripts/param_digest.expected``), and seed 0's full model after
+    300 epochs (``"full_300_epochs"``, the held-out semantic-centroid check)."""
+    t0 = time.time()
+    variants = ("full", "baseline_single_gan")
+    configs = [replace(ORACLE_TRAIN, seed=seed, variant=variant)
+               for variant in variants for seed in ORACLE_SEEDS]
+    # the shortest training last, so it fills the pool's tail
+    *models, short = train_in_pool(oracle_bundle, [*configs, replace(ORACLE_TRAIN, epochs=300)])
+    runs = {variant: models[i * len(ORACLE_SEEDS): (i + 1) * len(ORACLE_SEEDS)]
+            for i, variant in enumerate(variants)}
+    runs["full_300_epochs"] = short
+    runs["train_seconds"] = time.time() - t0
+    return runs
 
 CRITERIA_LABELS = {
     1: "harmonic-mean fixtures from the benchmark table",

@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference oracles, the dense-gradient
-reference, tiny fixtures, the CLI run config, and the acceptance oracle with
-the process pool that trains its models.
+reference, the value references of the loss terms, tiny fixtures, the CLI
+run config, and the acceptance oracle with the process pool that trains its
+models.
 
 ``ORACLE_SPEC`` and ``ORACLE_TRAIN`` are the oracle dataset and training run
 of acceptance criteria 6 and 7, which ``scripts/param_digest.py`` also hashes.
@@ -24,6 +25,7 @@ from unittest import mock
 import numpy as np
 
 from gzslgen.data import DatasetBundle, FeatureBatch, SyntheticSpec
+from gzslgen.errors import ContractViolation
 from gzslgen.networks import (
     MLPGrads,
     MLPParams,
@@ -46,6 +48,9 @@ ORACLE_TRAIN = TrainConfig(
     batch_size=30, epochs=600, hidden_dim=64,
     optimizer=OptimizerConfig(learning_rate=1e-4, beta2=0.999), seed=0,
 )
+
+# the seeds of criteria 6 and 7, each trained as full and as baseline_single_gan
+ORACLE_SEEDS = (0, 1, 2, 3, 4)
 
 CLI_SPEC = {
     "n_seen_classes": 3, "n_unseen_classes": 2,
@@ -120,6 +125,49 @@ def check_param_grads(fn, params: MLPParams, analytic: MLPGrads, step=1e-5) -> d
 def critic_grads(critic: MLPParams, u: np.ndarray) -> np.ndarray:
     """``critic_input_grads`` at ``u``, from the cache of a forward over ``u``."""
     return critic_input_grads(critic, mlp_forward_cached(critic, u))
+
+
+# ---------------------------------------------------------------------------
+# value references of the loss terms, written from the paper's formulas in
+# plain numpy: they share no code with ``gzslgen.losses``, so a fault in a
+# helper there cannot hide in the reference it is checked against
+
+
+def class_centroid(features_of_class: np.ndarray) -> np.ndarray:
+    """Arithmetic mean over the rows of one class."""
+    if features_of_class.ndim != 2 or features_of_class.shape[0] < 1:
+        raise ContractViolation("class_centroid needs a nonempty [N_c, D] matrix")
+    return features_of_class.mean(axis=0)
+
+
+def visual_consistency_loss(
+    cycle_visual: np.ndarray, labels: np.ndarray, real_visual_by_class: dict
+) -> float:
+    """Mean over the classes c in ``labels`` of ||centroid(x''_c) - centroid(x_c)||_2."""
+    distances = []
+    for c in np.unique(labels).tolist():
+        if c not in real_visual_by_class:
+            raise ContractViolation(f"class {c} has no real visual features")
+        real = class_centroid(np.asarray(real_visual_by_class[c]))
+        distances.append(np.linalg.norm(class_centroid(cycle_visual[labels == c]) - real))
+    return float(np.mean(distances))
+
+
+def gradient_penalty(critic_input_grad, real: np.ndarray, fake: np.ndarray, mix) -> float:
+    """WGAN-GP's two-sided penalty mean((||grad_u D(u)||_2 - 1)^2) at the rows
+    u = alpha*real + (1-alpha)*fake.
+
+    ``critic_input_grad`` maps a batch of inputs to the per-row gradient of
+    the critic score w.r.t. those inputs. ``mix`` is the [B] coefficient
+    vector alpha, or a seed from which alpha is drawn uniformly in [0, 1).
+    """
+    if real.shape != fake.shape:
+        raise ContractViolation(f"real {real.shape} and fake {fake.shape} must match")
+    if not isinstance(mix, np.ndarray):
+        mix = np.random.default_rng(mix).uniform(0.0, 1.0, real.shape[0])
+    rows = mix[:, None] * real + (1.0 - mix[:, None]) * fake
+    norms = np.linalg.norm(critic_input_grad(rows), axis=1)
+    return float(np.mean((norms - 1.0) ** 2))
 
 
 def step_kinds(log: TrainLog, iteration: int) -> list[str]:

@@ -16,7 +16,6 @@ geometric mean, and must reject both on every row.
 import json
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,12 +24,7 @@ from gzslgen import losses
 from gzslgen.cli import main as cli_main
 from gzslgen.data import SyntheticSpec, make_synthetic_dataset, oracle_class_means
 from gzslgen.evaluation import EvalConfig, evaluate_gzsl, harmonic_mean, sweep_samples
-from gzslgen.losses import (
-    LossWeights,
-    class_centroid,
-    gradient_penalty,
-    visual_consistency_loss,
-)
+from gzslgen.losses import LossWeights
 from gzslgen.matio import dumps_json
 from gzslgen.networks import (
     LinearParams,
@@ -42,11 +36,13 @@ from gzslgen.networks import (
 from gzslgen.synthesis import SynthesisRequest, synthesize_features
 from gzslgen.trainer import OptimizerConfig, TrainConfig, pretrain_classifier, train
 from helpers import (
+    ORACLE_SEEDS,
     ORACLE_SPEC,
-    ORACLE_TRAIN,
     check_param_grads,
+    class_centroid,
     cli_config,
     critic_grads,
+    gradient_penalty,
     linear_critic,
     load_script,
     numeric_grad,
@@ -54,37 +50,9 @@ from helpers import (
     rel_error,
     small_model,
     step_kinds,
-    train_in_pool,
+    visual_consistency_loss,
     zero_mlp,
 )
-
-# ---------------------------------------------------------------------------
-# pinned desk-scale oracle experiment (criteria 6 and 7)
-
-ORACLE_SEEDS = (0, 1, 2, 3, 4)
-
-
-@pytest.fixture(scope="module")
-def oracle_bundle():
-    return make_synthetic_dataset(ORACLE_SPEC)
-
-
-@pytest.fixture(scope="module")
-def oracle_runs(oracle_bundle):
-    """Train full and baseline models for every pinned seed (shared by 6, 7
-    and the synthesis-quality check), in ``train_in_pool``'s worker
-    processes; seed 0's bytes are checked against
-    ``scripts/param_digest.expected`` below."""
-    t0 = time.time()
-    variants = ("full", "baseline_single_gan")
-    configs = [replace(ORACLE_TRAIN, seed=seed, variant=variant)
-               for variant in variants for seed in ORACLE_SEEDS]
-    models = train_in_pool(oracle_bundle, configs)
-    runs = {variant: models[i * len(ORACLE_SEEDS): (i + 1) * len(ORACLE_SEEDS)]
-            for i, variant in enumerate(variants)}
-    runs["train_seconds"] = time.time() - t0
-    return runs
-
 
 # ---------------------------------------------------------------------------
 # criterion 1 — harmonic-mean fixtures (benchmark table rows, percent units)
@@ -427,12 +395,14 @@ def test_oracle_seed_0_models_match_their_recorded_digests(oracle_runs):
     ``scripts/param_digest.py`` trains, so a change to training's rounding at
     oracle shape shows here as well as in that script's ``--check``."""
     param_digest = load_script("param_digest")
-    want = param_digest.read_digests(
-        os.path.join(os.path.dirname(param_digest.__file__), "param_digest.expected"))
+    path = os.path.join(os.path.dirname(param_digest.__file__), "param_digest.expected")
+    want = param_digest.read_digests(path)
+    note = param_digest.environment_note(
+        param_digest.read_environment(path), param_digest.environment())
     seed_0 = ORACLE_SEEDS.index(0)
     for variant in ("full", "baseline_single_gan"):
         got = param_digest._sha256(oracle_runs[variant][seed_0].all_arrays())
-        assert got == want[variant], variant
+        assert got == want[variant], f"{variant} {note}".rstrip()
 
 
 # ---------------------------------------------------------------------------

@@ -382,8 +382,23 @@ def test_empty_class_list_is_named(tmp_path, capsys, field):
     cfg = write_dataset_config(tmp_path / "cfg.json", tmp_path / "run", ds)
     assert main(["train", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert f"{ds / 'meta.json'}.{field} must be a nonempty list, got []" in err
+    assert f"{ds / 'meta.json'}.{field} must be a nonempty list of distinct ids, got []" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_repeated_class_id_is_named(tmp_path, capsys):
+    # a repeated seen id would give class 2 an unfit classifier column
+    ds = tmp_path / "ds"
+    assert main(["synth-data", "--spec", str(write_spec(tmp_path)), "--out", str(ds)]) == 0
+    meta = json.loads((ds / "meta.json").read_text())
+    meta["seen_classes"].append(2)
+    (ds / "meta.json").write_text(dumps_json(meta))
+    cfg = write_dataset_config(tmp_path / "cfg.json", tmp_path / "run", ds)
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert (f"{ds / 'meta.json'}.seen_classes must be a nonempty list of distinct ids, "
+            "got [0, 1, 2, 2]") in err
     assert not (tmp_path / "run").exists()
 
 

@@ -223,6 +223,15 @@ def test_validate_bundle_rejects_nan():
         validate_bundle(bundle)
 
 
+@pytest.mark.parametrize("field, ids", [("seen_classes", (0, 1, 2, 2)),
+                                       ("unseen_classes", (3, 4, 3))])
+def test_validate_bundle_names_a_repeated_class_id(field, ids):
+    bundle = make_synthetic_dataset(oracle_spec(samples_per_class=2))
+    setattr(bundle, field, ids)
+    with pytest.raises(ValidationError, match=rf"{field} repeats class ids: \[{ids[-1]}\]"):
+        validate_bundle(bundle)
+
+
 def test_normalize_flag_scales_by_train_max(tmp_path):
     bundle = make_synthetic_dataset(oracle_spec(samples_per_class=5))
     save_dataset(bundle, str(tmp_path / "ds"))

@@ -5,12 +5,7 @@ import pytest
 
 from gzslgen import losses, networks, trainer
 from gzslgen.errors import ContractViolation
-from gzslgen.losses import (
-    LossWeights,
-    class_centroid,
-    gradient_penalty,
-    visual_consistency_loss,
-)
+from gzslgen.losses import LossWeights
 from gzslgen.trainer import Adam, OptimizerConfig
 from gzslgen.networks import (
     LinearParams,
@@ -21,11 +16,14 @@ from gzslgen.networks import (
 )
 from helpers import (
     check_param_grads,
+    class_centroid,
     critic_grads,
     dense_reference,
+    gradient_penalty,
     linear_critic,
     random_batch,
     small_model,
+    visual_consistency_loss,
     zero_mlp,
 )
 
@@ -221,10 +219,6 @@ class TestGradientPenalty:
         alpha = rng.uniform(0, 1, size=B)
         want = alpha[:, None] * real + (1.0 - alpha[:, None]) * fake
         assert np.array_equal(losses._interpolate(real, fake, alpha), want)
-        drawn = np.random.default_rng(13).uniform(0, 1, (B, 1))
-        want = drawn * real + (1.0 - drawn) * fake
-        assert np.array_equal(losses._interpolate(real, fake, np.random.default_rng(13)), want)
-        assert np.array_equal(losses._interpolate(real, fake, 13), want)
 
     def test_disc_v_penalty_term_at_the_literal_rows(self):
         # small_model's leaky critic has an input gradient that depends on
@@ -241,19 +235,25 @@ class TestGradientPenalty:
         assert terms["gp"] == pytest.approx(want, rel=1e-12)
 
     def test_mismatched_real_and_fake_rejected(self):
-        # one interpolation checks the shapes for the penalty and both critics
+        # one interpolation checks the shapes and alpha's length for both
+        # critics; the reference penalty checks the shapes on its own
         model = small_model()
         batch = random_batch()
         w = LossWeights()
         grad_fn = lambda u: np.zeros_like(u)
+        alpha = alpha_for(batch)
         calls = [
-            lambda: losses.disc_v_loss_and_grads(model, batch, batch.visual[:-1], w, 0)[0],
-            lambda: losses.disc_s_loss_and_grads(model, batch, batch.attributes[:, :-1], w, 0)[0],
+            lambda: losses.disc_v_loss_and_grads(model, batch, batch.visual[:-1], w, alpha)[0],
+            lambda: losses.disc_s_loss_and_grads(
+                model, batch, batch.attributes[:, :-1], w, alpha)[0],
             lambda: gradient_penalty(grad_fn, batch.attributes, batch.attributes[:-1], 0),
         ]
         for call in calls:
             with pytest.raises(ContractViolation, match="must match"):
                 call()
+        # a length-1 alpha would broadcast silently over the batch
+        with pytest.raises(ContractViolation, match=r"alpha \(1,\) must match the batch \(6,\)"):
+            losses.disc_v_loss_and_grads(model, batch, batch.visual, w, alpha[:1])
 
 
 class TestCriticObjectives:

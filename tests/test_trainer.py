@@ -19,7 +19,7 @@ from gzslgen.trainer import (
 )
 from gzslgen.losses import LossWeights
 from gzslgen.networks import classifier_forward
-from helpers import ORACLE_SPEC, ORACLE_TRAIN, step_kinds
+from helpers import ORACLE_SPEC, step_kinds
 
 
 def desk_bundle(samples=20, std=0.05):
@@ -331,7 +331,7 @@ def test_full_variant_keeps_configured_weights():
     assert w.lambda5 == 0.1
 
 
-def test_heldout_semantic_centroid_loss_decreases():
+def test_heldout_semantic_centroid_loss_decreases(oracle_bundle, oracle_runs):
     # the oracle's linear semantic map makes the reconstruction learnable:
     # after training, centroid error on a held-out batch drops vs iteration 0
     from gzslgen import losses
@@ -339,12 +339,9 @@ def test_heldout_semantic_centroid_loss_decreases():
     from gzslgen.networks import init_params, mlp_forward
     from gzslgen.seeds import child_seed
 
-    bundle = make_synthetic_dataset(ORACLE_SPEC)
-    cfg = replace(ORACLE_TRAIN, epochs=300)
-
     def heldout_sc(model):
         vals = []
-        for batch in batch_iterator(bundle, 30, epoch_seed=987654):
+        for batch in batch_iterator(oracle_bundle, 30, epoch_seed=987654):
             synth = mlp_forward(model.g_sv, np.hstack([batch.attributes, batch.noise]))
             recon = mlp_forward(model.g_vs, synth)
             vals.append(losses._centroid_match_grads(
@@ -352,8 +349,7 @@ def test_heldout_semantic_centroid_loss_decreases():
         return float(np.mean(vals))
 
     initial = init_params(16, 4, 3, seed=child_seed(0, "init"), hidden_dim=64)
-    trained, _ = train(bundle, cfg)
-    assert heldout_sc(trained) < heldout_sc(initial)
+    assert heldout_sc(oracle_runs["full_300_epochs"]) < heldout_sc(initial)
 
 
 def relabelled(bundle, new_ids):
