@@ -10,7 +10,10 @@ unknown field. Both documents are typed through ``matio.read_fields``, so a
 malformed value is an error naming the field. ``RunConfig.validate`` checks
 each section's field bounds with ``matio.check_bounds``: the spec's as
 ``synthetic.*``, training's as ``train.*`` and evaluation's, ``counts``
-included, as ``eval.*``; its own check is that exactly one data source is named.
+included, as ``eval.*``; its own checks are that exactly one data source is
+named and that ``normalize`` has a dataset directory to rescale. An older
+checkpoint that records ``normalize`` beside a synthetic source, where it was
+ignored, loads with it off.
 ``load_checkpoint`` checks that the metadata's ``version`` is 1 and the bounds
 of each metadata section it reads, so a network shape out of range is named as
 ``network_shapes.<net>.<field>``. Its networks, and the member names of every
@@ -61,6 +64,8 @@ class RunConfig:
             raise ValidationError(
                 "config must name exactly one data source: 'dataset' or 'synthetic'"
             )
+        if self.normalize and self.dataset is None:
+            raise ValidationError("normalize needs a 'dataset' source, not 'synthetic'")
         if self.synthetic is not None:
             self.synthetic.validate()
         self.train.validate()
@@ -220,6 +225,9 @@ def load_checkpoint(path: str) -> tuple[ModelParams, RunConfig]:
         if isinstance(part, dict):
             for key in keys:
                 part.pop(key, None)
+    # older runs accepted normalize beside a synthetic source and ignored it
+    if isinstance(run_doc, dict) and "synthetic" in run_doc and run_doc.get("normalize") is True:
+        run_doc["normalize"] = False
     try:
         return params, parse_run_config(run_doc)
     except ValidationError as exc:

@@ -6,6 +6,7 @@ import zipfile
 import numpy as np
 import pytest
 
+from gzslgen import losses
 from gzslgen.config import (
     RunConfig,
     effective_dict,
@@ -16,8 +17,7 @@ from gzslgen.config import (
 from gzslgen.data import SyntheticSpec, make_synthetic_dataset
 from gzslgen.cli import main
 from gzslgen.errors import FormatError, TrainingDiverged, ValidationError
-from gzslgen.evaluation import evaluate_gzsl
-from gzslgen.networks import init_params
+from gzslgen.networks import NETWORKS, init_params
 from gzslgen.matio import write_archive
 from gzslgen.trainer import OptimizerConfig, TrainConfig, train
 
@@ -115,19 +115,11 @@ class TestCheckpoint:
         loaded, loaded_cfg = load_checkpoint(path)
         for a, b in zip(model.all_arrays(), loaded.all_arrays()):
             assert np.array_equal(a, b)
+        # the shapes too, so the loaded model computes as the saved one
+        for name in NETWORKS:
+            assert getattr(loaded, name).shape == getattr(model, name).shape
         assert loaded.g_sv.shape.output_activation == "relu"
         assert loaded_cfg.train.seed == cfg.train.seed
-
-    def test_reload_evaluates_identically(self, tmp_path):
-        cfg = tiny_run_config(out=str(tmp_path))
-        bundle = cfg.resolve_bundle()
-        model, _ = train(bundle, cfg.train)
-        path = str(tmp_path / "checkpoint.zip")
-        save_checkpoint(path, model, cfg)
-        loaded, _ = load_checkpoint(path)
-        a = evaluate_gzsl(model, bundle, cfg.eval)
-        b = evaluate_gzsl(loaded, bundle, cfg.eval)
-        assert a.to_dict() == b.to_dict()
 
     @pytest.mark.parametrize("section,key,old_default", RETIRED_KEYS,
                              ids=[f"{s}.{k}" for s, k, _ in RETIRED_KEYS])
@@ -146,6 +138,16 @@ class TestCheckpoint:
         # a run config that still names the key is rejected, not ignored
         with pytest.raises(ValidationError, match=f"unknown {section} field.*{key}"):
             parse_run_config(meta["run_config"])
+
+    def test_older_checkpoint_with_normalize_beside_synthetic_loads(self, tmp_path):
+        # that pair was accepted and ignored before the run config rejected it
+        cfg = tiny_run_config(out=str(tmp_path))
+        path = str(tmp_path / "checkpoint.zip")
+        save_checkpoint(path, init_params(8, 2, 2, seed=0, hidden_dim=8), cfg)
+        meta, arrays = archive_contents(path)
+        meta["run_config"]["normalize"] = True
+        write_archive(path, meta, arrays)
+        assert load_checkpoint(path)[1].normalize is False
 
     @pytest.mark.parametrize("keys", [
         ("network_shapes", "d_v", "negative_slope"),
@@ -220,15 +222,6 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
         assert re.search(named, capsys.readouterr().err.strip())
-
-    def test_identical_params_identical_bytes(self, tmp_path):
-        cfg = tiny_run_config(out=str(tmp_path))
-        bundle = cfg.resolve_bundle()
-        model, _ = train(bundle, cfg.train)
-        p1, p2 = str(tmp_path / "a.zip"), str(tmp_path / "b.zip")
-        save_checkpoint(p1, model, cfg)
-        save_checkpoint(p2, model, cfg)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_round_trip_keeps_special_values_bit_for_bit(self, tmp_path):
         cfg = tiny_run_config(out=str(tmp_path))
@@ -321,7 +314,24 @@ def test_divergence_names_term_and_iteration():
         SyntheticSpec(2, 1, 8, 2, 8, 0.05, projection_seed=1, noise_seed=2))
     config = TrainConfig(batch_size=8, epochs=5, hidden_dim=8,
                          optimizer=OptimizerConfig(learning_rate=1e150), seed=0)
-    with pytest.raises(TrainingDiverged, match=r"iteration \d+"):
+    with pytest.raises(TrainingDiverged,
+                       match=r"^non-finite loss term '\w+' in d_v at iteration 1$"):
+        train(bundle, config)
+
+
+def test_non_finite_total_with_finite_terms_names_the_total(monkeypatch):
+    original = losses.disc_v_loss_and_grads
+
+    def infinite_total(*args, **kwargs):
+        _, terms, grads = original(*args, **kwargs)
+        return float("inf"), terms, grads
+
+    monkeypatch.setattr(losses, "disc_v_loss_and_grads", infinite_total)
+    bundle = make_synthetic_dataset(
+        SyntheticSpec(2, 1, 8, 2, 8, 0.05, projection_seed=1, noise_seed=2))
+    config = TrainConfig(batch_size=8, epochs=1, hidden_dim=8, seed=0)
+    with pytest.raises(TrainingDiverged,
+                       match=r"^non-finite loss term 'total' in d_v at iteration 1$"):
         train(bundle, config)
 
 

@@ -33,13 +33,6 @@ class TestSyntheticDataset:
         assert bundle.visual_test_unseen.shape == (100, 16)  # 2 * 50
         assert bundle.attributes.shape == (5, 4)
 
-    def test_determinism(self):
-        a = make_synthetic_dataset(oracle_spec())
-        b = make_synthetic_dataset(oracle_spec())
-        assert np.array_equal(a.visual_train, b.visual_train)
-        assert np.array_equal(a.attributes, b.attributes)
-        assert np.array_equal(a.visual_test_unseen, b.visual_test_unseen)
-
     def test_zero_std_limit_collapses_to_class_means(self):
         spec = oracle_spec(cluster_std=1e-300, samples_per_class=3)
         bundle = make_synthetic_dataset(spec)
@@ -174,15 +167,6 @@ class TestBatchIterator:
         assert len(list(batch_iterator(bundle, 25, 0))) == 6
         sizes = [len(b) for b in batch_iterator(bundle, 40, 0)]
         assert sizes == [40, 40, 40, 30]  # remainder batch included
-
-    def test_deterministic_given_epoch_seed(self):
-        bundle = make_synthetic_dataset(oracle_spec())
-        a = list(batch_iterator(bundle, 25, 42))
-        b = list(batch_iterator(bundle, 25, 42))
-        for x, y in zip(a, b):
-            assert np.array_equal(x.labels, y.labels)
-            assert np.array_equal(x.noise, y.noise)
-            assert np.array_equal(x.visual, y.visual)
 
     def test_attribute_rows_match_labels(self):
         bundle = make_synthetic_dataset(oracle_spec())

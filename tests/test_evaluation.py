@@ -124,11 +124,20 @@ class TestEvaluateGzsl:
         assert ts == 0.0
         assert harmonic_mean(ts, 1.0) == 0.0
 
-    def test_deterministic(self, oracle):
-        model, _ = train(oracle, quick_config())
-        a = evaluate_gzsl(model, oracle, EvalConfig(n_per_class=20))
-        b = evaluate_gzsl(model, oracle, EvalConfig(n_per_class=20))
-        assert a.to_dict() == b.to_dict()
+    def test_fit_sees_the_real_seen_rows_only_when_included(self, oracle, monkeypatch):
+        fit = evaluation.fit_gzsl_classifier
+        rows = []
+
+        def counted_fit(features, labels, *args, **kwargs):
+            rows.append(len(features))
+            return fit(features, labels, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_gzsl_classifier", counted_fit)
+        model = init_params(12, 3, 3, seed=0, hidden_dim=16)
+        for include in (False, True):
+            evaluate_gzsl(model, oracle, EvalConfig(n_per_class=4, include_real_seen=include))
+        synthesized = 4 * len(oracle.all_classes)
+        assert rows == [synthesized, synthesized + len(oracle.labels_train)]
 
 
 class TestAblationAndSweep:

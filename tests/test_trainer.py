@@ -19,7 +19,7 @@ from gzslgen.trainer import (
 )
 from gzslgen.losses import LossWeights
 from gzslgen.networks import classifier_forward
-from helpers import ORACLE_SPEC, step_kinds
+from helpers import ORACLE_SEEDS, ORACLE_SPEC, step_kinds
 
 
 def desk_bundle(samples=20, std=0.05):
@@ -55,13 +55,6 @@ class TestPretrain:
         cls = pretrain_classifier(bundle, desk_config(batch_size=5))
         preds = classifier_forward(cls, bundle.visual_train).argmax(axis=1)
         assert np.mean(preds == 0) == 1.0
-
-    def test_deterministic(self):
-        bundle = desk_bundle()
-        a = pretrain_classifier(bundle, desk_config())
-        b = pretrain_classifier(bundle, desk_config())
-        assert np.array_equal(a.w, b.w)
-        assert np.array_equal(a.b, b.b)
 
     def test_missing_seen_class_rejected(self):
         bundle = desk_bundle()
@@ -115,23 +108,6 @@ class TestTrainLoop:
         sc_terms = [r["terms"]["sc"] for r in log.records if r["step"] == "g_vs"]
         assert sc_terms and all(v == 0.0 for v in sc_terms)
 
-    def test_identical_runs_produce_identical_logs(self):
-        bundle = desk_bundle(samples=20)
-        _, log_a = train(bundle, desk_config(epochs=2))
-        _, log_b = train(bundle, desk_config(epochs=2))
-        assert len(log_a.records) == len(log_b.records)
-        for ra, rb in zip(log_a.records, log_b.records):
-            assert ra["loss"] == rb["loss"]
-            assert ra["terms"] == rb["terms"]
-            assert ra["grad_norm"] == rb["grad_norm"]
-
-    def test_identical_runs_produce_identical_params(self):
-        bundle = desk_bundle(samples=20)
-        model_a, _ = train(bundle, desk_config(epochs=2))
-        model_b, _ = train(bundle, desk_config(epochs=2))
-        for x, y in zip(model_a.all_arrays(), model_b.all_arrays()):
-            assert np.array_equal(x, y)
-
     def test_classifier_changed_during_training_raises(self):
         # an exception, not an assert, so ``python -O`` keeps the check
         def nudge(kind, iteration, params):
@@ -139,29 +115,6 @@ class TestTrainLoop:
 
         with pytest.raises(ContractViolation, match="seen-class classifier"):
             train(desk_bundle(samples=20), desk_config(), step_callback=nudge)
-
-    def test_critic_and_generator_updates_are_isolated(self):
-        bundle = desk_bundle(samples=20)
-        cfg = desk_config(epochs=1)
-        snapshots = {}
-        changed = {"d_v": set(), "d_s": set(), "g_sv": set(), "g_vs": set()}
-
-        def callback(kind, iteration, params):
-            current = {
-                "d_v": params.d_v.w1.copy(), "d_s": params.d_s.w1.copy(),
-                "g_sv": params.g_sv.w1.copy(), "g_vs": params.g_vs.w1.copy(),
-            }
-            if snapshots:
-                for name, arr in current.items():
-                    if not np.array_equal(arr, snapshots[name]):
-                        changed[kind].add(name)
-            snapshots.update(current)
-
-        train(bundle, cfg, step_callback=callback)
-        for kind, touched in changed.items():
-            assert touched <= {kind}, f"{kind} step modified {touched}"
-        assert changed["d_v"] == {"d_v"}
-        assert changed["g_sv"] == {"g_sv"}
 
     @pytest.mark.parametrize("kind,loss_fn", [
         ("d_v", "disc_v_loss_and_grads"),
@@ -235,27 +188,6 @@ def test_child_seeds_of_roots_2_48_apart_differ():
     from gzslgen.seeds import child_seed
 
     assert child_seed(0, "init") != child_seed(2**48, "init")
-
-
-class TestAdam:
-    def test_matches_reference_formula(self):
-        rng = np.random.default_rng(0)
-        theta = rng.standard_normal(5)
-        arrays = {"p": theta.copy()}
-        cfg = OptimizerConfig(learning_rate=0.01, beta1=0.5, beta2=0.9)
-        opt = Adam(arrays["p"], cfg)
-        m = np.zeros(5)
-        v = np.zeros(5)
-        expected = theta.copy()
-        for t in range(1, 4):
-            g = rng.standard_normal(5)
-            opt.step([(0, g.copy())])
-            m = 0.5 * m + 0.5 * g
-            v = 0.9 * v + 0.1 * g * g
-            m_hat = m / (1 - 0.5**t)
-            v_hat = v / (1 - 0.9**t)
-            expected -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
-            np.testing.assert_allclose(arrays["p"], expected, rtol=1e-12)
 
 
 class TestAdamBiasCorrection:
@@ -349,7 +281,7 @@ def test_heldout_semantic_centroid_loss_decreases(oracle_bundle, oracle_runs):
         return float(np.mean(vals))
 
     initial = init_params(16, 4, 3, seed=child_seed(0, "init"), hidden_dim=64)
-    assert heldout_sc(oracle_runs["full_300_epochs"]) < heldout_sc(initial)
+    assert heldout_sc(oracle_runs["full"][ORACLE_SEEDS.index(0)]) < heldout_sc(initial)
 
 
 def relabelled(bundle, new_ids):
