@@ -30,7 +30,6 @@ from gzslgen.networks import (
     LinearParams,
     disc_v_forward,
     gen_sv_forward,
-    init_params,
     mlp_forward,
 )
 from gzslgen.synthesis import SynthesisRequest, synthesize_features

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+import threading
 import zipfile
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 from gzslgen import losses
 from gzslgen.config import (
-    RunConfig,
     effective_dict,
     load_checkpoint,
     parse_run_config,
@@ -111,7 +111,9 @@ class TestCheckpoint:
         bundle = cfg.resolve_bundle()
         model, _ = train(bundle, cfg.train)
         path = str(tmp_path / "checkpoint.zip")
+        threads = threading.enumerate()
         save_checkpoint(path, model, cfg)
+        assert threading.enumerate() == threads  # the archive's writer thread has ended
         loaded, loaded_cfg = load_checkpoint(path)
         for a, b in zip(model.all_arrays(), loaded.all_arrays()):
             assert np.array_equal(a, b)
@@ -254,6 +256,22 @@ class TestCheckpoint:
         err = capsys.readouterr().err
         assert path in err and "CRC" in err
 
+    # a save killed part-way through an in-place overwrite leaves the first
+    # bytes of the new archive over the old one: same shapes, other values
+    @pytest.mark.parametrize("share", [0.1, 0.5, 0.9])
+    def test_torn_in_place_save_fails_its_crc(self, tmp_path, capsys, share):
+        cfg = tiny_run_config(out=str(tmp_path))
+        path, new = str(tmp_path / "checkpoint.zip"), str(tmp_path / "new.zip")
+        save_checkpoint(path, init_params(8, 2, 2, seed=0, hidden_dim=8), cfg)
+        save_checkpoint(new, init_params(8, 2, 2, seed=1, hidden_dim=8), cfg)
+        data = open(new, "rb").read()
+        with open(path, "r+b") as fh:
+            fh.write(data[: int(share * len(data))])
+        with pytest.raises(FormatError, match="CRC"):
+            load_checkpoint(path)
+        assert main(["evaluate", "--checkpoint", path, "--out", str(tmp_path / "eval")]) == 2
+        assert "CRC" in capsys.readouterr().err
+
     # a member's size is checked against its declared shape before anything of
     # that shape is allocated
     @pytest.mark.parametrize("name", ["d_v_b1", "cls_w"])
@@ -292,7 +310,10 @@ class TestCheckpoint:
 ARCHIVE_SHA256 = "5d5c862917b92c373661e879f14b8739e13053d6b88e5c54fe5e57ea5a6558f5"
 
 
-def test_archive_bytes_are_frozen(tmp_path):
+# the archive is written in place, so a longer file already at the path must
+# not leave its tail behind
+@pytest.mark.parametrize("held", [None, b"\xff" * (1 << 20)], ids=["fresh-path", "longer-file"])
+def test_archive_bytes_are_frozen(tmp_path, held):
     meta = {"format": "frozen", "shapes": {"c": [2, 2], "t": [3, 2], "f": [3]}}
     arrays = {
         "c": np.array([[1.5, -0.0], [np.inf, 5e-324]]),
@@ -300,6 +321,8 @@ def test_archive_bytes_are_frozen(tmp_path):
         "f": np.array([0.1, -2.5, 3.0], dtype=np.float32),
     }
     path = tmp_path / "archive.zip"
+    if held is not None:
+        path.write_bytes(held)
     write_archive(str(path), meta, arrays)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == ARCHIVE_SHA256
     read_meta, read = archive_contents(path)
