@@ -22,9 +22,10 @@ An eighth ``paper_train <sha256>`` line checks training itself at paper
 shape: ``SyntheticSpec(40, 10, 2048, 85, 6, 0.1, 0, 0)`` trained with
 ``TrainConfig(epochs=1, seed=0)``, hashing ``ModelParams.all_arrays()``. Its
 240 rows make three batches of 64 and a last one of 48, and its weight
-gradients are formed several blocks of rows at a time
-(``networks.MLPGrads.segments``), which the H=64 oracle lines, one block per
-gradient, cannot reach. It adds about twenty seconds.
+gradients are formed several blocks of rows at a time, as pieces that tile
+the flat buffer in order (``networks.MLPGrads.segments``), which the H=64
+oracle lines, one block per gradient, cannot reach. It adds about twenty
+seconds.
 
 A ninth ``checkpoint <sha256>`` line hashes the archive bytes that
 ``save_checkpoint`` writes for the oracle ``full`` model, with the oracle

@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
+from typing import Iterator
 
 import numpy as np
 
@@ -60,21 +62,24 @@ def _configure(args, embedded: RunConfig | None = None) -> RunConfig:
     return cfg
 
 
-def _prepare_run(args, test_rows: bool) -> tuple[RunConfig, DatasetBundle]:
+@contextmanager
+def _prepare_run(args, test_rows: bool) -> Iterator[tuple[RunConfig, DatasetBundle]]:
     """The run config and dataset of a command that trains, once the dataset has
-    the rows it needs, and its output directory holding ``config_effective.json``.
+    the rows it needs, and its output directory; ``config_effective.json`` is
+    written there when the command's body has written its outputs.
 
     Every seen class needs training rows, and with ``test_rows`` every class
     needs test rows, so a dataset without them is rejected before anything is
-    written or trained.
+    written or trained. A body that raises leaves the directory's previous
+    ``config_effective.json`` beside the previous run's outputs.
     """
     cfg = _configure(args)
     bundle = cfg.resolve_bundle()
     check_rows(bundle, training_rows=True, test_rows=test_rows)
     os.makedirs(cfg.out, exist_ok=True)
+    yield cfg, bundle
     with open(os.path.join(cfg.out, "config_effective.json"), "w", encoding="utf-8") as fh:
         fh.write(dumps_json(effective_dict(cfg)))
-    return cfg, bundle
 
 
 def _load_model(args) -> tuple[ModelParams, RunConfig, DatasetBundle]:
@@ -103,12 +108,12 @@ def _write_report(out_dir: str, rows: list[tuple[str, EvalReport]]) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg, bundle = _prepare_run(args, test_rows=False)
-    params, log = train(bundle, cfg.train)
-    ckpt = os.path.join(cfg.out, CHECKPOINT_NAME)
-    save_checkpoint(ckpt, params, cfg)
-    log.checkpoint_path = ckpt
-    write_train_log(log, os.path.join(cfg.out, "train_log.jsonl"), effective_dict(cfg))
+    with _prepare_run(args, test_rows=False) as (cfg, bundle):
+        params, log = train(bundle, cfg.train)
+        ckpt = os.path.join(cfg.out, CHECKPOINT_NAME)
+        save_checkpoint(ckpt, params, cfg)
+        log.checkpoint_path = ckpt
+        write_train_log(log, os.path.join(cfg.out, "train_log.jsonl"), effective_dict(cfg))
     print(f"trained {cfg.train.variant} variant: checkpoint at {ckpt}")
     return 0
 
@@ -123,19 +128,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    cfg, bundle = _prepare_run(args, test_rows=True)
-    rows = run_ablation(bundle, cfg.train, args.variants or list(VARIANTS), cfg.eval)
-    _write_report(cfg.out, rows)
+    with _prepare_run(args, test_rows=True) as (cfg, bundle):
+        rows = run_ablation(bundle, cfg.train, args.variants or list(VARIANTS), cfg.eval)
+        _write_report(cfg.out, rows)
     print(format_report_table(rows), end="")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg, bundle = _prepare_run(args, test_rows=True)
-    curve = sweep_samples(bundle, cfg.train, cfg.counts, cfg.eval)
-    doc = {"curve": [{"n_per_class": n, "H": h} for n, h in curve]}
-    with open(os.path.join(cfg.out, "curve.json"), "w", encoding="utf-8") as fh:
-        fh.write(dumps_json(doc))
+    with _prepare_run(args, test_rows=True) as (cfg, bundle):
+        curve = sweep_samples(bundle, cfg.train, cfg.counts, cfg.eval)
+        doc = {"curve": [{"n_per_class": n, "H": h} for n, h in curve]}
+        with open(os.path.join(cfg.out, "curve.json"), "w", encoding="utf-8") as fh:
+            fh.write(dumps_json(doc))
     for n, h in curve:
         print(f"n_per_class={n:>6d}  H={h:.4f}")
     return 0

@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -176,20 +176,18 @@ def make_synthetic_dataset(spec: SyntheticSpec) -> DatasetBundle:
     c_total = spec.n_seen_classes + spec.n_unseen_classes
     k, s = spec.feature_dim, spec.samples_per_class
     rng_noise = np.random.default_rng(spec.noise_seed)
-
-    def draw(classes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        feats = np.vstack(
-            [means[c] + spec.cluster_std * rng_noise.standard_normal((s, k)) for c in classes]
-        )
-        labels = np.repeat(np.asarray(classes, dtype=np.int64), s)
-        return feats, labels
-
     classes = {"seen_classes": tuple(range(spec.n_seen_classes)),
                "unseen_classes": tuple(range(spec.n_seen_classes, c_total))}
     drawn = {}
-    # SPLITS' order (train, test_seen, test_unseen) is the order of the draws
+    # SPLITS' order (train, test_seen, test_unseen) is the order of the draws.
+    # One draw per split takes the stream as one draw per class did: a
+    # split's rows are its classes' in turn, s rows each.
     for split, partition in SPLITS.items():
-        drawn[f"visual_{split}"], drawn[f"labels_{split}"] = draw(classes[partition])
+        labels = np.repeat(np.asarray(classes[partition], dtype=np.int64), s)
+        visual = rng_noise.standard_normal((labels.size, k))
+        visual *= spec.cluster_std
+        visual += means[labels]
+        drawn[f"visual_{split}"], drawn[f"labels_{split}"] = visual, labels
     return validate_bundle(DatasetBundle(**drawn, attributes=attributes, **classes))
 
 

@@ -182,6 +182,11 @@ def _batch_centroid_targets(batch: FeatureBatch) -> dict[int, np.ndarray]:
     return {c: batch.visual[idx].mean(axis=0) for c, idx in _group_indices(batch.labels)}
 
 
+def _attr_targets(batch: FeatureBatch) -> dict[int, np.ndarray]:
+    """Each batch class's attribute row (every row of a class holds the same one)."""
+    return {c: batch.attributes[idx[0]] for c, idx in _group_indices(batch.labels)}
+
+
 # ---------------------------------------------------------------------------
 # gradient penalty
 
@@ -423,10 +428,3 @@ def gen_vs_loss_and_grads(
     total = terms["w_recon"] + terms["sc"] + terms["vc"]
     return total, terms, grads
 
-
-def _attr_targets(batch: FeatureBatch) -> np.ndarray:
-    """Per-class attribute targets, indexable by class id, from the batch rows."""
-    max_label = int(batch.labels.max())
-    targets = np.zeros((max_label + 1, batch.attributes.shape[1]))
-    targets[batch.labels] = batch.attributes
-    return targets

@@ -15,7 +15,9 @@ Shapes (K = visual dim, L = attribute dim, H = hidden width):
 
 Flat layout: each MLPParams owns one contiguous 1-D float64 buffer ``flat``
 holding w1 | b1 | w2 | b2, each row-major, and ``w1/b1/w2/b2`` are views into
-it, so one fused optimizer update per network walks one buffer.
+it, so one fused optimizer update per network walks one buffer. Only
+``MLPParams.__init__`` computes the layout's offsets; a gradient reaches the
+optimizer as pieces that tile the buffer in order.
 
 ``mlp_backward`` always returns the parameter gradients, which cost only
 two bias sums because the weight gradients stay factors (below), and skips
@@ -26,7 +28,8 @@ from the cache of a forward pass that has already run.
 Parameter gradients come back as ``MLPGrads``: the bias gradients as arrays
 and each weight gradient as the ordered sum of its terms, products ``a @ b``
 that each span the whole weight (a backward's ``input.T @ delta``, a penalty's
-zero-padded term), left unformed. ``MLPGrads.segments`` forms the weight
+zero-padded term), left unformed. ``MLPGrads.segments`` yields the gradient
+as 1-D pieces that tile the flat buffer in order, forming the weight
 gradients a block of ``row_blocks`` rows at a time in one small scratch, so
 the optimizer consumes each block while it is in cache and no
 parameter-sized gradient is ever made.
@@ -240,7 +243,6 @@ class MLPGrads:
     gradients themselves.
     """
 
-    shape: NetworkShape
     w1: list[Term]
     b1: np.ndarray
     w2: list[Term]
@@ -253,32 +255,31 @@ class MLPGrads:
         self.w2 += other.w2
         self.b2 += other.b2
 
-    def segments(self) -> Iterator[tuple[int, np.ndarray]]:
-        """The gradient as ``(offset, values)`` pairs of 1-D arrays that tile
-        the ``MLPParams.flat`` layout in order. A weight's values are one block
-        of ``row_blocks`` rows, which the next block overwrites."""
-        i, h, o = self.shape.input_dim, self.shape.hidden_dim, self.shape.output_dim
-        yield from _weight_blocks(self.w1, i, h, 0)
-        yield i * h, self.b1
-        yield from _weight_blocks(self.w2, h, o, i * h + h)
-        yield i * h + h + h * o, self.b2
+    def segments(self) -> Iterator[np.ndarray]:
+        """The gradient as 1-D pieces that tile the ``MLPParams.flat`` buffer
+        in order: w1's blocks, b1, w2's blocks, b2. A weight's piece is one
+        block of ``row_blocks`` rows, which the next block overwrites."""
+        yield from _weight_blocks(self.w1)
+        yield self.b1
+        yield from _weight_blocks(self.w2)
+        yield self.b2
 
 
-def _weight_blocks(
-    terms: list[Term], n_rows: int, n_cols: int, offset: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """One weight gradient, ``offset`` into the flat layout, a block of rows
-    at a time in a scratch of at most ``_ADD_BLOCK`` doubles.
+def _weight_blocks(terms: list[Term]) -> Iterator[np.ndarray]:
+    """One weight gradient as its row-major 1-D pieces in order, a block of
+    rows at a time in a scratch of at most ``_ADD_BLOCK`` doubles.
 
     Each block is formed in the order of a sum into one full-size gradient:
     the first term written by ``np.matmul``, each later one formed in a
     second scratch, scaled if weighted, then added. Every term spans the
-    whole weight, so each block takes the same rows ``lo:hi`` of every term.
+    whole weight, so each block takes the same rows ``lo:hi`` of every term,
+    and the first term's factors give the weight's shape.
     """
+    (first_a, first_b, _), *later = terms
+    n_rows, n_cols = first_a.shape[0], first_b.shape[1]
     blocks = row_blocks(n_rows, max(4, _ADD_BLOCK // n_cols))
     rows = max(hi - lo for lo, hi in blocks)
     block_buf, part_buf = np.empty((rows, n_cols)), np.empty((rows, n_cols))
-    (first_a, first_b, _), *later = terms
     for lo, hi in blocks:
         block = np.matmul(first_a[lo:hi], first_b, out=block_buf[: hi - lo])
         for a, b, scale in later:
@@ -286,7 +287,7 @@ def _weight_blocks(
             if scale is not None:
                 part *= scale
             block += part
-        yield offset + lo * n_cols, block.reshape(-1)
+        yield block.reshape(-1)
 
 
 def mlp_backward(
@@ -309,7 +310,6 @@ def mlp_backward(
     d_h = d_opre @ params.w2.T
     d_hpre = d_h * _leaky_deriv(cache.h_pre, params.shape.negative_slope)
     grads = MLPGrads(
-        params.shape,
         w1=[(cache.u.T, d_hpre, None)], b1=np.sum(d_hpre, axis=0),
         w2=[(cache.h.T, d_opre, None)], b2=np.sum(d_opre, axis=0),
     )

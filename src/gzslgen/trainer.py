@@ -112,8 +112,8 @@ _ADAM_EPS = 1e-8  # the standard epsilon of Kingma & Ba 2015
 class Adam:
     """Adaptive-moment optimizer over one C-contiguous parameter array.
 
-    ``step`` takes the gradient as ``(offset, values)`` segments of the
-    flattened parameter (``MLPGrads.segments``) and updates each segment's
+    ``step`` takes the gradient as 1-D pieces that tile the flattened
+    parameter in order (``MLPGrads.segments``) and updates each piece's
     entries in place as it arrives, in blocks of ``_ADAM_BLOCK``, with no
     full-size temporaries.
     """
@@ -130,15 +130,15 @@ class Adam:
         self._num = np.empty(n)
         self._den = np.empty(n)
 
-    def step(self, segments: Iterable[tuple[int, np.ndarray]]) -> float:
+    def step(self, segments: Iterable[np.ndarray]) -> float:
         """Apply one update; returns the gradient's L2 norm, its squares
         summed a block at a time as the update passes."""
         self.t += 1
         c = self.cfg
         bias1 = 1.0 - c.beta1**self.t
         bias2 = 1.0 - c.beta2**self.t
-        p, squares = self.param.reshape(-1), 0.0
-        for start, g in segments:
+        p, squares, start = self.param.reshape(-1), 0.0, 0
+        for g in segments:
             for lo in range(0, g.size, _ADAM_BLOCK):
                 hi = min(lo + _ADAM_BLOCK, g.size)
                 num, den = self._num[: hi - lo], self._den[: hi - lo]
@@ -162,6 +162,7 @@ class Adam:
                 np.add(den, _ADAM_EPS, out=den)
                 np.divide(num, den, out=num)
                 np.subtract(pb, num, out=pb)
+            start += g.size
         return math.sqrt(squares)
 
 

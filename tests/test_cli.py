@@ -578,6 +578,19 @@ class TestRuntimeFailures:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_failed_rerun_keeps_the_previous_config_beside_its_checkpoint(self, tmp_path):
+        run = tmp_path / "run"
+        cfg = write_config(tmp_path / "cfg.json", run, train={"epochs": 1})
+        assert main(["train", "--config", str(cfg)]) == 0
+        before = {name: (run / name).read_bytes()
+                  for name in ("config_effective.json", "checkpoint.zip")}
+        cfg = write_config(tmp_path / "cfg.json", run,
+                           train={"learning_rate": 1e150, "epochs": 3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # intentional blow-up
+            assert main(["train", "--config", str(cfg)]) == 3
+        assert {name: (run / name).read_bytes() for name in before} == before
+
     def test_io_error_on_the_save_exits_three(self, tmp_path, capsys):
         # the checkpoint path is a directory, so the archive's open fails
         cfg = write_config(tmp_path / "cfg.json", tmp_path / "run", train={"epochs": 1})

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from gzslgen.data import (
     validate_bundle,
 )
 from gzslgen.errors import DataLoadError, FormatError, ValidationError
+from helpers import ORACLE_SPEC
 
 
 def oracle_spec(**kw):
@@ -76,6 +79,57 @@ class TestSyntheticDataset:
             for mat in (bundle.visual_train, bundle.visual_test_seen,
                         bundle.visual_test_unseen, bundle.attributes):
                 assert np.all(np.isfinite(mat))
+
+
+# dtype, shape and SHA-256 of each array of two synthetic bundles: the
+# oracle, and a spec with several rows per class in all three splits. The
+# noise stream is drawn split by split in SPLITS' order, so drawing the test
+# splits first, or a class's rows out of turn, changes these bytes.
+BUNDLE_BYTES = [
+    (ORACLE_SPEC, {
+        "visual_train": ("<f8", (150, 16),
+                         "a8f6e3066a860858e76b01f7c579129aee4a6099a4269a636c55fb711845e2ed"),
+        "labels_train": ("<i8", (150,),
+                         "734737f11162991213afc3a96aa5e8823b2d9cdcfb8992df1e85a0bae44b2395"),
+        "visual_test_seen": ("<f8", (150, 16),
+                             "924eee82886947eb4f51e1390ce4c5d2209031946f5ec76692be232a6e6f64c3"),
+        "labels_test_seen": ("<i8", (150,),
+                             "734737f11162991213afc3a96aa5e8823b2d9cdcfb8992df1e85a0bae44b2395"),
+        "visual_test_unseen": ("<f8", (100, 16),
+                               "84f62af3cda292e1844fdb837ebddada2ab14a7ecea89a2c6043f38a8eb9e961"),
+        "labels_test_unseen": ("<i8", (100,),
+                               "1210a5f36bc37654b589c7716991ed07b25b407ec20389a3c3252c0750535eb3"),
+        "attributes": ("<f8", (5, 4),
+                       "2ac088e495425c9b91505b0ae046f6b3f7842eb8505c645a97e62dcb239e7466"),
+    }),
+    (SyntheticSpec(4, 2, 32, 5, 3, 0.1, 7, 9), {
+        "visual_train": ("<f8", (12, 32),
+                         "cf9e5138ebd002fb41f5b665fae5f64215b665783b9e3a677e504a40c88c8027"),
+        "labels_train": ("<i8", (12,),
+                         "c47090368d63a2b6b8088ec79c8cb84ab0c726c4927b15ec4f30017e9612b625"),
+        "visual_test_seen": ("<f8", (12, 32),
+                             "9711805743a9927617a0d956860aca9716eac094737bf008888f5d0b56c50cff"),
+        "labels_test_seen": ("<i8", (12,),
+                             "c47090368d63a2b6b8088ec79c8cb84ab0c726c4927b15ec4f30017e9612b625"),
+        "visual_test_unseen": ("<f8", (6, 32),
+                               "0158f74e449ed25d7f4621dc464a94545d10a45129616b24c3e8e794759ea73a"),
+        "labels_test_unseen": ("<i8", (6,),
+                               "3e0a8e65f276646573f1547f887d3ece4171c2b71235e2958621e8f347d91e23"),
+        "attributes": ("<f8", (6, 5),
+                       "0003605402b51c3ed2c815feb93f88ab28dcd7dd8c9564c8eac6b863e7ce7392"),
+    }),
+]
+
+
+@pytest.mark.parametrize("spec,expected", BUNDLE_BYTES, ids=["oracle", "small"])
+def test_synthetic_bundle_bytes_are_frozen(spec, expected):
+    bundle = make_synthetic_dataset(spec)
+    got = {}
+    for f in fields(DatasetBundle):
+        a = getattr(bundle, f.name)
+        if isinstance(a, np.ndarray):
+            got[f.name] = (a.dtype.str, a.shape, hashlib.sha256(a.tobytes()).hexdigest())
+    assert got == expected
 
 
 class TestRoundTrip:

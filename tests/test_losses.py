@@ -265,7 +265,7 @@ class TestCriticObjectives:
         batch = random_batch()
         grads = losses.disc_v_loss_and_grads(
             model, batch, np.abs(batch.visual) + 0.1, LossWeights(), alpha_for(batch))[2]
-        for _, values in grads.segments():
+        for values in grads.segments():
             assert np.all(np.isfinite(values))
 
     def test_disc_s_zero_critic_total_is_lambda4(self):

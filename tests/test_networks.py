@@ -237,8 +237,8 @@ class TestBufferedBackward:
         if scale is not None:
             product *= scale
         expected = first_a @ first_b + product
-        blocks = networks._weight_blocks([(first_a, first_b, None), (a, b, scale)], 301, 64, 0)
-        got = np.concatenate([values.copy() for _, values in blocks])  # 3 blocks of 100 or 101 rows
+        blocks = networks._weight_blocks([(first_a, first_b, None), (a, b, scale)])
+        got = np.concatenate([values.copy() for values in blocks])  # 3 blocks of 100 or 101 rows
         assert np.array_equal(got, expected.reshape(-1))
 
 

@@ -68,8 +68,10 @@ def directional_error(kind, seed):
     d /= np.linalg.norm(d)
 
     _, _, grads = f()
-    analytic = sum(float(np.dot(values, d[lo : lo + values.size]))
-                   for lo, values in grads.segments())
+    analytic, lo = 0.0, 0
+    for values in grads.segments():
+        analytic += float(np.dot(values, d[lo : lo + values.size]))
+        lo += values.size
     p = flat.copy()
     flat += EPS * d
     f_plus = f()[0]

@@ -203,7 +203,7 @@ class TestAdamBiasCorrection:
         p, m, v = param.copy(), np.zeros(1000), np.zeros(1000)
         for t in range(1, 401):
             g = rng.standard_normal(1000)
-            opt.step([(0, g)])
+            opt.step([g])
             # the always-divide update, in the optimizer's operation order
             m = m * b1 + g * (1.0 - b1)
             v = v * b2 + (g * (1.0 - b2)) * g
@@ -245,7 +245,7 @@ class TestBlockedAdam:
         expected = param.copy()
         for t in range(1, 4):
             g = rng.standard_normal(param.shape)
-            opt.step([(0, g.reshape(-1))])
+            opt.step([g.reshape(-1)])
             m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
             v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
             m_hat = m / (1.0 - cfg.beta1**t)
