@@ -27,6 +27,11 @@ Before the first run it prints each file under ``bench/``, and
 only), or one line saying that they match: a gain measured against an
 edited benchmark does not count. Bytecode caches are not compared.
 
+Before the first run's metrics, and again whenever a run reports another
+one, it prints ``environment: <json>``: the environment stamp of the
+detail record that ``bench/run.py`` prints before its result (usable cores,
+BLAS name, version and thread count, numpy and Python versions, CPU model).
+
 A last line gives each side's failed/attempted operation count. Only the
 standard library is used; the two checkouts need not be the one holding
 this script.
@@ -88,16 +93,17 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
             "pairs": len(parent), "closest": (closest, ratios[closest]), "status": status}
 
 
-def run_bench(checkout: str, workload: str, seed: int) -> dict:
-    """One untraced benchmark run; returns its last stdout line as JSON."""
+def run_bench(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
+    """One untraced benchmark run; returns its last stdout line, the result,
+    and the line before it, the detail record, as JSON."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}\n"
-                         f"{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    if proc.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"{checkout}: {' '.join(cmd)} exited {proc.returncode} "
+                         f"after {len(lines)} stdout lines\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1]), json.loads(lines[-2])
 
 
 def benchmark_files(checkout: str) -> dict[str, bytes]:
@@ -148,10 +154,14 @@ def main(argv: list[str]) -> int:
 
     sides = {"parent": args.parent_dir, "change": args.change_dir}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    stamp = None
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_bench(sides[side], args.workload, seed)
+            result, detail = run_bench(sides[side], args.workload, seed)
+            if detail.get("environment") != stamp:
+                stamp = detail.get("environment")
+                print(f"environment: {json.dumps(stamp)}", flush=True)
             runs[side].append(result)
             values = " ".join(f"{k}={v['value']:.4g}" for k, v in result["metrics"].items())
             print(f"seed {seed} {side}: {values} failed {result['failed']}/{result['attempted']}",

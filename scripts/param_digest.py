@@ -16,7 +16,7 @@ benchmark's ``paper_eval`` input set 0: ``SyntheticSpec(40, 10, 2048, 85,
 seed=0)``, 3 synthesized rows per class (seed 0) plus the real seen rows,
 and ``fit_gzsl_classifier`` over all 50 classes (``EvalConfig``'s 1000
 steps and tolerance 1e-5); the digest covers ``w`` then ``b``. It adds
-under ten seconds.
+about eight seconds.
 
 An eighth ``paper_train <sha256>`` line checks training itself at paper
 shape: ``SyntheticSpec(40, 10, 2048, 85, 6, 0.1, 0, 0)`` trained with
@@ -24,7 +24,7 @@ shape: ``SyntheticSpec(40, 10, 2048, 85, 6, 0.1, 0, 0)`` trained with
 240 rows make three batches of 64 and a last one of 48, and its weight
 gradients are formed several blocks of rows at a time, as pieces that tile
 the flat buffer in order (``networks.MLPGrads.segments``), which the H=64
-oracle lines, one block per gradient, cannot reach. It adds about twenty
+oracle lines, one block per gradient, cannot reach. It adds about twelve
 seconds.
 
 A ninth ``checkpoint <sha256>`` line hashes the archive bytes that
@@ -39,15 +39,19 @@ A tenth ``synth <sha256>`` line hashes the features, then the labels, that
 must leave them equal. It reuses the ``paper_fit`` model and adds well under
 a second.
 
-Run from any directory; it imports ``gzslgen`` from ``src/`` and the test
-helpers from ``tests/`` next to this script. The oracle is the one of
+Run from any directory; it imports ``gzslgen`` from ``src/``, the test
+helpers from ``tests/`` and the benchmark's environment stamp from
+``bench/run.py`` next to this script. The oracle is the one of
 acceptance criteria 6 and 7, ``tests/helpers.py``'s ``ORACLE_SPEC``
 (``SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11)``) trained with its
 ``ORACLE_TRAIN`` (600 epochs at seed 0, B=30, H=64, learning rate 1e-4,
 beta2 0.999), and the six oracle models train in that module's
-``train_in_pool``: at most two spawned processes with one BLAS thread each. The digest covers the bytes of every
-array of ``ModelParams.all_arrays()`` in order, so two commits that print the
-same digest trained bit-identical parameters.
+``train_in_pool``: at most two spawned processes with one BLAS thread each.
+Run as a script, it sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, so
+the paper-shape lines take one BLAS thread too: no line depends on the
+caller's thread setting or the host's core count. The digest covers the
+bytes of every array of ``ModelParams.all_arrays()`` in order, so two
+commits that print the same digest trained bit-identical parameters.
 
 ``--check FILE`` compares the printed lines with the ``<label> <sha256>``
 lines of ``FILE``, skipping ``#`` comment lines, and exits 1 after naming on
@@ -55,15 +59,15 @@ stderr each line that differs. ``scripts/param_digest.expected`` holds the
 lines; a change that alters trained bits updates it in the same commit, so
 the new digests show in its diff. Its ``environment`` line records what the
 digests were taken under: the numpy version, the BLAS name and version, and
-the CPU model, which matters because the OpenBLAS in numpy's wheels picks
-its kernels for the CPU at run time. When a digest differs and the running
-environment is not the recorded one, ``--check`` names both.
+the CPU model of ``bench/run.py``'s ``environment()`` stamp, which matters
+because the OpenBLAS in numpy's wheels picks its kernels for the CPU at run
+time. When a digest differs and the running environment is not the
+recorded one, ``--check`` names both.
 
-Run it alone on a small host, not beside the tests, ``bench/run.py`` or
-``scripts/bench_ab.py``: its oracle lines keep both cores of a 2-vCPU host
-busy and nothing caps the BLAS thread count of its paper-shape lines, and
-overlapping runs slow each other far more than twofold, so the timings of
-whatever it overlaps cannot be compared.
+It takes about a minute on a 2-vCPU host. Run it alone there, not beside the
+tests, ``bench/run.py`` or ``scripts/bench_ab.py``: its oracle lines keep
+both cores busy, and overlapping runs slow each other far more than
+twofold, so the timings of whatever it overlaps cannot be compared.
 """
 
 from __future__ import annotations
@@ -71,15 +75,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
-import platform
 import sys
 import tempfile
 from dataclasses import replace
 
-import numpy as np
+if __name__ == "__main__":
+    # read when numpy loads OpenBLAS; an import, as by the tests, leaves the
+    # importing process's environment alone
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import numpy as np  # noqa: E402
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests")]
+sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests"),
+                os.path.join(_ROOT, "bench")]
 
 from gzslgen import (  # noqa: E402
     SynthesisRequest,
@@ -93,6 +102,7 @@ from gzslgen import (  # noqa: E402
 from gzslgen.config import RunConfig, save_checkpoint  # noqa: E402
 from gzslgen.trainer import VARIANTS  # noqa: E402
 from helpers import ORACLE_SPEC, ORACLE_TRAIN, train_in_pool  # noqa: E402
+import run  # noqa: E402
 
 
 def _sha256(arrays) -> str:
@@ -132,15 +142,10 @@ def checkpoint_digest(params, config: TrainConfig) -> str:
 ENVIRONMENT = "environment"
 
 
-def environment() -> str:
+def environment_line() -> str:
     """The numpy version, BLAS name and version, and CPU model of this process."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    cpu = platform.processor() or platform.machine()
-    if os.path.exists("/proc/cpuinfo"):
-        with open("/proc/cpuinfo", encoding="utf-8") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    return f"numpy {np.__version__}; {blas['name']} {blas['version']}; {cpu}"
+    env = run.environment()
+    return f"numpy {env['numpy']}; {env['blas']}; {env['cpu']}"
 
 
 def _read_lines(path: str) -> dict[str, str]:
@@ -204,7 +209,7 @@ def main() -> int:
     differing = differing_lines(want, got)
     for message in differing:
         print(f"differs from {args.check}: {message}", file=sys.stderr)
-    note = environment_note(read_environment(args.check), environment())
+    note = environment_note(read_environment(args.check), environment_line())
     if differing and note:
         print(f"{args.check}: {note}", file=sys.stderr)
     return 1 if differing else 0

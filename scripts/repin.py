@@ -14,13 +14,20 @@ stderr each input set whose outputs differ from the pinned ones. It edits no
 file: a re-pin pastes the literal into ``bench/workloads.py`` in a change of
 its own.
 
+Before the first input set it prints ``environment: <json>`` on stderr,
+``bench/run.py``'s environment stamp (usable cores, BLAS name, version and
+thread count, numpy and Python versions, CPU model): the pinned outputs
+depend on the BLAS thread count, so a re-pin records the one it ran at.
+
 It takes about 100 seconds on a 2-vCPU host. Run it alone, not beside the
-tests or the benchmark: nothing caps the BLAS thread count. It imports ``gzslgen`` from
-``src/`` and the workloads from ``bench/`` next to this script.
+tests or the benchmark: nothing caps the BLAS thread count. It imports
+``gzslgen`` from ``src/`` and the workloads and ``run`` from ``bench/`` next
+to this script.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 import tempfile
@@ -29,6 +36,7 @@ import time
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "bench")]
 
+import run  # noqa: E402
 import workloads  # noqa: E402
 
 _PER_LINE = 3  # input sets per line of the literal, as in bench/workloads.py
@@ -49,6 +57,7 @@ def differing_sets(want: dict, got: dict) -> list[str]:
 
 def main() -> int:
     workload = workloads.WORKLOADS["paper_eval"]
+    print(f"environment: {json.dumps(run.environment())}", file=sys.stderr, flush=True)
     got: dict[int, tuple[float, float, float] | None] = {}
     for s in range(workloads.PAPER_EVAL_INPUT_SETS):
         t = time.perf_counter()

@@ -243,12 +243,13 @@ def _trained_model(bundle: DatasetBundle, config: TrainConfig) -> ModelParams:
 def train_in_pool(bundle: DatasetBundle, configs: list[TrainConfig]) -> list[ModelParams]:
     """``train(bundle, config)``'s model for each of ``configs``, in order.
 
-    The trainings are independent, so they run in a pool of at most two
-    spawned processes, each with one BLAS thread; a model's bytes do not
-    depend on where it was trained.
+    The trainings are independent, so they run in a pool of spawned
+    processes, each with one BLAS thread: two, or one where this process
+    may use only one core. A model's bytes do not depend on where it was
+    trained.
     """
     spawn = multiprocessing.get_context("spawn")
     # read when a worker imports numpy
     with mock.patch.dict(os.environ, {"OPENBLAS_NUM_THREADS": "1"}):
-        with ProcessPoolExecutor(min(2, os.cpu_count() or 1), mp_context=spawn) as pool:
+        with ProcessPoolExecutor(min(2, len(os.sched_getaffinity(0))), mp_context=spawn) as pool:
             return list(pool.map(_trained_model, [bundle] * len(configs), configs))

@@ -397,7 +397,7 @@ def test_oracle_seed_0_models_match_their_recorded_digests(oracle_runs):
     path = os.path.join(os.path.dirname(param_digest.__file__), "param_digest.expected")
     want = param_digest.read_digests(path)
     note = param_digest.environment_note(
-        param_digest.read_environment(path), param_digest.environment())
+        param_digest.read_environment(path), param_digest.environment_line())
     seed_0 = ORACLE_SEEDS.index(0)
     for variant in ("full", "baseline_single_gan"):
         got = param_digest._sha256(oracle_runs[variant][seed_0].all_arrays())

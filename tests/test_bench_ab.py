@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -102,3 +103,39 @@ def test_benchmark_check_names_each_differing_file(tmp_path):
         f"benchmark file differs between the checkouts: {path}"
         for path in ("BENCHMARK.json", os.path.join("bench", "data", "pins.json"),
                      os.path.join("bench", "extra.py"))]
+
+
+def test_run_bench_returns_the_detail_record_and_main_prints_its_environment(tmp_path, capsys):
+    # a fake bench/run.py whose BLAS thread count is its seed + 1
+    result = {"metrics": {"train_s": {"value": 2.0}}, "failed": 0, "attempted": 3}
+    run_py = tmp_path / "bench" / "run.py"
+    run_py.parent.mkdir()
+    run_py.write_text(
+        "import json, sys\n"
+        "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        "print(json.dumps({'environment': {'usable_cores': 1, 'blas': 'some-blas 1.0',"
+        " 'blas_threads': seed + 1}}))\n"
+        f"print({json.dumps(result)!r})\n")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "train_s", "better": "lower", "bound": 0.25}]}))
+
+    def env(seed):
+        return {"usable_cores": 1, "blas": "some-blas 1.0", "blas_threads": seed + 1}
+
+    def stamp(seed):
+        return f"environment: {json.dumps(env(seed))}"
+
+    assert bench_ab.run_bench(str(tmp_path), "w", 0) == (result, {"environment": env(0)})
+    assert bench_ab.main([str(tmp_path), str(tmp_path), "--workload", "w", "--seeds", "0-1"]) == 0
+    # a stamp before the first run's metrics, and again when the stamp changes
+    assert capsys.readouterr().out.splitlines()[1:7] == [
+        stamp(0), "seed 0 parent: train_s=2 failed 0/3", "seed 0 change: train_s=2 failed 0/3",
+        stamp(1), "seed 1 change: train_s=2 failed 0/3", "seed 1 parent: train_s=2 failed 0/3"]
+
+
+def test_run_bench_fails_cleanly_on_fewer_than_two_lines(tmp_path):
+    run_py = tmp_path / "bench" / "run.py"
+    run_py.parent.mkdir()
+    run_py.write_text("print('{}')\n")
+    with pytest.raises(SystemExit, match="after 1 stdout lines"):
+        bench_ab.run_bench(str(tmp_path), "w", 0)

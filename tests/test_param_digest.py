@@ -1,8 +1,13 @@
 import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 
-from helpers import load_script
+import helpers
+from helpers import ORACLE_TRAIN, load_script
 
+CALLER_THREADS = os.environ.get("OPENBLAS_NUM_THREADS")
 param_digest = load_script("param_digest")
 
 LABELS = [*param_digest.VARIANTS, "full_cycle", "paper_fit", "paper_train", "checkpoint", "synth"]
@@ -42,3 +47,49 @@ def test_differing_lines_names_each_differing_label():
         "paper_fit: expected no line, got d",
     ]
     assert param_digest.differing_lines(want, dict(want)) == []
+
+
+def test_run_as_a_script_it_takes_one_blas_thread_whatever_the_caller_sets():
+    script = param_digest.__file__
+    bench = os.path.join(os.path.dirname(os.path.dirname(script)), "bench")
+    code = f"""
+import runpy, sys
+sys.argv = [{script!r}, "--help"]
+try:
+    runpy.run_path({script!r}, run_name="__main__")
+except SystemExit:
+    pass
+import numpy
+sys.path.insert(0, {bench!r})
+from run import _blas_threads
+print(_blas_threads(numpy))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "2"}, check=True)
+    assert proc.stdout.splitlines()[-1] == "1"
+    # imported, as here, it leaves the importing process's setting alone
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == CALLER_THREADS
+
+
+def test_train_in_pool_takes_no_more_workers_than_usable_cores(monkeypatch, oracle_bundle):
+    workers = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    # a host of two CPUs, of which this process may use one
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(helpers, "ProcessPoolExecutor", RecordingPool)
+    models = helpers.train_in_pool(oracle_bundle, [replace(ORACLE_TRAIN, epochs=1)])
+    assert workers == [1] and len(models) == 1

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 from types import SimpleNamespace
 
@@ -45,6 +46,8 @@ def test_main_prints_what_it_got_and_exits_one_naming_the_moved_set(monkeypatch,
     assert repin.main() == 1
     out, err = capsys.readouterr()
     assert ast.literal_eval(out.partition(" = ")[2]) == moved
+    # the pins depend on the BLAS thread count, so the stamp comes first
+    assert err.splitlines()[0] == f"environment: {json.dumps(repin.run.environment())}"
     assert [line for line in err.splitlines() if line.startswith("differs")] == [
         "differs from bench/workloads.py: input set 4: pinned (1.0, 0.0, 0.0), "
         "got (0.875, 0.0, 0.0)"]
