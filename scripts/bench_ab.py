@@ -2,18 +2,21 @@
 
     python3 scripts/bench_ab.py PARENT_DIR CHANGE_DIR --workload W --seeds A-B
 
-For each seed S from A to B it runs ``python3 bench/run.py --workload W
---seed S --seconds 40 --trace 0`` once in each checkout, alternating which
-side runs first, and prints every run's end-to-end metrics as it goes. It then
-prints, for each end-to-end metric of the parent's ``BENCHMARK.json``, the
-parent's median [q1, q3] -> the change's median, the number of pairs the
-change won (ties count for neither) and the closest pair, followed by the
-verdict. The closest pair is the one the change won by the least or lost by
-the most, shown as its change/parent ratio: a gain that rests on the medians
-alone may not survive a noisier host, and that pair shows how near it came.
-The verdicts:
+The parent's ``BENCHMARK.json`` declares what it runs and judges: its
+``command``, ``run_seconds``, ``paths`` and ``end_to_end`` metrics. For each
+seed S from A to B it runs ``<command> --workload W --seed S --seconds
+<run_seconds> --trace 0`` once in each checkout, alternating which side runs
+first, and prints every run's end-to-end metrics as it goes. It then prints,
+for each end-to-end metric, the parent's median [q1, q3] -> the change's
+median, the number of pairs the change won (ties count for neither) and the
+closest pair, followed by the verdict. The closest pair is the one the
+change won by the least or lost by the most, shown as its change/parent
+ratio: a gain that rests on the medians alone may not survive a noisier
+host, and that pair shows how near it came. A metric that fewer than 10
+pairs reported is ``unresolved``, as one clean win is no evidence. Otherwise
+the verdicts are, in this order:
 
-  gain          the change won at least 9 of 10 pairs and the medians
+  gain          the change won at least 9 in 10 pairs and the medians
                 differ by more than the parent's quartile distance;
   worse         the change's median is worse than the parent's by more
                 than the metric's bound;
@@ -22,24 +25,24 @@ The verdicts:
                 is better than every parent run;
   within bound  none of these.
 
-Before the first run it prints each file under ``bench/``, and
+Before the first run it prints each file under the declared ``paths``, and
 ``BENCHMARK.json``, that differs between the two checkouts (or is in one
 only), or one line saying that they match: a gain measured against an
 edited benchmark does not count. Bytecode caches are not compared.
 
 Before the first run's metrics, and again whenever a run reports another
-one, it prints ``environment: <json>``: the environment stamp of the
-detail record that ``bench/run.py`` prints before its result (usable cores,
-BLAS name, version and thread count, numpy and Python versions, CPU model).
+one, it prints ``environment: <json>``: the environment stamp of the detail
+record that the command prints before its result (usable cores, BLAS name,
+version and thread count, numpy and Python versions, CPU model).
 
 A last line gives each side's failed/attempted operation count. Only the
 standard library is used; the two checkouts need not be the one holding
 this script.
 
-Run it alone on a small host, not beside the tests, another
-``bench/run.py`` or ``scripts/param_digest.py``: nothing caps the BLAS
-thread count, and overlapping runs slow each other far more than twofold,
-so timings taken while another run overlaps cannot be compared.
+Run it alone on a small host, not beside the tests, another benchmark run or
+``scripts/param_digest.py``: nothing caps the BLAS thread count, and
+overlapping runs slow each other far more than twofold, so timings taken
+while another run overlaps cannot be compared.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ import statistics
 import subprocess
 import sys
 
-SECONDS = 40
+# fewer pairs than this decide no metric (Kalibera & Jones 2013)
+MIN_PAIRS = 10
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -67,7 +71,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     """Judge one metric over paired runs: ``parent[i]`` and ``change[i]`` share a seed.
 
     ``better`` is "lower" or "higher"; ``bound`` is the metric's allowed
-    worsening as a fraction of the parent's median. ``closest`` is the
+    worsening as a fraction of the parent's median. Fewer than ``MIN_PAIRS``
+    pairs are ``unresolved`` whatever their values. ``closest`` is the
     (index, change/parent ratio) of the pair the change did best in least.
     """
     if len(parent) != len(change) or not parent:
@@ -81,7 +86,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
     ratios = [c / p if p else math.inf for p, c in zip(parent, change)]
     closest = max(range(len(ratios)), key=lambda i: sign * ratios[i])
-    if 10 * wins >= 9 * len(parent) and gain > spread:
+    if len(parent) < MIN_PAIRS:
+        status = "unresolved"
+    elif 10 * wins >= 9 * len(parent) and gain > spread:
         status = "gain"
     elif -gain > bound * abs(med):
         status = "worse"
@@ -93,11 +100,12 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
             "pairs": len(parent), "closest": (closest, ratios[closest]), "status": status}
 
 
-def run_bench(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
-    """One untraced benchmark run; returns its last stdout line, the result,
-    and the line before it, the detail record, as JSON."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+def run_bench(checkout: str, declared: dict, workload: str, seed: int) -> tuple[dict, dict]:
+    """One untraced run of the ``declared`` benchmark's command; returns its
+    last stdout line, the result, and the line before it, the detail record,
+    as JSON."""
+    cmd = [*declared["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(declared["run_seconds"]), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
@@ -106,13 +114,14 @@ def run_bench(checkout: str, workload: str, seed: int) -> tuple[dict, dict]:
     return json.loads(lines[-1]), json.loads(lines[-2])
 
 
-def benchmark_files(checkout: str) -> dict[str, bytes]:
-    """``BENCHMARK.json`` and every file under ``bench/``, by path relative to
-    ``checkout``; ``__pycache__`` directories are skipped."""
-    paths = [os.path.join(checkout, "BENCHMARK.json")]
-    for root, dirs, names in os.walk(os.path.join(checkout, "bench")):
-        dirs[:] = [d for d in dirs if d != "__pycache__"]
-        paths += [os.path.join(root, name) for name in names]
+def benchmark_files(checkout: str, declared: list[str]) -> dict[str, bytes]:
+    """``BENCHMARK.json`` and every file under the ``declared`` paths, by path
+    relative to ``checkout``; ``__pycache__`` directories are skipped."""
+    paths = [os.path.join(checkout, top) for top in ["BENCHMARK.json", *declared]]
+    for top in declared:
+        for root, dirs, names in os.walk(os.path.join(checkout, top)):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            paths += [os.path.join(root, name) for name in names]
     files = {}
     for path in paths:
         if os.path.isfile(path):
@@ -121,13 +130,15 @@ def benchmark_files(checkout: str) -> dict[str, bytes]:
     return files
 
 
-def benchmark_check(parent_dir: str, change_dir: str) -> list[str]:
-    """One line per benchmark file that differs between the checkouts, or
-    one line saying that they match."""
-    parent, change = benchmark_files(parent_dir), benchmark_files(change_dir)
+def benchmark_check(parent_dir: str, change_dir: str, declared: list[str]) -> list[str]:
+    """One line per benchmark file under the ``declared`` paths, or
+    ``BENCHMARK.json``, that differs between the checkouts, or one line
+    saying that they match."""
+    parent = benchmark_files(parent_dir, declared)
+    change = benchmark_files(change_dir, declared)
     differ = sorted(p for p in parent.keys() | change.keys() if parent.get(p) != change.get(p))
     if not differ:
-        return ["bench/ and BENCHMARK.json match between the two checkouts"]
+        return [f"{', '.join(declared)} and BENCHMARK.json match between the two checkouts"]
     return [f"benchmark file differs between the checkouts: {path}" for path in differ]
 
 
@@ -147,9 +158,9 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="A-B, inclusive")
     args = parser.parse_args(argv)
     with open(os.path.join(args.parent_dir, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        declared = json.load(fh)
 
-    for line in benchmark_check(args.parent_dir, args.change_dir):
+    for line in benchmark_check(args.parent_dir, args.change_dir, declared["paths"]):
         print(line, flush=True)
 
     sides = {"parent": args.parent_dir, "change": args.change_dir}
@@ -158,7 +169,7 @@ def main(argv: list[str]) -> int:
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result, detail = run_bench(sides[side], args.workload, seed)
+            result, detail = run_bench(sides[side], declared, args.workload, seed)
             if detail.get("environment") != stamp:
                 stamp = detail.get("environment")
                 print(f"environment: {json.dumps(stamp)}", flush=True)
@@ -168,7 +179,7 @@ def main(argv: list[str]) -> int:
                   flush=True)
 
     print(f"\n{args.workload}, {len(args.seeds)} pairs: parent median [q1, q3] -> change median")
-    for metric in metrics:
+    for metric in declared["end_to_end"]:
         name = metric["name"]
         # a run that failed before its first full pass reports no metrics
         pairs = [(seed, p["metrics"][name]["value"], c["metrics"][name]["value"])

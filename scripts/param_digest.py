@@ -10,22 +10,19 @@ the cycled features instead of the real ones.
 
 A seventh ``paper_fit <sha256>`` line checks the final softmax fit at paper
 shape, where the oracle lines cannot: at H=64 and K=16 no logit gradient
-gets small enough to be subnormal. It is the evaluate fit of the
-benchmark's ``paper_eval`` input set 0: ``SyntheticSpec(40, 10, 2048, 85,
-2, 0.1, 0, 0)`` trained with ``TrainConfig(epochs=1, batch_size=40,
-seed=0)``, 3 synthesized rows per class (seed 0) plus the real seen rows,
-and ``fit_gzsl_classifier`` over all 50 classes (``EvalConfig``'s 1000
-steps and tolerance 1e-5); the digest covers ``w`` then ``b``. It adds
-about eight seconds.
+gets small enough to be subnormal. It is the evaluate fit of input set 0 of
+``paper_eval``, as ``bench/workloads.py`` declares it: its synthesized rows
+plus the real seen rows, fit over all 50 classes with its eval section's step
+cap and tolerance. The digest covers ``w`` then ``b``. It adds about eight
+seconds.
 
 An eighth ``paper_train <sha256>`` line checks training itself at paper
-shape: ``SyntheticSpec(40, 10, 2048, 85, 6, 0.1, 0, 0)`` trained with
-``TrainConfig(epochs=1, seed=0)``, hashing ``ModelParams.all_arrays()``. Its
-240 rows make three batches of 64 and a last one of 48, and its weight
-gradients are formed several blocks of rows at a time, as pieces that tile
-the flat buffer in order (``networks.MLPGrads.segments``), which the H=64
-oracle lines, one block per gradient, cannot reach. It adds about twelve
-seconds.
+shape: input set 0 of ``paper_train``, as ``bench/workloads.py`` declares
+it, hashing ``ModelParams.all_arrays()``. Its 240 rows make three batches of
+64 and a last one of 48, and its weight gradients are formed several blocks
+of rows at a time, as pieces that tile the flat buffer in order
+(``networks.MLPGrads.segments``), which the H=64 oracle lines, one block per
+gradient, cannot reach. It adds about twelve seconds.
 
 A ninth ``checkpoint <sha256>`` line hashes the archive bytes that
 ``save_checkpoint`` writes for the oracle ``full`` model, with the oracle
@@ -34,14 +31,14 @@ cannot see the checkpoint format; this one pins it, so a change to how
 checkpoints are written must leave it equal.
 
 A tenth ``synth <sha256>`` line hashes the features, then the labels, that
-``synthesize_features`` returns for the ``paper_fit`` model and request
-(3 rows per class, seed 0), so a change to how features are synthesized
+``synthesize_features`` returns for the ``paper_fit`` model and request,
+so a change to how features are synthesized
 must leave them equal. It reuses the ``paper_fit`` model and adds well under
 a second.
 
 Run from any directory; it imports ``gzslgen`` from ``src/``, the test
-helpers from ``tests/`` and the benchmark's environment stamp from
-``bench/run.py`` next to this script. The oracle is the one of
+helpers from ``tests/``, and the benchmark's workloads and environment stamp
+from ``bench/`` next to this script. The oracle is the one of
 acceptance criteria 6 and 7, ``tests/helpers.py``'s ``ORACLE_SPEC``
 (``SyntheticSpec(3, 2, 16, 4, 50, 0.1, 5, 11)``) trained with its
 ``ORACLE_TRAIN`` (600 epochs at seed 0, B=30, H=64, learning rate 1e-4,
@@ -54,17 +51,20 @@ bytes of every array of ``ModelParams.all_arrays()`` in order, so two
 commits that print the same digest trained bit-identical parameters.
 
 ``--check FILE`` compares the printed lines with the ``<label> <sha256>``
-lines of ``FILE``, skipping ``#`` comment lines, and exits 1 after naming on
-stderr each line that differs. ``scripts/param_digest.expected`` holds the
-lines; a change that alters trained bits updates it in the same commit, so
-the new digests show in its diff. Its ``environment`` line records what the
+lines of ``FILE``, skipping blank and ``#`` comment lines, and exits 1 after
+naming on stderr each line that differs. A line with a label but no text, or
+a label given twice, makes it exit 2 naming ``FILE:line`` before any
+training. ``scripts/param_digest.expected`` holds the lines; a change that
+alters trained bits updates it in the same commit, so the new digests show
+in its diff. Its ``environment`` line records what the
 digests were taken under: the numpy version, the BLAS name and version, and
 the CPU model of ``bench/run.py``'s ``environment()`` stamp, which matters
 because the OpenBLAS in numpy's wheels picks its kernels for the CPU at run
 time. When a digest differs and the running environment is not the
 recorded one, ``--check`` names both.
 
-It takes about a minute on a 2-vCPU host. Run it alone there, not beside the
+It prints the ten lines together, once the last is taken, after about a
+minute on a 2-vCPU host. Run it alone there, not beside the
 tests, ``bench/run.py`` or ``scripts/bench_ab.py``: its oracle lines keep
 both cores busy, and overlapping runs slow each other far more than
 twofold, so the timings of whatever it overlaps cannot be compared.
@@ -90,19 +90,15 @@ _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(_ROOT, "src"), os.path.join(_ROOT, "tests"),
                 os.path.join(_ROOT, "bench")]
 
-from gzslgen import (  # noqa: E402
-    SynthesisRequest,
-    SyntheticSpec,
-    TrainConfig,
-    fit_gzsl_classifier,
-    make_synthetic_dataset,
-    synthesize_features,
-    train,
-)
-from gzslgen.config import RunConfig, save_checkpoint  # noqa: E402
+from gzslgen import (SynthesisRequest, TrainConfig, fit_gzsl_classifier,  # noqa: E402
+                     make_synthetic_dataset, synthesize_features, train)
+from gzslgen.config import RunConfig, parse_run_config, save_checkpoint  # noqa: E402
 from gzslgen.trainer import VARIANTS  # noqa: E402
 from helpers import ORACLE_SPEC, ORACLE_TRAIN, train_in_pool  # noqa: E402
 import run  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+ENVIRONMENT = "environment"
 
 
 def _sha256(arrays) -> str:
@@ -114,20 +110,22 @@ def _sha256(arrays) -> str:
 
 def paper_fit_digests() -> tuple[str, str]:
     """The ``paper_fit`` and ``synth`` digests, from one trained model."""
-    bundle = make_synthetic_dataset(SyntheticSpec(40, 10, 2048, 85, 2, 0.1, 0, 0))
-    params, _ = train(bundle, TrainConfig(epochs=1, batch_size=40, seed=0))
-    request = SynthesisRequest(classes=bundle.all_classes, n_per_class=3, seed=0)
+    cfg = parse_run_config(WORKLOADS["paper_eval"].run_config(0, "run"))
+    bundle = cfg.resolve_bundle()
+    params, _ = train(bundle, cfg.train)
+    request = SynthesisRequest(bundle.all_classes, cfg.eval.n_per_class, cfg.eval.seed)
     synth, synth_labels = synthesize_features(params, bundle, request)
     features = np.vstack([synth, bundle.visual_train])
     labels = np.concatenate([synth_labels, bundle.labels_train])
     clf = fit_gzsl_classifier(features, labels, bundle.all_classes,
-                              max_steps=1000, grad_tol=1e-5)
+                              max_steps=cfg.eval.classifier_max_steps,
+                              grad_tol=cfg.eval.classifier_grad_tol)
     return _sha256([clf.params.w, clf.params.b]), _sha256([synth, synth_labels])
 
 
 def paper_train_digest() -> str:
-    bundle = make_synthetic_dataset(SyntheticSpec(40, 10, 2048, 85, 6, 0.1, 0, 0))
-    params, _ = train(bundle, TrainConfig(epochs=1, seed=0))
+    cfg = parse_run_config(WORKLOADS["paper_train"].run_config(0, "run"))
+    params, _ = train(cfg.resolve_bundle(), cfg.train)
     return _sha256(params.all_arrays())
 
 
@@ -139,80 +137,71 @@ def checkpoint_digest(params, config: TrainConfig) -> str:
             return hashlib.sha256(fh.read()).hexdigest()
 
 
-ENVIRONMENT = "environment"
-
-
 def environment_line() -> str:
     """The numpy version, BLAS name and version, and CPU model of this process."""
     env = run.environment()
     return f"numpy {env['numpy']}; {env['blas']}; {env['cpu']}"
 
 
-def _read_lines(path: str) -> dict[str, str]:
-    """Each ``<label> <text>`` line of ``path`` by label, skipping blank and ``#`` lines."""
+def read_expected(path: str) -> dict[str, str]:
+    """Each ``<label> <text>`` line of ``path`` by label, the environment line
+    included, skipping blank and ``#`` lines. A line without text, or a label
+    given twice, is a ValueError naming ``path:line``."""
+    lines: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        return dict(line.strip().split(maxsplit=1) for line in fh
-                    if line.strip() and not line.startswith("#"))
+        for number, line in enumerate(fh, 1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            label, *text = line.split(maxsplit=1)
+            if not text or label in lines:
+                problem = "label given twice" if text else "label without a digest"
+                raise ValueError(f"{path}:{number}: {problem}: {label}")
+            lines[label] = text[0].strip()
+    return lines
 
 
-def read_digests(path: str) -> dict[str, str]:
-    """The ``<label> <sha256>`` lines of ``path``, without its environment line."""
-    return {label: text for label, text in _read_lines(path).items() if label != ENVIRONMENT}
-
-
-def read_environment(path: str) -> str | None:
-    """The text of the environment line of ``path``; None without one."""
-    return _read_lines(path).get(ENVIRONMENT)
-
-
-def environment_note(recorded: str | None, running: str) -> str:
-    """A line naming both environments for a differing digest; empty when
-    ``running`` is the ``recorded`` one."""
-    if recorded == running:
-        return ""
-    return f"recorded under {recorded or 'no environment line'}; running under {running}"
-
-
-def differing_lines(want: dict[str, str], got: dict[str, str]) -> list[str]:
-    """One message per label whose digest differs between ``want`` and ``got``."""
-    return [f"{label}: expected {want.get(label, 'no line')}, got {got.get(label, 'no line')}"
-            for label in {**want, **got} if want.get(label) != got.get(label)]
+def differences(want: dict[str, str], got: dict[str, str]) -> list[str]:
+    """One message per label, the environment aside, whose line differs
+    between ``want`` and ``got``; then, if any does and the environments
+    differ too, one naming both."""
+    messages = [f"{label}: expected {want.get(label, 'no line')}, got {got.get(label, 'no line')}"
+                for label in {**want, **got}
+                if label != ENVIRONMENT and want.get(label) != got.get(label)]
+    recorded, running = want.get(ENVIRONMENT), got.get(ENVIRONMENT)
+    if messages and recorded != running:
+        messages.append(f"recorded under {recorded or 'no environment line'}; "
+                        f"running under {running}")
+    return messages
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", metavar="FILE", help="expected lines; exit 1 if any differs")
     args = parser.parse_args()
-    want = read_digests(args.check) if args.check else None
-    got = {}
-
-    def emit(label: str, digest: str) -> None:
-        got[label] = digest
-        print(label, digest, flush=True)
+    try:
+        want = read_expected(args.check) if args.check else None
+    except ValueError as exc:
+        parser.error(str(exc))
 
     runs = {variant: (variant, "real") for variant in VARIANTS}
     runs["full_cycle"] = ("full", "cycle")
     configs = [replace(ORACLE_TRAIN, variant=variant, pair_mode=pair_mode)
                for variant, pair_mode in runs.values()]
     models = train_in_pool(make_synthetic_dataset(ORACLE_SPEC), configs)
-    for label, params in zip(runs, models):
-        emit(label, _sha256(params.all_arrays()))
+    got = {label: _sha256(params.all_arrays()) for label, params in zip(runs, models)}
     full = list(runs).index("full")
     fit, synth = paper_fit_digests()
-    emit("paper_fit", fit)
-    emit("paper_train", paper_train_digest())
-    emit("checkpoint", checkpoint_digest(models[full], configs[full]))
-    emit("synth", synth)
+    got.update(paper_fit=fit, paper_train=paper_train_digest(),
+               checkpoint=checkpoint_digest(models[full], configs[full]), synth=synth)
+    for label, digest in got.items():
+        print(label, digest)
 
     if want is None:
         return 0
-    differing = differing_lines(want, got)
-    for message in differing:
-        print(f"differs from {args.check}: {message}", file=sys.stderr)
-    note = environment_note(read_environment(args.check), environment_line())
-    if differing and note:
-        print(f"{args.check}: {note}", file=sys.stderr)
-    return 1 if differing else 0
+    messages = differences(want, {**got, ENVIRONMENT: environment_line()})
+    for message in messages:
+        print(f"{args.check}: {message}", file=sys.stderr)
+    return 1 if messages else 0
 
 
 if __name__ == "__main__":

@@ -395,13 +395,14 @@ def test_oracle_seed_0_models_match_their_recorded_digests(oracle_runs):
     oracle shape shows here as well as in that script's ``--check``."""
     param_digest = load_script("param_digest")
     path = os.path.join(os.path.dirname(param_digest.__file__), "param_digest.expected")
-    want = param_digest.read_digests(path)
-    note = param_digest.environment_note(
-        param_digest.read_environment(path), param_digest.environment_line())
+    expected = param_digest.read_expected(path)
+    labels = ("full", "baseline_single_gan", param_digest.ENVIRONMENT)
     seed_0 = ORACLE_SEEDS.index(0)
-    for variant in ("full", "baseline_single_gan"):
-        got = param_digest._sha256(oracle_runs[variant][seed_0].all_arrays())
-        assert got == want[variant], f"{variant} {note}".rstrip()
+    got = {variant: param_digest._sha256(oracle_runs[variant][seed_0].all_arrays())
+           for variant in labels[:2]}
+    got[param_digest.ENVIRONMENT] = param_digest.environment_line()
+    messages = param_digest.differences({label: expected[label] for label in labels}, got)
+    assert not messages, "\n".join(messages)
 
 
 # ---------------------------------------------------------------------------

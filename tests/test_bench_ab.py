@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -73,6 +74,16 @@ class TestVerdict:
         higher = [p / r for p, r in zip(PARENT, [0.6] * 3 + [0.95] + [0.6] * 6)]
         assert bench_ab.verdict(PARENT, higher, "higher", 0.25)["closest"][0] == 3
 
+    def test_one_pair_decides_nothing(self):
+        # one pair is always one of one won, with a quartile distance of 0
+        v = bench_ab.verdict([1.0], [0.5], "lower", 0.25)
+        assert v["wins"] == 1 and v["status"] == "unresolved"
+
+    def test_nine_clean_wins_are_too_few_pairs(self):
+        change = [p - 1.5 for p in PARENT[:9]]
+        v = bench_ab.verdict(PARENT[:9], change, "lower", 0.25)
+        assert v["wins"] == 9 and v["status"] == "unresolved"
+
     def test_unpaired_runs_are_rejected(self):
         with pytest.raises(ValueError):
             bench_ab.verdict(PARENT, PARENT[:9], "lower", 0.25)
@@ -83,23 +94,33 @@ def test_parse_seeds():
     assert bench_ab.parse_seeds("7") == [7]
 
 
+def checkout(root, files: dict[str, str]) -> str:
+    """A fake checkout at ``root`` holding ``files`` (path relative to it: text)."""
+    for rel, text in files.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_text(text)
+    return str(root)
+
+
+def declaration(**overrides) -> str:
+    """A ``BENCHMARK.json`` with this repository's command, run length and
+    paths, and one end-to-end metric, ``train_s``."""
+    return json.dumps({"command": [sys.executable, "bench/run.py"], "run_seconds": 40,
+                       "paths": ["bench"],
+                       "end_to_end": [{"name": "train_s", "better": "lower", "bound": 0.25}],
+                       **overrides})
+
+
 def test_benchmark_check_names_each_differing_file(tmp_path):
-    def checkout(name, files):
-        root = tmp_path / name
-        for rel, text in files.items():
-            (root / rel).parent.mkdir(parents=True, exist_ok=True)
-            (root / rel).write_text(text)
-        return str(root)
-
     same = {"BENCHMARK.json": "{}", "bench/run.py": "x = 1\n", "bench/data/pins.json": "[]"}
-    parent = checkout("parent", {**same, "bench/__pycache__/run.pyc": "a"})
-    twin = checkout("twin", {**same, "bench/__pycache__/run.pyc": "b"})
-    assert bench_ab.benchmark_check(parent, twin) == [
-        "bench/ and BENCHMARK.json match between the two checkouts"]
+    parent = checkout(tmp_path / "parent", {**same, "bench/__pycache__/run.pyc": "a"})
+    twin = checkout(tmp_path / "twin", {**same, "bench/__pycache__/run.pyc": "b"})
+    assert bench_ab.benchmark_check(parent, twin, ["bench"]) == [
+        "bench and BENCHMARK.json match between the two checkouts"]
 
-    edited = checkout("edited", {**same, "BENCHMARK.json": '{"bound": 1}',
-                                 "bench/data/pins.json": "[1]", "bench/extra.py": ""})
-    assert bench_ab.benchmark_check(parent, edited) == [
+    edited = checkout(tmp_path / "edited", {**same, "BENCHMARK.json": '{"bound": 1}',
+                                            "bench/data/pins.json": "[1]", "bench/extra.py": ""})
+    assert bench_ab.benchmark_check(parent, edited, ["bench"]) == [
         f"benchmark file differs between the checkouts: {path}"
         for path in ("BENCHMARK.json", os.path.join("bench", "data", "pins.json"),
                      os.path.join("bench", "extra.py"))]
@@ -108,16 +129,13 @@ def test_benchmark_check_names_each_differing_file(tmp_path):
 def test_run_bench_returns_the_detail_record_and_main_prints_its_environment(tmp_path, capsys):
     # a fake bench/run.py whose BLAS thread count is its seed + 1
     result = {"metrics": {"train_s": {"value": 2.0}}, "failed": 0, "attempted": 3}
-    run_py = tmp_path / "bench" / "run.py"
-    run_py.parent.mkdir()
-    run_py.write_text(
+    checkout(tmp_path, {"BENCHMARK.json": declaration(), "bench/run.py": (
         "import json, sys\n"
         "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
         "print(json.dumps({'environment': {'usable_cores': 1, 'blas': 'some-blas 1.0',"
         " 'blas_threads': seed + 1}}))\n"
-        f"print({json.dumps(result)!r})\n")
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"end_to_end": [{"name": "train_s", "better": "lower", "bound": 0.25}]}))
+        f"print({json.dumps(result)!r})\n")})
+    declared = json.loads(declaration())
 
     def env(seed):
         return {"usable_cores": 1, "blas": "some-blas 1.0", "blas_threads": seed + 1}
@@ -125,7 +143,8 @@ def test_run_bench_returns_the_detail_record_and_main_prints_its_environment(tmp
     def stamp(seed):
         return f"environment: {json.dumps(env(seed))}"
 
-    assert bench_ab.run_bench(str(tmp_path), "w", 0) == (result, {"environment": env(0)})
+    assert bench_ab.run_bench(str(tmp_path), declared, "w", 0) == (
+        result, {"environment": env(0)})
     assert bench_ab.main([str(tmp_path), str(tmp_path), "--workload", "w", "--seeds", "0-1"]) == 0
     # a stamp before the first run's metrics, and again when the stamp changes
     assert capsys.readouterr().out.splitlines()[1:7] == [
@@ -134,8 +153,30 @@ def test_run_bench_returns_the_detail_record_and_main_prints_its_environment(tmp
 
 
 def test_run_bench_fails_cleanly_on_fewer_than_two_lines(tmp_path):
-    run_py = tmp_path / "bench" / "run.py"
-    run_py.parent.mkdir()
-    run_py.write_text("print('{}')\n")
+    checkout(tmp_path, {"bench/run.py": "print('{}')\n"})
     with pytest.raises(SystemExit, match="after 1 stdout lines"):
-        bench_ab.run_bench(str(tmp_path), "w", 0)
+        bench_ab.run_bench(str(tmp_path), json.loads(declaration()), "w", 0)
+
+
+def test_main_runs_the_declared_command_for_the_declared_seconds_and_paths(tmp_path, capsys):
+    # a benchmark declared at tools/time.py and 7 s, whose result reports the
+    # seconds it was given; bench/ is not a benchmark path there
+    script = (
+        "import json, sys\n"
+        "seconds = float(sys.argv[sys.argv.index('--seconds') + 1])\n"
+        "print(json.dumps({'environment': {'argv': sys.argv[1:]}}))\n"
+        "print(json.dumps({'metrics': {'train_s': {'value': seconds}},"
+        " 'failed': 0, 'attempted': 1}))\n")
+    benchmark = declaration(command=[sys.executable, "tools/time.py"], run_seconds=7,
+                            paths=["tools"])
+    parent = checkout(tmp_path / "parent", {"BENCHMARK.json": benchmark, "tools/time.py": script,
+                                            "tools/pins.json": "[]", "bench/run.py": ""})
+    change = checkout(tmp_path / "change", {"BENCHMARK.json": benchmark, "tools/time.py": script,
+                                            "tools/pins.json": "[1]", "bench/run.py": "x"})
+    assert bench_ab.main([parent, change, "--workload", "w", "--seeds", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    argv = ["--workload", "w", "--seed", "3", "--seconds", "7", "--trace", "0"]
+    assert out[:4] == [
+        f"benchmark file differs between the checkouts: {os.path.join('tools', 'pins.json')}",
+        f"environment: {json.dumps({'argv': argv})}",
+        "seed 3 parent: train_s=7 failed 0/1", "seed 3 change: train_s=7 failed 0/1"]
